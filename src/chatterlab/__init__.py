@@ -7,7 +7,6 @@ from .controls import (
     PiecewiseConstantControl,
     ProblemSpec,
     Trajectory,
-    check_state_constraints,
     constant_control,
     lagrangian_cost,
     regularized_cost,
@@ -59,7 +58,6 @@ from .solver import (
     solve_terminal_arcs,
 )
 from .truncation import (
-    TimeOptimalMap,
     TruncationResult,
     composite_rate_bound,
     min_time_steer,

@@ -92,13 +92,24 @@ class ExperimentConfig:
                 raise ConfigError("truncation-depth grid must be nonempty")
             if self.model not in MODEL_BUILDERS:
                 raise ConfigError(f"unknown model {self.model!r}")
+        self.x0 = tuple(_finite_numbers("x0", self.x0))
+        if len(self.x0) != 2:
+            raise ConfigError("x0 needs exactly two components")
+        (self.tol,) = _finite_numbers("tol", [self.tol])
         if self.tol <= 0:
             raise ConfigError("tol must be positive")
-        self.eps = sorted((float(e) for e in self.eps), reverse=True)
-        self.eta = sorted((float(e) for e in self.eta), reverse=True)
-        self.n = sorted(int(v) for v in self.n)
+        self.eps = sorted(_finite_numbers("eps", self.eps), reverse=True)
+        self.eta = sorted(_finite_numbers("eta", self.eta), reverse=True)
         if any(e <= 0 for e in self.eps) or any(e <= 0 for e in self.eta):
             raise ConfigError("grid values must be positive")
+        n = _finite_numbers("n", self.n)
+        if any(v != int(v) for v in n):
+            raise ConfigError("truncation depths must be integers")
+        self.n = sorted(int(v) for v in n)
+        for name in ("eps", "eta", "n"):
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                raise ConfigError(f"{name} grid repeats a value")
         return self
 
     def echo(self) -> dict:
@@ -113,6 +124,17 @@ class ExperimentConfig:
             "seed": self.seed,
             "tol": self.tol,
         }
+
+
+def _finite_numbers(name: str, values) -> list:
+    """Floats of a configuration value; ConfigError unless all are finite."""
+    try:
+        out = [float(v) for v in values]
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must hold numbers, got {values!r}") from None
+    if not all(math.isfinite(v) for v in out):
+        raise ConfigError(f"{name} must be finite, got {values!r}")
+    return out
 
 
 def parse_grid(text: str):
@@ -150,8 +172,6 @@ def _parse_x0(text: str):
         parts = [float(v) for v in text.split(",")]
     except ValueError as exc:
         raise ConfigError(f"cannot parse x0 {text!r}: {exc}") from None
-    if len(parts) != 2:
-        raise ConfigError("x0 needs exactly two components")
     return tuple(parts)
 
 
@@ -184,12 +204,7 @@ def load_config(args) -> ExperimentConfig:
         if not isinstance(data, dict):
             raise ConfigError("config file must hold a JSON object")
     cfg = ExperimentConfig(experiment=args.experiment)
-    if "x0" in data:
-        cfg.x0 = tuple(float(v) for v in data["x0"])
-    for key in ("eps", "eta", "n"):
-        if key in data:
-            setattr(cfg, key, list(data[key]))
-    for key in ("model", "seed", "tol", "out"):
+    for key in ("x0", "eps", "eta", "n", "model", "seed", "tol", "out"):
         if key in data:
             setattr(cfg, key, data[key])
     cfg.model_params = dict(data.get("model_params", {}))
@@ -201,7 +216,7 @@ def load_config(args) -> ExperimentConfig:
     if args.eta is not None:
         cfg.eta = parse_grid(args.eta)
     if args.n is not None:
-        cfg.n = [int(v) for v in parse_grid(args.n)]
+        cfg.n = parse_grid(args.n)
     if args.model is not None:
         cfg.model = args.model
     if args.seed is not None:
@@ -381,6 +396,9 @@ def run_zeno_rate(cfg: ExperimentConfig):
     if len(ns) < 5:
         raise ConfigError("need at least 5 usable truncation depths")
     sweep = zeno_rate_sweep(traj, ns, lagrangian, system)
+    linear_rate_asserted = cfg.model == "water-tank"
+    if linear_rate_asserted and sweep.gap_slope is None:
+        raise DegenerateFit("cost gaps at the rounding floor leave no linear-rate fit")
     tail, tail_bound = zeno_tail_cost(traj, lagrangian)
     manifest = {
         "model": cfg.model,
@@ -388,12 +406,13 @@ def run_zeno_rate(cfg: ExperimentConfig):
         "n_events": traj.n_events,
         "dev_slope": sweep.dev_slope,
         "gap_slope": sweep.gap_slope,
+        "gap_constant": sweep.gap_constant,
         "rate_bound_constant": sweep.rate_bound_constant,
         "bound_ok": sweep.bound_ok,
         "max_guard_residual": max(traj.guard_residuals),
         "zeno_tail_cost": tail,
         "zeno_tail_error_bound": tail_bound,
-        "linear_rate_asserted": cfg.model == "water-tank",
+        "linear_rate_asserted": linear_rate_asserted,
     }
     return list(sweep.records), manifest
 

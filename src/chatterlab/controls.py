@@ -1,31 +1,41 @@
-"""Controls, trajectories, costs and total variation.
+"""Controls, trajectories, costs and total variation of the double integrator.
 
-The double integrator (x1' = x2, x2' = u) is propagated by its exact
-polynomial flow per constant-control arc; any other registered dynamics
-falls back to a fixed-step classical Runge-Kutta integrator.  Everything
-here is a pure function of immutable inputs, so values can be shared
-freely across threads and sweeps.
+The model is x1' = x2, x2' = u with running cost x1^2.  Every constant-
+control arc is propagated by its exact polynomial flow, and its cost and
+state sup are closed forms; `di_arc` computes all three and is the one place
+that arc mathematics is written down.  Everything here is a pure function of
+immutable inputs, so values can be shared freely across threads and sweeps.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable
-
-import numpy as np
+from functools import cached_property
 
 from .errors import EquiboundViolation
 
-DOUBLE_INTEGRATOR = "double-integrator"
-#: model ids accepted for the built-in double integrator
-_DI_ALIASES = (DOUBLE_INTEGRATOR, "fuller")
 
-#: default fraction of the horizon used as RK4 step for generic dynamics
-GENERIC_STEP_FRACTION = 1e-4
+def di_arc(x1, x2, u: float, d):
+    """One exact double-integrator arc from (x1, x2) under constant control u
+    for duration d.
 
-#: tolerance below which a state-constraint value counts as a violation
-CONSTRAINT_TOL = -1e-9
+    Returns (end x1, end x2, integral of x1^2 over the arc, |x1| at an
+    interior velocity zero or 0 when the velocity does not vanish inside).
+    The arc's sup of max(|x1|, |x2|) is the largest of the last value and
+    the endpoint magnitudes; callers fold it themselves.  Plain arithmetic,
+    so x1, x2 and d may be floats or equally shaped numpy grids; u is a
+    scalar.
+    """
+    c = 0.5 * u
+    cost = d * (x1 * x1 + d * (x1 * x2 + d * ((x2 * x2 + 2.0 * x1 * c) / 3.0
+                                              + d * (x2 * c / 2.0 + d * (c * c / 5.0)))))
+    e1 = x1 + x2 * d + 0.5 * u * d * d
+    e2 = x2 + u * d
+    if u == 0.0:
+        return e1, e2, cost, 0.0
+    s = -x2 / u
+    vertex = abs(x1 + x2 * s + 0.5 * u * s * s) * ((0.0 < s) & (s < d))
+    return e1, e2, cost, vertex
 
 
 # ---------------------------------------------------------------------------
@@ -35,17 +45,16 @@ CONSTRAINT_TOL = -1e-9
 @dataclass(frozen=True)
 class PiecewiseConstantControl:
     """A finite switching structure: strictly increasing breakpoints and one
-    control value per interval.  Total variation is finite by construction.
+    scalar control value per interval.  Total variation is finite by
+    construction.
     """
 
     breakpoints: tuple[float, ...]
-    values: tuple  # one scalar (or one vector, as a tuple) per interval
+    values: tuple[float, ...]
 
     def __post_init__(self):
         bp = tuple(float(t) for t in self.breakpoints)
-        vals = tuple(
-            tuple(float(c) for c in v) if _is_vector(v) else float(v)
-            for v in self.values)
+        vals = tuple(float(v) for v in self.values)
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "values", vals)
         if len(bp) < 2:
@@ -120,21 +129,10 @@ def constant_control(value: float, duration: float) -> PiecewiseConstantControl:
     return PiecewiseConstantControl((0.0, float(duration)), (value,))
 
 
-def _is_vector(v) -> bool:
-    return isinstance(v, (tuple, list, np.ndarray))
-
-
-def _jump(a, b) -> float:
-    if _is_vector(a) or _is_vector(b):
-        return math.sqrt(sum((y - x) ** 2 for x, y in zip(a, b)))
-    return abs(b - a)
-
-
 def tv(control: PiecewiseConstantControl) -> float:
-    """Total variation: sum of jump magnitudes between consecutive arc
-    values, Euclidean norm for vector-valued controls."""
+    """Total variation: sum of jump magnitudes between consecutive arc values."""
     vals = control.values
-    return sum(_jump(a, b) for a, b in zip(vals, vals[1:]))
+    return sum(abs(b - a) for a, b in zip(vals, vals[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -153,8 +151,8 @@ class Arc:
     u: float
 
     def state_at(self, s: float) -> tuple[float, float]:
-        a, b = self.x0
-        return (a + b * s + 0.5 * self.u * s * s, b + self.u * s)
+        x1, x2, _, _ = di_arc(self.x0[0], self.x0[1], self.u, s)
+        return (x1, x2)
 
     @property
     def end_state(self) -> tuple[float, float]:
@@ -163,67 +161,28 @@ class Arc:
     def sup_abs(self) -> float:
         """Exact sup over the arc of max(|x1|, |x2|)."""
         a, b = self.x0
-        d = self.duration
-        x1e, x2e = self.end_state
-        m = max(abs(a), abs(x1e), abs(b), abs(x2e))
-        if self.u != 0.0:
-            s_vertex = -b / self.u
-            if 0.0 < s_vertex < d:
-                x1v, _ = self.state_at(s_vertex)
-                m = max(m, abs(x1v))
-        return m
+        e1, e2, _, vertex = di_arc(a, b, self.u, self.duration)
+        return max(abs(a), abs(e1), abs(b), abs(e2), vertex)
 
     def cost_x1sq(self) -> float:
         """Exact integral of x1(s)^2 over the arc (quintic in the duration)."""
-        a, b = self.x0
-        c = 0.5 * self.u
-        d = self.duration
-        return d * (a * a
-                    + d * (a * b
-                           + d * ((b * b + 2.0 * a * c) / 3.0
-                                  + d * (b * c / 2.0
-                                         + d * (c * c / 5.0)))))
-
-
-@dataclass(frozen=True)
-class SampledArc:
-    """One constant-control arc of a generic dynamics, stored as the RK4 grid."""
-
-    t0: float
-    duration: float
-    u: float
-    times: np.ndarray
-    states: np.ndarray
-
-    @property
-    def x0(self) -> np.ndarray:
-        return self.states[0]
-
-    @property
-    def end_state(self) -> np.ndarray:
-        return self.states[-1]
-
-    def state_at(self, s: float) -> np.ndarray:
-        t = self.t0 + s
-        return np.array([np.interp(t, self.times, col) for col in self.states.T])
-
-    def sup_abs(self) -> float:
-        return float(np.max(np.abs(self.states)))
+        return di_arc(self.x0[0], self.x0[1], self.u, self.duration)[2]
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """State history of x' = f(x, u) under a piecewise-constant control."""
+    """State history of the double integrator under a piecewise-constant
+    control: one exact arc per control interval."""
 
-    arcs: tuple
-    final_state: tuple
+    arcs: tuple[Arc, ...]
+    final_state: tuple[float, float]
 
-    @property
+    @cached_property
     def duration(self) -> float:
         last = self.arcs[-1]
         return last.t0 + last.duration
 
-    def state_at(self, t: float):
+    def state_at(self, t: float) -> tuple[float, float]:
         if t < 0.0 or t > self.duration * (1.0 + 1e-12) + 1e-300:
             raise ValueError(f"t={t} outside [0, {self.duration}]")
         for arc in self.arcs:
@@ -241,73 +200,35 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Dynamics, cost model, initial state and admissibility data.
+    """Initial state and admissibility data of the double-integrator problem
+    with running cost x1^2.
 
-    dynamics: "double-integrator" (alias "fuller") or a callable f(x, u) with
-        f(0, 0) = 0; the equilibrium property is checked at construction.
-    lagrangian: "x1sq" for the built-in L = x1^2 (closed-form on double
-        integrator arcs) or a callable L(t, x, u) integrated by quadrature.
+    x0: planar initial state (x1, x2).
+    control_bounds: admissible control values lie in [lo, hi].
     equibound: admissible candidates must satisfy t_u + sup|x| <= equibound.
     """
 
-    x0: tuple[float, ...]
-    dynamics: str | Callable = DOUBLE_INTEGRATOR
-    lagrangian: str | Callable = "x1sq"
+    x0: tuple[float, float]
     control_bounds: tuple[float, float] = (-1.0, 1.0)
-    state_constraints: tuple[Callable, ...] = ()
     equibound: float = 1e3
 
     def __post_init__(self):
         object.__setattr__(self, "x0", tuple(float(v) for v in self.x0))
+        if len(self.x0) != 2:
+            raise ValueError("double integrator needs a planar initial state")
         if self.equibound <= 0.0:
             raise ValueError("equibound must be positive")
         lo, hi = self.control_bounds
         if not lo < hi:
             raise ValueError("control bounds must satisfy lo < hi")
-        if callable(self.dynamics):
-            origin = np.zeros(len(self.x0))
-            res = np.asarray(self.dynamics(origin, 0.0), dtype=float)
-            if np.max(np.abs(res)) > 1e-12:
-                raise ValueError("dynamics must vanish at (x, u) = (0, 0)")
-        elif self.dynamics not in _DI_ALIASES:
-            raise ValueError(f"unknown dynamics id {self.dynamics!r}")
 
-    @property
-    def is_double_integrator(self) -> bool:
-        return not callable(self.dynamics) and self.dynamics in _DI_ALIASES
-
-    def check_value(self, v) -> bool:
+    def check_value(self, v: float) -> bool:
         lo, hi = self.control_bounds
-        if _is_vector(v):
-            return all(lo - 1e-12 <= c <= hi + 1e-12 for c in v)
         return lo - 1e-12 <= v <= hi + 1e-12
 
 
-def _rk4_arc(f: Callable, t0: float, x0: np.ndarray, u: float, duration: float,
-             step: float) -> SampledArc:
-    n_steps = max(2, int(math.ceil(duration / step)))
-    if n_steps % 2:
-        n_steps += 1  # even count so composite Simpson applies cleanly
-    h = duration / n_steps
-    times = np.empty(n_steps + 1)
-    states = np.empty((n_steps + 1, len(x0)))
-    times[0] = t0
-    states[0] = x0
-    x = np.asarray(x0, dtype=float)
-    for k in range(n_steps):
-        k1 = np.asarray(f(x, u), dtype=float)
-        k2 = np.asarray(f(x + 0.5 * h * k1, u), dtype=float)
-        k3 = np.asarray(f(x + 0.5 * h * k2, u), dtype=float)
-        k4 = np.asarray(f(x + h * k3, u), dtype=float)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        times[k + 1] = t0 + (k + 1) * h
-        states[k + 1] = x
-    return SampledArc(t0, duration, u, times, states)
-
-
 def simulate(spec: ProblemSpec, control: PiecewiseConstantControl) -> Trajectory:
-    """Propagate spec.x0 under the control; exact arcs for the double
-    integrator, fixed-step RK4 (step <= 1e-4 * horizon) otherwise.
+    """Propagate spec.x0 under the control by exact arcs.
 
     Raises EquiboundViolation when t_u + sup|x| exceeds spec.equibound.
     """
@@ -315,29 +236,13 @@ def simulate(spec: ProblemSpec, control: PiecewiseConstantControl) -> Trajectory
         if not spec.check_value(v):
             raise ValueError(f"control value {v} outside admissible set")
     arcs = []
-    if spec.is_double_integrator:
-        if len(spec.x0) != 2:
-            raise ValueError("double integrator needs a planar initial state")
-        if any(_is_vector(v) for v in control.values):
-            raise ValueError("double integrator takes scalar control values")
-        x = spec.x0
-        for i, u in enumerate(control.values):
-            t0 = control.breakpoints[i]
-            d = control.breakpoints[i + 1] - t0
-            arc = Arc(t0, d, x, u)
-            arcs.append(arc)
-            x = arc.end_state
-        traj = Trajectory(tuple(arcs), x)
-    else:
-        step = GENERIC_STEP_FRACTION * control.duration
-        x = np.asarray(spec.x0, dtype=float)
-        for i, u in enumerate(control.values):
-            t0 = control.breakpoints[i]
-            d = control.breakpoints[i + 1] - t0
-            arc = _rk4_arc(spec.dynamics, t0, x, u, d, step)
-            arcs.append(arc)
-            x = arc.end_state
-        traj = Trajectory(tuple(arcs), tuple(float(v) for v in x))
+    x = spec.x0
+    for i, u in enumerate(control.values):
+        t0 = control.breakpoints[i]
+        arc = Arc(t0, control.breakpoints[i + 1] - t0, x, u)
+        arcs.append(arc)
+        x = arc.end_state
+    traj = Trajectory(tuple(arcs), x)
     excess = control.duration + traj.sup_abs()
     if excess > spec.equibound:
         raise EquiboundViolation(
@@ -345,44 +250,18 @@ def simulate(spec: ProblemSpec, control: PiecewiseConstantControl) -> Trajectory
     return traj
 
 
-def _simpson(times: np.ndarray, values: np.ndarray) -> float:
-    """Composite Simpson over a uniform grid with an even interval count."""
-    n = len(times) - 1
-    h = (times[-1] - times[0]) / n
-    if n % 2:  # uniform grids from _rk4_arc are always even; guard anyway
-        head = _simpson(times[:-1], values[:-1]) if n > 1 else 0.0
-        return head + 0.5 * h * (values[-2] + values[-1])
-    acc = values[0] + values[-1] + 4.0 * values[1:-1:2].sum() + 2.0 * values[2:-1:2].sum()
-    return float(acc * h / 3.0)
-
-
 def lagrangian_cost(traj: Trajectory, control: PiecewiseConstantControl,
                     spec: ProblemSpec) -> float:
-    """Running cost of the trajectory.
-
-    The built-in L = x1^2 on double-integrator arcs uses the exact quintic
-    antiderivative; anything else is integrated by composite Simpson on the
-    integrator grid (or on a dense closed-form sample grid for exact arcs).
-    """
+    """Running cost of the trajectory: the integral of x1^2, summed from the
+    exact quintic arc integrals.  `control` must be the control that
+    produced `traj` (checked by arc count); the closed form needs nothing
+    from `spec`, which keeps the (traj, control, spec) signature that
+    regularized_cost shares."""
     if len(traj.arcs) != control.n_arcs:
         raise ValueError("trajectory was not produced from this control")
-    builtin = not callable(spec.lagrangian) and spec.lagrangian == "x1sq"
     total = 0.0
-    for arc, u in zip(traj.arcs, control.values):
-        if builtin and isinstance(arc, Arc):
-            total += arc.cost_x1sq()
-            continue
-        if isinstance(arc, Arc):
-            n = 200
-            times = np.linspace(arc.t0, arc.t0 + arc.duration, n + 1)
-            states = np.array([arc.state_at(t - arc.t0) for t in times])
-        else:
-            times, states = arc.times, arc.states
-        if builtin:
-            vals = states[:, 0] ** 2
-        else:
-            vals = np.array([spec.lagrangian(t, x, u) for t, x in zip(times, states)])
-        total += _simpson(times, vals)
+    for arc in traj.arcs:
+        total += arc.cost_x1sq()
     return total
 
 
@@ -392,37 +271,3 @@ def regularized_cost(traj: Trajectory, control: PiecewiseConstantControl,
     if epsilon < 0.0:
         raise ValueError("epsilon must be nonnegative")
     return lagrangian_cost(traj, control, spec) + epsilon * tv(control)
-
-
-def check_state_constraints(traj: Trajectory, spec: ProblemSpec,
-                            samples_per_arc: int = 100) -> bool:
-    """True iff every registered h_i stays >= -1e-9 at junctions and on a
-    dense per-arc sample grid."""
-    if not spec.state_constraints:
-        return True
-    for arc in traj.arcs:
-        for k in range(samples_per_arc + 1):
-            s = arc.duration * k / samples_per_arc
-            x = arc.state_at(s)
-            for h in spec.state_constraints:
-                if h(x) < CONSTRAINT_TOL:
-                    return False
-    return True
-
-
-# ---------------------------------------------------------------------------
-# double-integrator helpers shared by the synthesis and solver modules
-# ---------------------------------------------------------------------------
-
-def di_flow(x: tuple[float, float], u: float, d: float) -> tuple[float, float]:
-    """End state of one exact double-integrator arc."""
-    a, b = x
-    return (a + b * d + 0.5 * u * d * d, b + u * d)
-
-
-def di_cost_x1sq(x: tuple[float, float], u: float, d: float) -> float:
-    """Exact arc integral of x1^2 (see Arc.cost_x1sq)."""
-    a, b = x
-    c = 0.5 * u
-    return d * (a * a + d * (a * b + d * ((b * b + 2.0 * a * c) / 3.0
-                                          + d * (b * c / 2.0 + d * (c * c / 5.0)))))

@@ -25,7 +25,7 @@ from functools import lru_cache
 from .controls import (
     PiecewiseConstantControl,
     ProblemSpec,
-    di_flow,
+    di_arc,
     lagrangian_cost,
     simulate,
 )
@@ -178,7 +178,7 @@ def compute_fuller_constant(tol: float = 1e-12, start_scale: float = 1.0):
         zeta = 0.5 * (lo + hi)
     x = (-zeta * start_scale ** 2, start_scale)
     d = first_crossing(x, -1.0, zeta)
-    rho = -di_flow(x, -1.0, d)[1] / start_scale
+    rho = -di_arc(x[0], x[1], -1.0, d)[1] / start_scale
     return zeta, rho
 
 
@@ -234,7 +234,7 @@ def synthesize_chattering(x0, synth: FullerSynthesis):
         t += d
         breakpoints.append(t)
         values.append(u)
-        x = di_flow(x, u, d)
+        x = di_arc(x[0], x[1], u, d)[:2]
         if len(values) > _MAX_ARCS:
             raise ArithmeticError("switching cascade failed to contract")
     tail, _ = min_time_steer(x)

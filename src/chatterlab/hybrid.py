@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import EventOverflow, Inconclusive
-from .ratefit import fit_power_law
+from .ratefit import GAP_FLOOR, fit_power_law
 from .records import RateRecord
 
 #: default integration step as a fraction of the horizon
@@ -407,9 +407,9 @@ def _mode_mismatch_time(traj_star: HybridTrajectory, n: int, frozen_mode: str) -
 class ZenoSweep:
     records: tuple[RateRecord, ...]
     dev_slope: float
-    gap_slope: float
+    gap_slope: float | None
     dev_constant: float
-    gap_constant: float
+    gap_constant: float | None
     sup_rate_constant: float
     rate_bound_constant: float
     bound_ok: bool
@@ -423,6 +423,8 @@ def zeno_rate_sweep(traj_star: HybridTrajectory, ns, lagrangian: HybridLagrangia
     Log-log slopes are fitted for the sup-norm deviation and for the
     magnitude of the cost gap (the gap's sign alternates with the frozen
     mode's parity when the per-mode cost rates differ at the Zeno point).
+    Gaps at the rounding floor are left out of the gap fit; with fewer than
+    three left, gap_slope and gap_constant are None.
     The gap is also checked against (sup rate - inf rate) * (tau_inf -
     tau_n), with the rates measured along the run.
     """
@@ -468,14 +470,15 @@ def zeno_rate_sweep(traj_star: HybridTrajectory, ns, lagrangian: HybridLagrangia
         if abs(rec.cost_gap) > (c_sup - c_inf) * rec.param + 1e-12:
             bound_ok = False
     dev_fit = fit_power_law([(r.param, r.sup_dev) for r in records])
-    gap_fit = fit_power_law([(r.param, abs(r.cost_gap)) for r in records])
+    gaps = [(r.param, abs(r.cost_gap)) for r in records if abs(r.cost_gap) > GAP_FLOOR]
+    gap_fit = fit_power_law(gaps) if len(gaps) >= 3 else None
     sup_rate = max(r.sup_dev / r.param for r in records)
     return ZenoSweep(
         records=tuple(records),
         dev_slope=dev_fit.exponent,
-        gap_slope=gap_fit.exponent,
+        gap_slope=gap_fit.exponent if gap_fit else None,
         dev_constant=dev_fit.constant,
-        gap_constant=gap_fit.constant,
+        gap_constant=gap_fit.constant if gap_fit else None,
         sup_rate_constant=sup_rate,
         rate_bound_constant=c_sup - c_inf,
         bound_ok=bound_ok,

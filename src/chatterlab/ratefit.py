@@ -9,6 +9,9 @@ import numpy as np
 
 from .errors import DegenerateFit
 
+#: cost gaps at or below this are indistinguishable from closed-form roundoff
+GAP_FLOOR = 1e-12
+
 
 @dataclass(frozen=True)
 class PowerLawFit:

@@ -31,19 +31,18 @@ def _fmt(v: float) -> str:
     return f"{v:.17g}"
 
 
-def write_csv(path, records, *, deterministic_wall: bool = True) -> Path:
+def write_csv(path, records) -> Path:
     """Write records sorted by parameter value, 17 significant digits.
 
-    Wall times are zeroed in the file by default so repeated runs of the
-    same configuration are byte identical; the measured timings belong in
-    the JSON manifest instead.
+    Wall times are written as zero so repeated runs of the same
+    configuration are byte identical; the measured timings belong in the
+    JSON manifest instead.
     """
     path = Path(path)
     lines = [",".join(CSV_COLUMNS)]
     for rec in sorted(records, key=lambda r: r.param):
-        wall = 0.0 if deterministic_wall else rec.wall_ms
         lines.append(",".join(_fmt(v) for v in (
-            rec.param, rec.cost_gap, rec.sup_dev, rec.l1_dev, rec.tv, wall)))
+            rec.param, rec.cost_gap, rec.sup_dev, rec.l1_dev, rec.tv, 0.0)))
     path.write_text("\n".join(lines) + "\n")
     return path
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .controls import PiecewiseConstantControl, ProblemSpec
+from .controls import PiecewiseConstantControl, ProblemSpec, di_arc
 from .errors import AllStartsInfeasible, Infeasible
 from .fuller import FullerSynthesis, default_synthesis, synthesize_chattering
 from .truncation import min_time_to_origin, steer_durations
@@ -49,36 +49,25 @@ def solve_terminal_arcs(state, first_sign: float):
     return pair
 
 
-def _arc_cost(x1: float, x2: float, u: float, d: float) -> float:
-    c = 0.5 * u
-    return d * (x1 * x1 + d * (x1 * x2 + d * ((x2 * x2 + 2.0 * x1 * c) / 3.0
-                                              + d * (x2 * c / 2.0 + d * (c * c / 5.0)))))
-
-
-def _arc_sup(x1: float, x2: float, u: float, d: float) -> float:
-    e1 = x1 + x2 * d + 0.5 * u * d * d
-    e2 = x2 + u * d
-    m = max(abs(x1), abs(e1), abs(x2), abs(e2))
-    if u != 0.0:
-        s = -x2 / u
-        if 0.0 < s < d:
-            m = max(m, abs(x1 + x2 * s + 0.5 * u * s * s))
-    return m
-
-
-def _tv_of(durations, sign: float) -> float:
-    """Total variation of the materialized control: zero-length arcs collapse
-    before jumps are summed."""
-    prev = None
+def _collapsed_tv(durations):
+    """Total variation of an alternating unit bang-bang control once its
+    zero-length arcs drop out: consecutive kept arcs an odd number of places
+    apart carry opposite signs and jump by 2.  Works on float durations and
+    elementwise on equally shaped numpy grids."""
     acc = 0.0
-    u = sign
-    for d in durations:
-        if d > 0.0:
-            if prev is not None:
-                acc += abs(u - prev)
-            prev = u
-        u = -u
+    last = -1  # index of the last kept arc
+    for i, d in enumerate(durations):
+        kept = d > 0.0
+        acc = acc + 2.0 * (kept & (last >= 0) & ((i - last) % 2 == 1))
+        last = last + (i - last) * kept
     return acc
+
+
+def _better(value: float, n: int, best) -> bool:
+    """Selection order of (value, switch count, ...) entries: a lower value
+    by more than 1e-12 wins, and within 1e-12 the lower switch count."""
+    return best is None or value < best[0] - 1e-12 \
+        or (abs(value - best[0]) <= 1e-12 and n < best[1])
 
 
 @dataclass(frozen=True)
@@ -129,29 +118,29 @@ def _evaluate(x0, sign: float, free, equibound: float):
     for d in free:
         if d < 0.0:
             return None
-        cost += _arc_cost(x1, x2, u, d)
-        sup = max(sup, _arc_sup(x1, x2, u, d))
-        x1, x2 = x1 + x2 * d + 0.5 * u * d * d, x2 + u * d
+        e1, e2, c, vertex = di_arc(x1, x2, u, d)
+        cost += c
+        sup = max(sup, abs(x1), abs(x2), abs(e1), abs(e2), vertex)
+        x1, x2 = e1, e2
         total += d
         u = -u
     if x1 == 0.0 and x2 == 0.0:
-        a = b = 0.0
+        pair = (0.0, 0.0)
     else:
         pair = steer_durations((x1, x2), u)
         if pair is None:
             return None
-        a, b = pair
-    cost += _arc_cost(x1, x2, u, a)
-    sup = max(sup, _arc_sup(x1, x2, u, a))
-    x1, x2 = x1 + x2 * a + 0.5 * u * a * a, x2 + u * a
-    cost += _arc_cost(x1, x2, -u, b)
-    sup = max(sup, _arc_sup(x1, x2, -u, b))
-    x1, x2 = x1 + x2 * b - 0.5 * u * b * b, x2 - u * b
-    total += a + b
+    for d in pair:
+        e1, e2, c, vertex = di_arc(x1, x2, u, d)
+        cost += c
+        sup = max(sup, abs(x1), abs(x2), abs(e1), abs(e2), vertex)
+        x1, x2 = e1, e2
+        u = -u
+    total += pair[0] + pair[1]
     if total + sup > equibound:
         return None
-    durations = tuple(free) + (a, b)
-    return (cost, _tv_of(durations, sign), durations,
+    durations = tuple(free) + pair
+    return (cost, _collapsed_tv(durations), durations,
             math.hypot(x1, x2), sup, total)
 
 
@@ -174,6 +163,62 @@ def _golden(fun, lo: float, hi: float, xtol: float):
             b = lo + _INVPHI * h
             fb = fun(b)
     return (a, fa) if fa <= fb else (b, fb)
+
+
+def _coordinate_descent(objective, theta: list, val: float, *, cap: float,
+                        scan, half_width: float, xtol: float, rtol: float,
+                        max_passes: int, trace: list) -> float:
+    """Cyclic coordinate descent on the free durations `theta` (updated in
+    place) from objective value `val`; returns the final value.
+
+    Per coordinate, the best of the current point and the `scan` points
+    centres a golden-section search of half-width `half_width`, clipped to
+    [0, cap]; a strictly better point is accepted and its value appended to
+    `trace`.  Passes stop once one gains less than rtol * (1 + |value|).
+    """
+    for _ in range(max_passes):
+        prev = val
+        for j in range(len(theta)):
+            def along(t, j=j):
+                probe = list(theta)
+                probe[j] = t
+                return objective(probe)[0]
+
+            cand_t, cand_f = theta[j], val
+            for t in scan:
+                f = along(t)
+                if f < cand_f:
+                    cand_t, cand_f = t, f
+            lo = max(0.0, cand_t - half_width)
+            hi = min(cap, cand_t + half_width)
+            g_t, g_f = _golden(along, lo, hi, xtol)
+            if g_f < cand_f:
+                cand_t, cand_f = g_t, g_f
+            if cand_f < val:
+                theta[j] = cand_t
+                val = cand_f
+                trace.append(val)
+        if not val < prev - rtol * (1.0 + abs(prev)):
+            break
+    return val
+
+
+def _objective(spec: ProblemSpec, sign: float, epsilon: float):
+    """Regularized value of the candidate with the given free durations,
+    paired with its _evaluate data; (inf, None) when infeasible."""
+    x0, equibound = spec.x0, spec.equibound
+
+    def objective(free):
+        res = _evaluate(x0, sign, free, equibound)
+        if res is None:
+            return math.inf, None
+        return res[0] + epsilon * res[1], res
+
+    return objective
+
+
+def _candidate(sign: float, res) -> BangBangCandidate:
+    return BangBangCandidate(sign, res[2], res[0], res[1], res[3])
 
 
 def _build_starts(n_free: int, x0, synth: FullerSynthesis, seed: int, cap: float,
@@ -209,7 +254,8 @@ def _build_starts(n_free: int, x0, synth: FullerSynthesis, seed: int, cap: float
         starts.append([d * j for d, j in zip(base, jitter)])
     for warm in extra_starts:
         starts.append(pad(list(warm)))
-    return [[min(max(d, 0.0), cap) for d in s] for s in starts]
+    # plain floats: numpy scalars would slow every evaluation several-fold
+    return [[float(min(max(d, 0.0), cap)) for d in s] for s in starts]
 
 
 def optimize_durations(n_switches: int, sign: float, epsilon: float,
@@ -227,9 +273,6 @@ def optimize_durations(n_switches: int, sign: float, epsilon: float,
     """
     if n_switches < 1:
         raise ValueError("need at least one switch")
-    if not spec.is_double_integrator or callable(spec.lagrangian) \
-            or spec.lagrangian != "x1sq":
-        raise ValueError("duration optimization covers the built-in model only")
     if epsilon < 0.0:
         raise ValueError("epsilon must be nonnegative")
     sign = float(sign)
@@ -239,12 +282,7 @@ def optimize_durations(n_switches: int, sign: float, epsilon: float,
     x0 = spec.x0
     cap = DURATION_CAP_FACTOR * min_time_to_origin(x0)
     n_free = n_switches - 1
-
-    def objective(free):
-        res = _evaluate(x0, sign, free, spec.equibound)
-        if res is None:
-            return math.inf, None
-        return res[0] + epsilon * res[1], res
+    objective = _objective(spec, sign, epsilon)
 
     if n_free == 0:
         val, res = objective(())
@@ -252,7 +290,7 @@ def optimize_durations(n_switches: int, sign: float, epsilon: float,
             raise AllStartsInfeasible(f"sign {sign:+.0f} cannot reach the origin")
         if trace is not None:
             trace.append([val])
-        return BangBangCandidate(sign, res[2], res[0], res[1], res[3])
+        return _candidate(sign, res)
 
     best_val = math.inf
     best_res = None
@@ -260,34 +298,13 @@ def optimize_durations(n_switches: int, sign: float, epsilon: float,
     xtol = 1e-11 * (1.0 + cap)
     for theta0 in _build_starts(n_free, x0, synth, seed, cap, extra_starts):
         theta = list(theta0)
-        val, res = objective(theta)
+        val = objective(theta)[0]
         run_trace = []
         if val < math.inf:
             run_trace.append(val)
-        for _ in range(max_passes):
-            prev = val
-            for j in range(n_free):
-                def along(t, j=j):
-                    probe = theta.copy()
-                    probe[j] = t
-                    return objective(probe)[0]
-
-                cand_t, cand_f = theta[j], val
-                for t in scan:
-                    f = along(t)
-                    if f < cand_f:
-                        cand_t, cand_f = t, f
-                lo = max(0.0, cand_t - cap / 16.0)
-                hi = min(cap, cand_t + cap / 16.0)
-                g_t, g_f = _golden(along, lo, hi, xtol)
-                if g_f < cand_f:
-                    cand_t, cand_f = g_t, g_f
-                if cand_f < val:
-                    theta[j] = cand_t
-                    val = cand_f
-                    run_trace.append(val)
-            if not val < prev - 1e-14 * (1.0 + abs(prev)):
-                break
+        val = _coordinate_descent(
+            objective, theta, val, cap=cap, scan=scan, half_width=cap / 16.0,
+            xtol=xtol, rtol=1e-14, max_passes=max_passes, trace=run_trace)
         if trace is not None and run_trace:
             trace.append(run_trace)
         if val < best_val:
@@ -296,7 +313,7 @@ def optimize_durations(n_switches: int, sign: float, epsilon: float,
     if best_res is None:
         raise AllStartsInfeasible(
             f"all starts infeasible for {n_switches} switches, sign {sign:+.0f}")
-    return BangBangCandidate(sign, best_res[2], best_res[0], best_res[1], best_res[3])
+    return _candidate(sign, best_res)
 
 
 def solve_regularized(epsilon: float, spec: ProblemSpec, *, n_max: int = 40,
@@ -344,8 +361,7 @@ def solve_regularized(epsilon: float, spec: ProblemSpec, *, n_max: int = 40,
             warm[sign] = cand.durations
             jl_n = min(jl_n, cand.lagrangian)
             value = cand.value(epsilon)
-            if best is None or value < best[0] - 1e-12 \
-                    or (abs(value - best[0]) <= 1e-12 and n < best[1]):
+            if _better(value, n, best):
                 best = (value, n, cand)
         if math.isfinite(jl_n):
             best_jl[n] = jl_n
@@ -378,28 +394,11 @@ def _vector_eval(x0, sign: float, free_grids, equibound: float):
     sup = np.maximum(np.abs(x1), np.abs(x2))
     total = np.zeros_like(x1)
     u = sign
-
-    def arc(x1, x2, u, d):
-        c = 0.5 * u
-        a_cost = d * (x1 * x1 + d * (x1 * x2 + d * ((x2 * x2 + 2.0 * x1 * c) / 3.0
-                                                    + d * (x2 * c / 2.0 + d * (c * c / 5.0)))))
-        e1 = x1 + x2 * d + 0.5 * u * d * d
-        e2 = x2 + u * d
-        s = np.maximum(np.maximum(np.abs(e1), np.abs(e2)), np.abs(x1))
-        if u != 0.0:
-            tv_ = -x2 / u
-            inside = (tv_ > 0.0) & (tv_ < d)
-            vert = x1 + x2 * tv_ + 0.5 * u * tv_ * tv_
-            s = np.where(inside, np.maximum(s, np.abs(vert)), s)
-        return a_cost, e1, e2, s
-
-    durations = []
     for d in free_grids:
-        a_cost, x1, x2, s = arc(x1, x2, u, d)
-        cost += a_cost
-        sup = np.maximum(sup, s)
+        x1, x2, c, vertex = di_arc(x1, x2, u, d)
+        cost += c
+        sup = np.maximum(sup, np.maximum(np.maximum(np.abs(x1), np.abs(x2)), vertex))
         total += d
-        durations.append(d)
         u = -u
     disc = 0.5 * x2 * x2 - u * x1
     feasible = disc >= 0.0
@@ -408,24 +407,14 @@ def _vector_eval(x0, sign: float, free_grids, equibound: float):
     feasible &= a >= 0.0
     a = np.where(feasible, a, 0.0)
     b = np.where(feasible, root, 0.0)
-    a_cost, x1, x2, s = arc(x1, x2, u, a)
-    cost += a_cost
-    sup = np.maximum(sup, s)
-    a_cost, x1, x2, s = arc(x1, x2, -u, b)
-    cost += a_cost
-    sup = np.maximum(sup, s)
+    for d in (a, b):
+        x1, x2, c, vertex = di_arc(x1, x2, u, d)
+        cost += c
+        sup = np.maximum(sup, np.maximum(np.maximum(np.abs(x1), np.abs(x2)), vertex))
+        u = -u
     total += a + b
     feasible &= total + sup <= equibound
-    durations.extend([a, b])
-    # collapsed total variation: zero-length arcs drop out, and two retained
-    # arcs an even index apart carry the same sign (base signs alternate)
-    prev_idx = np.full(cost.shape, -1, dtype=int)
-    tv_grid = np.zeros_like(cost)
-    for i, d in enumerate(durations):
-        kept = np.asarray(d) > 0.0
-        jump = kept & (prev_idx >= 0) & (((i - prev_idx) % 2) == 1)
-        tv_grid = np.where(jump, tv_grid + 2.0, tv_grid)
-        prev_idx = np.where(kept, i, prev_idx)
+    tv_grid = _collapsed_tv(list(free_grids) + [a, b])
     return np.where(feasible, cost, np.inf), tv_grid
 
 
@@ -445,12 +434,7 @@ def brute_force_oracle(n_switches: int, sign: float, epsilon: float,
     cells = max(2, int(round(1.0 / resolution)))
     axis = np.linspace(0.0, cap, cells + 1)
     n_free = n_switches - 1
-
-    def objective(free):
-        res = _evaluate(x0, sign, free, spec.equibound)
-        if res is None:
-            return math.inf, None
-        return res[0] + epsilon * res[1], res
+    objective = _objective(spec, sign, epsilon)
 
     if n_free == 0:
         theta = []
@@ -466,29 +450,13 @@ def brute_force_oracle(n_switches: int, sign: float, epsilon: float,
         theta = [float(axis[i]) for i in idx]
     # local refinement around the best cell: coordinate golden sections,
     # iterated to convergence inside the one-cell trust region
-    cell = cap / cells
-    xtol = 1e-12 * (1.0 + cap)
-    val = objective(theta)[0]
-    for _ in range(8):
-        prev = val
-        for j in range(n_free):
-            def along(t, j=j):
-                probe = list(theta)
-                probe[j] = t
-                return objective(probe)[0]
-
-            lo = max(0.0, theta[j] - cell)
-            hi = min(cap, theta[j] + cell)
-            g_t, g_f = _golden(along, lo, hi, xtol)
-            if g_f < val:
-                theta[j] = g_t
-                val = g_f
-        if not val < prev - 1e-15 * (1.0 + abs(prev)):
-            break
-    val, res = objective(theta)
+    _coordinate_descent(objective, theta, objective(theta)[0], cap=cap, scan=(),
+                        half_width=cap / cells, xtol=1e-12 * (1.0 + cap),
+                        rtol=1e-15, max_passes=8, trace=[])
+    res = objective(theta)[1]
     if res is None:
         raise AllStartsInfeasible(f"sign {sign:+.0f} infeasible")
-    return BangBangCandidate(sign, res[2], res[0], res[1], res[3])
+    return _candidate(sign, res)
 
 
 @dataclass(frozen=True)
@@ -556,8 +524,7 @@ def regularization_path(epsilons, spec: ProblemSpec, *, n_max: int = 40,
         best = None
         for n, cand in table:
             v = cand.value(e)
-            if best is None or v < best[0] - 1e-12 \
-                    or (abs(v - best[0]) <= 1e-12 and n < best[1]):
+            if _better(v, n, best):
                 best = (v, n, cand)
         value, n, cand = best
         points.append(PathPoint(epsilon=e, n_switches=n, lagrangian=cand.lagrangian,

@@ -1,4 +1,4 @@
-"""Minimum-time steering, the time-optimal map, and quasi-optimal truncation.
+"""Minimum-time steering and quasi-optimal truncation.
 
 The double integrator admits a global two-arc bang-bang minimum-time law:
 one switch on the curve x1 + x2|x2|/2 = 0, durations from a quadratic solve.
@@ -13,8 +13,6 @@ import math
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .controls import (
     PiecewiseConstantControl,
     ProblemSpec,
@@ -24,7 +22,7 @@ from .controls import (
     tv,
 )
 from .errors import CutTooLarge, DegenerateFit
-from .ratefit import fit_power_law
+from .ratefit import GAP_FLOOR, fit_power_law
 from .records import RateRecord
 
 #: added total variation of the closing tail, junction jumps included
@@ -107,31 +105,6 @@ def min_time_steer(y):
     return PiecewiseConstantControl(tuple(bp), tuple(vals)), a + b
 
 
-@dataclass(frozen=True)
-class TimeOptimalMap:
-    """Minimum time to the origin as a function of the state, with the
-    measured Hoelder data near the origin (exponent 1/2 for this model)."""
-
-    exponent: float = 0.5
-
-    def __call__(self, y) -> float:
-        return min_time_to_origin(y)
-
-    def holder_constant(self, n_samples: int = 10_000, radius: float = 1.0,
-                        seed: int = 0) -> float:
-        """Largest sampled ratio time / |y|^exponent over |y| <= radius."""
-        rng = np.random.default_rng(seed)
-        angles = rng.uniform(0.0, 2.0 * math.pi, n_samples)
-        radii = radius * np.sqrt(rng.uniform(0.0, 1.0, n_samples))
-        best = 0.0
-        for theta, r in zip(angles, radii):
-            if r == 0.0:
-                continue
-            y = (r * math.cos(theta), r * math.sin(theta))
-            best = max(best, min_time_to_origin(y) / r ** self.exponent)
-        return best
-
-
 # ---------------------------------------------------------------------------
 # truncation of a reference control
 # ---------------------------------------------------------------------------
@@ -177,7 +150,7 @@ def sup_state_deviation(traj_a: Trajectory, traj_b: Trajectory,
             t = lo + (hi - lo) * k / samples_per_arc
             xa = _state_clamped(traj_a, t)
             xb = _state_clamped(traj_b, t)
-            worst = max(worst, max(abs(p - q) for p, q in zip(xa, xb)))
+            worst = max(worst, abs(xa[0] - xb[0]), abs(xa[1] - xb[1]))
     return worst
 
 
@@ -235,10 +208,6 @@ def truncate(u_star: PiecewiseConstantControl, traj_star: Trajectory,
         cut_state=cut_state,
         prefix_tv=tv(prefix),
     )
-
-
-#: cost gaps at or below this are indistinguishable from closed-form roundoff
-GAP_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)

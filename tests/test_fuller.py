@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from chatterlab.controls import tv
+from chatterlab.controls import di_arc, tv
 from chatterlab.errors import NoRootBracket, TolTooSmall
 from chatterlab.fuller import (
     FullerSynthesis,
@@ -13,7 +13,6 @@ from chatterlab.fuller import (
     contraction_ratio,
     curve_residual,
     default_synthesis,
-    di_flow,
     first_crossing,
     optimal_cost,
     synthesize_chattering,
@@ -66,7 +65,7 @@ def test_poincare_fixed_point(synth):
     for s in (0.3, 1.0, 2.5):
         start = (-synth.zeta * s * s, s)
         d = first_crossing(start, -1.0, synth.zeta)
-        end = di_flow(start, -1.0, d)
+        end = di_arc(start[0], start[1], -1.0, d)
         expected = (synth.rho ** 2 * synth.zeta * s * s, -synth.rho * s)
         residual = math.hypot(end[0] - expected[0], end[1] - expected[1])
         assert residual <= 1e-10 * max(1.0, s * s)

@@ -6,6 +6,9 @@ import pytest
 from chatterlab.controls import ProblemSpec, simulate, tv
 from chatterlab.errors import AllStartsInfeasible, Infeasible
 from chatterlab.solver import (
+    BangBangCandidate,
+    _evaluate,
+    _vector_eval,
     brute_force_oracle,
     optimize_durations,
     regularization_path,
@@ -218,3 +221,28 @@ def test_oracle_agreement(reference, synth, n):
 def test_oracle_rejects_many_switches(reference):
     with pytest.raises(ValueError):
         brute_force_oracle(4, -1.0, 1e-3, reference[0])
+
+
+@pytest.mark.parametrize("equibound", [1e3, 3.0, 1.2])
+def test_grid_evaluator_matches_scalar_cell_by_cell(equibound):
+    # the numpy grid evaluator and the scalar one share the arc kernel and
+    # the collapsed-TV rule, so every feasible cell agrees bit for bit; the
+    # axis starts at 0, so collapsed candidates are among the cells, and
+    # each one's materialized control carries the same TV; the tighter
+    # equibounds leave a few dozen and four feasible cells
+    axis = np.linspace(0.0, 2.5, 11)
+    for x0 in ((1.0, 0.0), (-0.3, 0.8), (0.2, -1.1), (0.05, -0.3)):
+        for sign in (-1.0, 1.0):
+            for n_free in (1, 2):
+                grids = np.meshgrid(*([axis] * n_free), indexing="ij")
+                cost, tv_grid = _vector_eval(x0, sign, grids, equibound)
+                for idx in np.ndindex(cost.shape):
+                    free = [float(g[idx]) for g in grids]
+                    res = _evaluate(x0, sign, free, equibound)
+                    if res is None:
+                        assert cost[idx] == np.inf
+                        continue
+                    assert cost[idx] == res[0]
+                    assert tv_grid[idx] == res[1]
+                    cand = BangBangCandidate(sign, res[2], res[0], res[1], res[3])
+                    assert tv(cand.control()) == res[1]
