@@ -95,6 +95,10 @@ class ExperimentConfig:
         self.x0 = tuple(_finite_numbers("x0", self.x0))
         if len(self.x0) != 2:
             raise ConfigError("x0 needs exactly two components")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
+            raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        if not isinstance(self.model_params, dict):
+            raise ConfigError(f"model_params must be an object, got {self.model_params!r}")
         (self.tol,) = _finite_numbers("tol", [self.tol])
         if self.tol <= 0:
             raise ConfigError("tol must be positive")
@@ -204,10 +208,9 @@ def load_config(args) -> ExperimentConfig:
         if not isinstance(data, dict):
             raise ConfigError("config file must hold a JSON object")
     cfg = ExperimentConfig(experiment=args.experiment)
-    for key in ("x0", "eps", "eta", "n", "model", "seed", "tol", "out"):
+    for key in ("x0", "eps", "eta", "n", "model", "model_params", "seed", "tol", "out"):
         if key in data:
             setattr(cfg, key, data[key])
-    cfg.model_params = dict(data.get("model_params", {}))
     # command-line flags override the config file
     if args.x0 is not None:
         cfg.x0 = _parse_x0(args.x0)
@@ -387,7 +390,11 @@ def run_zeno_rate(cfg: ExperimentConfig):
     traj = run_until_overflow(system, defaults["q0"],
                               tuple(defaults["x0"]), defaults["horizon"],
                               max_events=int(defaults["max_events"]))
-    is_zeno, tau_inf = detect_zeno(traj)
+    try:
+        is_zeno, tau_inf = detect_zeno(traj)
+    except ValueError as exc:  # too few events before the horizon to fit
+        raise Inconclusive(f"model {cfg.model} reached the horizon "
+                           f"{defaults['horizon']:g}: {exc}") from None
     if not is_zeno:
         raise Inconclusive(f"model {cfg.model} did not produce a Zeno execution")
     lagrangian = (water_tank_lagrangian() if cfg.model == "water-tank"

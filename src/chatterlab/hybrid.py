@@ -29,6 +29,10 @@ STEP_FRACTION = 1e-4
 #: interval differences near the accumulation stay fit-quality)
 EVENT_TIME_TOL = 1e-13
 
+#: smallest integration step; an execution whose arcs call for a smaller
+#: one stops as if its event budget were spent
+STEP_FLOOR = 16.0 * EVENT_TIME_TOL
+
 #: relative residual above which the geometric interval fit is inconclusive
 GEOMETRIC_FIT_TOL = 1e-6
 
@@ -116,9 +120,10 @@ class HybridTrajectory:
 
 
 def _rk4_step(f: Callable, x: np.ndarray, h: float) -> np.ndarray:
+    half = 0.5 * h
     k1 = np.asarray(f(x), dtype=float)
-    k2 = np.asarray(f(x + 0.5 * h * k1), dtype=float)
-    k3 = np.asarray(f(x + 0.5 * h * k2), dtype=float)
+    k2 = np.asarray(f(x + half * k1), dtype=float)
+    k3 = np.asarray(f(x + half * k2), dtype=float)
     k4 = np.asarray(f(x + h * k3), dtype=float)
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
@@ -131,7 +136,8 @@ def execute(system: HybridSystem, q0: str, x0, horizon: float,
     observed positive, so a state resting exactly on a guard surface does
     not retrigger.  Each crossing is bisected to a time window of 1e-12.
     Exhausting max_events raises EventOverflow carrying the partial
-    trajectory (the usual signature of a Zeno execution).
+    trajectory (the usual signature of a Zeno execution); so does an
+    inter-event interval short enough to hold the step at STEP_FLOOR.
     """
     if max_events < 1:
         raise ValueError("max_events must be at least 1")
@@ -213,14 +219,20 @@ def execute(system: HybridSystem, q0: str, x0, horizon: float,
         # Zeno cascades contract the arcs geometrically; shrink the step with
         # them so a whole arc can never hide inside one integration step
         interval = t_event - (event_times[-2] if len(event_times) > 1 else 0.0)
-        step = min(base_step, max(interval / 4.0, 16.0 * EVENT_TIME_TOL))
+        step = min(base_step, max(interval / 4.0, STEP_FLOOR))
         t = t_event
-        if len(event_times) >= max_events and t < horizon:
+        # once the step is held at its floor the next arcs shrink to the
+        # bisection tolerance: their guards may never be seen positive, and
+        # floor steps would crawl to the horizon
+        at_floor = interval / 4.0 <= STEP_FLOOR
+        if t < horizon and (len(event_times) >= max_events or at_floor):
+            cut = (f"{max_events} events" if len(event_times) >= max_events else
+                   f"{len(event_times)} events (interval {interval:.3g} holds the "
+                   f"step at its floor)")
             traj = HybridTrajectory(event_times, arcs, x.copy(), horizon, True,
                                     residuals)
-            raise EventOverflow(
-                f"{max_events} events before t={t:.6g} < horizon {horizon:.6g}",
-                trajectory=traj)
+            raise EventOverflow(f"{cut} before t={t:.6g} < horizon {horizon:.6g}",
+                                trajectory=traj)
 
 
 def run_until_overflow(system: HybridSystem, q0: str, x0, horizon: float,
@@ -291,13 +303,13 @@ def truncate_zeno(traj_star: HybridTrajectory, n: int, system: HybridSystem,
         n_steps += 1
     h = duration / n_steps
     times = np.empty(n_steps + 1)
-    states = np.empty((n_steps + 1, len(x0)))
     times[0] = t0
+    times[1:] = t0 + np.arange(1, n_steps + 1) * h
+    states = np.empty((n_steps + 1, len(x0)))
     states[0] = x0
     x = x0
     for k in range(n_steps):
         x = _rk4_step(f, x, h)
-        times[k + 1] = t0 + (k + 1) * h
         states[k + 1] = x
     arcs.append(HybridArc(q, t0, duration, times, states))
     return HybridTrajectory(events, arcs, states[-1].copy(), tau_inf, False,
@@ -318,14 +330,32 @@ class HybridLagrangian:
         return float(self.per_mode[mode](t, x))
 
 
-def _arc_cost(arc: HybridArc, lagrangian: HybridLagrangian) -> float:
-    vals = np.array([lagrangian.rate(arc.mode, t, x)
-                     for t, x in zip(arc.times, arc.states)])
-    times = arc.times
-    total = 0.0
-    i = 0
+def _arc_rates(arc: HybridArc, lagrangian: HybridLagrangian) -> np.ndarray:
+    """The running-cost rate at every sample of the arc."""
+    return np.fromiter((lagrangian.rate(arc.mode, t, x)
+                        for t, x in zip(arc.times, arc.states)),
+                       dtype=float, count=len(arc.times))
+
+
+def _simpson(times: np.ndarray, vals: np.ndarray) -> float:
+    """Composite Simpson on uniform pairs, trapezoid on the other steps and
+    on the odd tail step.
+
+    The leading run of uniform pairs (all of them on a fixed-step arc) is
+    summed array-at-a-time, left to right, so the total is bit-identical to
+    a scalar loop over the pairs; np.sum would add pairwise.
+    """
     n = len(times) - 1
-    # composite Simpson on uniform pairs, trapezoid on the odd tail step
+    steps = np.diff(times)
+    h1, h2 = steps[0:n - 1:2], steps[1::2]
+    uneven = np.flatnonzero(~(np.abs(h1 - h2) <= 1e-9 * np.maximum(h1, h2)))
+    pairs = int(uneven[0]) if len(uneven) else len(h1)
+    total = 0.0
+    if pairs:
+        terms = (h1[:pairs] + h2[:pairs]) / 6.0 * (
+            vals[0:2 * pairs:2] + 4.0 * vals[1:2 * pairs:2] + vals[2:2 * pairs + 1:2])
+        total += np.add.accumulate(terms)[-1]
+    i = 2 * pairs
     while i + 2 <= n:
         h1 = times[i + 1] - times[i]
         h2 = times[i + 2] - times[i + 1]
@@ -341,6 +371,29 @@ def _arc_cost(arc: HybridArc, lagrangian: HybridLagrangian) -> float:
     return total
 
 
+def _arc_cost(arc: HybridArc, lagrangian: HybridLagrangian) -> float:
+    return _simpson(arc.times, _arc_rates(arc, lagrangian))
+
+
+def _geometric_tail(traj: HybridTrajectory, c_prev: float, c_last: float,
+                    window: int):
+    """zeno_tail_cost from the costs of the last two recorded arcs."""
+    tau = np.array(traj.tau)
+    intervals = np.diff(tau)[-window:]
+    ratio = float(intervals[-1] / intervals[-2]) if len(intervals) >= 2 else 0.0
+    r2 = ratio * ratio
+    tail = (c_prev + c_last) * r2 / (1.0 - r2)
+    bound = abs(tail) * max(10.0 * GEOMETRIC_FIT_TOL, 1e-12)
+    return tail, bound
+
+
+def _zeno_checked(traj: HybridTrajectory, window: int):
+    if traj.zeno is None:
+        detect_zeno(traj, window)
+    if not traj.zeno:
+        raise Inconclusive("tail extrapolation needs a Zeno trajectory")
+
+
 def zeno_tail_cost(traj: HybridTrajectory, lagrangian: HybridLagrangian,
                    window: int = 6):
     """Cost beyond the last resolved event, extrapolated with the fitted
@@ -350,30 +403,27 @@ def zeno_tail_cost(traj: HybridTrajectory, lagrangian: HybridLagrangian,
     costs contract by the squared interval ratio; summing both parities from
     the last two arcs gives the tail in closed form.
     """
-    if traj.zeno is None:
-        detect_zeno(traj, window)
-    if not traj.zeno:
-        raise Inconclusive("tail extrapolation needs a Zeno trajectory")
-    tau = np.array(traj.tau)
-    intervals = np.diff(tau)[-window:]
-    ratio = float(intervals[-1] / intervals[-2]) if len(intervals) >= 2 else 0.0
-    c_prev = _arc_cost(traj.arcs[-2], lagrangian)
-    c_last = _arc_cost(traj.arcs[-1], lagrangian)
-    r2 = ratio * ratio
-    tail = (c_prev + c_last) * r2 / (1.0 - r2)
-    bound = abs(tail) * max(10.0 * GEOMETRIC_FIT_TOL, 1e-12)
-    return tail, bound
+    _zeno_checked(traj, window)
+    return _geometric_tail(traj, _arc_cost(traj.arcs[-2], lagrangian),
+                           _arc_cost(traj.arcs[-1], lagrangian), window)
+
+
+def _total_cost(traj: HybridTrajectory, arc_costs: list, window: int) -> float:
+    """hybrid_cost from the quadrature of each arc of traj, in arc order."""
+    total = sum(arc_costs)
+    if traj.hit_max_events:
+        _zeno_checked(traj, window)
+        tail, _ = _geometric_tail(traj, arc_costs[-2], arc_costs[-1], window)
+        total += tail
+    return total
 
 
 def hybrid_cost(traj: HybridTrajectory, lagrangian: HybridLagrangian,
                 window: int = 6) -> float:
     """Sum of per-arc quadratures; executions cut by the event budget get the
     geometric tail estimate added so the value covers [0, tau_inf]."""
-    total = sum(_arc_cost(arc, lagrangian) for arc in traj.arcs)
-    if traj.hit_max_events:
-        tail, _ = zeno_tail_cost(traj, lagrangian, window)
-        total += tail
-    return total
+    return _total_cost(traj, [_arc_cost(arc, lagrangian) for arc in traj.arcs],
+                       window)
 
 
 # ---------------------------------------------------------------------------
@@ -385,14 +435,12 @@ def _frozen_deviation(traj_star: HybridTrajectory, traj_n: HybridTrajectory,
     """Sup-norm deviation over the recorded support; the trajectories agree
     up to event n, so only the frozen arc is compared."""
     frozen = traj_n.arcs[-1]
-    worst = 0.0
-    for arc in traj_star.arcs[n:]:
-        for t, x in zip(arc.times, arc.states):
-            if t > frozen.t0 + frozen.duration:
-                break
-            xn = frozen.state_at(t)
-            worst = max(worst, float(np.max(np.abs(xn - x))))
-    return worst
+    times = np.concatenate([arc.times for arc in traj_star.arcs[n:]])
+    states = np.concatenate([arc.states for arc in traj_star.arcs[n:]])
+    keep = times <= frozen.t0 + frozen.duration
+    times, states = times[keep], states[keep]
+    return max(float(np.max(np.abs(np.interp(times, frozen.times, col) - ref)))
+               for col, ref in zip(frozen.states.T, states.T))
 
 
 def _mode_mismatch_time(traj_star: HybridTrajectory, n: int, frozen_mode: str) -> float:
@@ -438,24 +486,25 @@ def zeno_rate_sweep(traj_star: HybridTrajectory, ns, lagrangian: HybridLagrangia
     if not traj_star.zeno:
         raise Inconclusive("rate sweep needs a Zeno trajectory")
     tau_inf = traj_star.tau_inf
-    cost_star = hybrid_cost(traj_star, lagrangian, window)
-    # cost-rate envelope measured along the executed run and the frozen arcs
-    rates = []
-    for arc in traj_star.arcs:
-        for t, x in zip(arc.times, arc.states):
-            rates.append(lagrangian.rate(arc.mode, t, x))
-    c_inf = min(rates)
-    c_sup = max(rates)
+    # every sample's rate is evaluated once: the reference arcs' rates give
+    # their quadratures (reused by every depth's kept prefix) and, with the
+    # frozen arcs', the cost-rate envelope measured along the run
+    rates = [_arc_rates(arc, lagrangian) for arc in traj_star.arcs]
+    arc_costs = [_simpson(arc.times, r) for arc, r in zip(traj_star.arcs, rates)]
+    cost_star = _total_cost(traj_star, arc_costs, window)
+    c_inf = float(min(r.min() for r in rates))
+    c_sup = float(max(r.max() for r in rates))
     records = []
     bound_ok = True
     for n in ns:
         t0 = time.perf_counter()
         traj_n = truncate_zeno(traj_star, n, system)
-        cost_n = hybrid_cost(traj_n, lagrangian, window)
-        gap = cost_n - cost_star
         frozen = traj_n.arcs[-1]
-        for t, x in zip(frozen.times, frozen.states):
-            c_sup = max(c_sup, lagrangian.rate(frozen.mode, t, x))
+        frozen_rates = _arc_rates(frozen, lagrangian)
+        # hybrid_cost(traj_n): the kept arcs, then the frozen one (no tail)
+        cost_n = sum(arc_costs[:n] + [_simpson(frozen.times, frozen_rates)])
+        gap = cost_n - cost_star
+        c_sup = max(c_sup, float(frozen_rates.max()))
         param = tau_inf - traj_star.tau[n]
         sup_dev = _frozen_deviation(traj_star, traj_n, n)
         records.append(RateRecord(

@@ -166,12 +166,22 @@ def test_unknown_model_param_is_config_error(tmp_path):
     ["zeno-rate", "--n", "2.5,3,4,5,6"],
     ["fuller-synthesize", "--tol", "nan"],
     ["fuller-synthesize", "--tol", "inf"],
+    ["tv-path", "--config", {"seed": "abc", "eps": [0.1, 0.01]}],
+    ["zeno-rate", "--config", {"model_params": 5, "n": [2, 3, 4, 5, 6]}],
 ])
 def test_bad_input_exits_with_config_code(tmp_path, capsys, argv):
-    assert main(argv + ["--out", str(tmp_path)]) == 2
+    args = []
+    for arg in argv:
+        if isinstance(arg, dict):  # stands for a config file holding it
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps(arg))
+            arg = str(cfg_path)
+        args.append(arg)
+    out = tmp_path / "out"
+    assert main(args + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert not list(tmp_path.iterdir())
+    assert not out.exists()
 
 
 def test_zeno_rate_ball_with_gaps_at_floor(tmp_path):
@@ -186,6 +196,18 @@ def test_zeno_rate_ball_with_gaps_at_floor(tmp_path):
     results = json.loads((tmp_path / "zeno-rate-manifest.json").read_text())["results"]
     assert results["gap_slope"] is None and results["gap_constant"] is None
     assert math.isfinite(results["dev_slope"])
+
+
+def test_zeno_rate_horizon_before_enough_events_is_hybrid_failure(tmp_path, capsys):
+    # the horizon ends the run after one event, before any Zeno fit can start
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"model_params": {"inflow": 0.7, "horizon": 2}}))
+    out = tmp_path / "out"
+    assert main(["zeno-rate", "--model", "water-tank", "--n", "2:12",
+                 "--config", str(cfg_path), "--out", str(out)]) == 6
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_water_tank_gaps_at_floor_fail_the_rate(tmp_path, monkeypatch):

@@ -1,12 +1,17 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
 from chatterlab.errors import EventOverflow, Inconclusive
 from chatterlab.hybrid import (
+    STEP_FLOOR,
+    HybridArc,
     HybridLagrangian,
     HybridSystem,
+    _arc_cost,
+    _frozen_deviation,
     bouncing_ball_lagrangian,
     detect_zeno,
     execute,
@@ -76,6 +81,20 @@ def test_event_overflow_carries_partial_trajectory():
     assert partial is not None
     assert partial.n_events == 10
     assert partial.hit_max_events
+
+
+def test_execution_stops_when_intervals_hold_the_step_at_its_floor():
+    # contraction ratio 0.2: long before thirty events the intervals reach
+    # the bisection tolerance, where the run used to crawl on at floor steps
+    start = time.perf_counter()
+    with pytest.raises(EventOverflow) as info:
+        execute(water_tank(inflow=0.6), "fill-1", (0.5, 0.5), horizon=5.0,
+                max_events=30)
+    assert time.perf_counter() - start < 5.0
+    partial = info.value.trajectory
+    assert partial.hit_max_events and partial.n_events < 30
+    intervals = np.diff(partial.tau)
+    assert intervals[-1] / 4.0 <= STEP_FLOOR < intervals[-2] / 4.0
 
 
 def test_event_times_strictly_increase(tank_run, ball_run):
@@ -179,7 +198,6 @@ def test_water_tank_deviation_linear_with_single_constant(tank_run):
     ratios = []
     for n in range(2, 13):
         zn = truncate_zeno(traj, n, system)
-        from chatterlab.hybrid import _frozen_deviation
         dev = _frozen_deviation(traj, zn, n)
         ratios.append(dev / (traj.tau_inf - traj.tau[n]))
     c_hat = max(ratios)
@@ -252,3 +270,113 @@ def test_ball_rate_reported_not_asserted(ball_run):
     sweep = zeno_rate_sweep(traj, range(2, 9), height, system)
     assert math.isfinite(sweep.gap_slope)
     assert math.isfinite(sweep.dev_slope)
+
+
+# ---------------------------------------------------------------------------
+# array-at-a-time kernels against the per-sample loops they replaced
+# ---------------------------------------------------------------------------
+
+def reference_arc_cost(arc, lagrangian):
+    """Composite Simpson on uniform pairs, one sample at a time."""
+    vals = np.array([lagrangian.rate(arc.mode, t, x)
+                     for t, x in zip(arc.times, arc.states)])
+    times = arc.times
+    total = 0.0
+    i = 0
+    n = len(times) - 1
+    while i + 2 <= n:
+        h1 = times[i + 1] - times[i]
+        h2 = times[i + 2] - times[i + 1]
+        if abs(h1 - h2) <= 1e-9 * max(h1, h2):
+            total += (h1 + h2) / 6.0 * (vals[i] + 4.0 * vals[i + 1] + vals[i + 2])
+            i += 2
+        else:
+            total += 0.5 * h1 * (vals[i] + vals[i + 1])
+            i += 1
+    if i + 1 <= n:
+        h1 = times[i + 1] - times[i]
+        total += 0.5 * h1 * (vals[i] + vals[i + 1])
+    return total
+
+
+def reference_frozen_deviation(traj_star, traj_n, n):
+    """Sup deviation of the frozen arc, interpolated one sample at a time."""
+    frozen = traj_n.arcs[-1]
+    worst = 0.0
+    for arc in traj_star.arcs[n:]:
+        for t, x in zip(arc.times, arc.states):
+            if t > frozen.t0 + frozen.duration:
+                break
+            xn = frozen.state_at(t)
+            worst = max(worst, float(np.max(np.abs(xn - x))))
+    return worst
+
+
+def _wavy(modes):
+    # state- and time-dependent rates, so any reordered sum shows
+    return HybridLagrangian({q: (lambda t, x, k=k: math.sin(3.0 * t + k) + x[0] * x[1]
+                                 + x[0] ** 2) for k, q in enumerate(modes)})
+
+
+def _runs(tank_run, ball_run):
+    tank_system, tank = tank_run
+    ball_system, ball = ball_run
+    for traj in (tank, ball):
+        detect_zeno(traj)
+    height = HybridLagrangian({"flight": lambda t, x: max(x[0], 0.0)})
+    return ((tank_system, tank, water_tank_lagrangian()),
+            (tank_system, tank, _wavy(tank_system.modes)),
+            (ball_system, ball, height),
+            (ball_system, ball, _wavy(ball_system.modes)))
+
+
+def test_arc_cost_equals_per_sample_loop(tank_run, ball_run):
+    for system, traj, lagrangian in _runs(tank_run, ball_run):
+        arcs = list(traj.arcs)
+        arcs += [truncate_zeno(traj, n, system).arcs[-1] for n in range(2, 13)]
+        for arc in arcs:
+            assert _arc_cost(arc, lagrangian) == reference_arc_cost(arc, lagrangian)
+
+
+def test_arc_cost_with_uneven_pair_and_odd_tail_equals_per_sample_loop():
+    # two uniform pairs, an uneven pair, two uniform pairs, one odd tail step
+    times = np.array([0.0, 0.1, 0.2, 0.3, 0.4, 0.47, 0.6, 0.7, 0.8, 0.9, 1.0, 1.13])
+    states = np.column_stack([np.cos(times), np.sin(2.0 * times)])
+    arc = HybridArc("a", 0.0, float(times[-1]), times, states)
+    lagrangian = _wavy(("a",))
+    assert _arc_cost(arc, lagrangian) == reference_arc_cost(arc, lagrangian)
+    for cut in range(1, len(times) + 1):
+        part = HybridArc("a", 0.0, float(times[cut - 1]), times[:cut], states[:cut])
+        assert _arc_cost(part, lagrangian) == reference_arc_cost(part, lagrangian)
+
+
+def test_frozen_deviation_equals_per_sample_loop(tank_run, ball_run):
+    for system, traj in (tank_run, ball_run):
+        detect_zeno(traj)
+        for n in range(2, 13):
+            traj_n = truncate_zeno(traj, n, system)
+            assert (_frozen_deviation(traj, traj_n, n)
+                    == reference_frozen_deviation(traj, traj_n, n))
+
+
+def test_zeno_rate_sweep_records_equal_truncated_costs(tank_run, ball_run):
+    for system, traj, lagrangian in _runs(tank_run, ball_run):
+        sweep = zeno_rate_sweep(traj, range(2, 13), lagrangian, system)
+        cost_star = hybrid_cost(traj, lagrangian)
+        for rec in sweep.records:
+            traj_n = truncate_zeno(traj, int(rec.tv), system)
+            assert rec.cost_gap == hybrid_cost(traj_n, lagrangian) - cost_star
+
+
+def test_zeno_rate_sweep_evaluates_each_sample_once(tank_run):
+    system, traj = tank_run
+    detect_zeno(traj)
+    calls = []
+    rates = water_tank_lagrangian()
+    counted = HybridLagrangian({q: (lambda t, x, q=q: calls.append(q) or rates.rate(q, t, x))
+                                for q in system.modes})
+    depths = range(2, 13)
+    zeno_rate_sweep(traj, depths, counted, system)
+    samples = sum(len(arc.times) for arc in traj.arcs)
+    samples += sum(len(truncate_zeno(traj, n, system).arcs[-1].times) for n in depths)
+    assert len(calls) <= samples

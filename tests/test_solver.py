@@ -7,6 +7,7 @@ from chatterlab.controls import ProblemSpec, simulate, tv
 from chatterlab.errors import AllStartsInfeasible, Infeasible
 from chatterlab.solver import (
     BangBangCandidate,
+    _better,
     _evaluate,
     _vector_eval,
     brute_force_oracle,
@@ -165,6 +166,18 @@ def test_path_gap_nonnegative(decade_path, reference):
     j_star = reference[4]
     for rec in decade_path.records:
         assert rec.lagrangian - j_star >= 0.0
+
+
+def test_tie_break_prefers_fewer_switches():
+    best = (1.0, 3, None)
+    # a value lower by more than 1e-12 wins whatever its switch count
+    assert _better(1.0 - 2e-12, 5, best)
+    assert not _better(1.0 + 2e-12, 1, best)
+    # within 1e-12 the lower switch count wins, a higher or equal one loses
+    assert _better(1.0 + 5e-13, 2, best)
+    assert not _better(1.0 - 5e-13, 4, best)
+    assert not _better(1.0, 3, best)
+    assert _better(7.0, 9, None)
 
 
 def test_path_validates_grid(reference):
