@@ -72,7 +72,8 @@ _EXIT_CODES = (
 @dataclass
 class ExperimentConfig:
     experiment: str
-    x0: tuple[float, float] = (1.0, 0.0)
+    #: None means (1, 0); zeno-rate takes its state from model_params.x0
+    x0: tuple[float, float] | None = None
     eps: list = field(default_factory=list)
     eta: list = field(default_factory=list)
     n: list = field(default_factory=list)
@@ -92,9 +93,14 @@ class ExperimentConfig:
                 raise ConfigError("truncation-depth grid must be nonempty")
             if self.model not in MODEL_BUILDERS:
                 raise ConfigError(f"unknown model {self.model!r}")
-        self.x0 = tuple(_finite_numbers("x0", self.x0))
-        if len(self.x0) != 2:
-            raise ConfigError("x0 needs exactly two components")
+            if self.x0 is not None:
+                raise ConfigError("zeno-rate takes its initial state from "
+                                  "model_params.x0, not from x0")
+        else:
+            self.x0 = tuple(_finite_numbers("x0", (1.0, 0.0) if self.x0 is None
+                                            else self.x0))
+            if len(self.x0) != 2:
+                raise ConfigError("x0 needs exactly two components")
         if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
             raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if not isinstance(self.model_params, dict):
@@ -119,7 +125,7 @@ class ExperimentConfig:
     def echo(self) -> dict:
         return {
             "experiment": self.experiment,
-            "x0": list(self.x0),
+            "x0": None if self.x0 is None else list(self.x0),
             "eps": self.eps,
             "eta": self.eta,
             "n": self.n,
@@ -374,27 +380,53 @@ _MODEL_DEFAULTS = {
 }
 
 
+def _is_finite_number(value) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int past the float range
+        return False
+
+
+def _check_run_values(run: dict, modes) -> None:
+    """ConfigError unless the zeno-rate run values have their types."""
+    if not (isinstance(run["q0"], str) and run["q0"] in modes):
+        raise ConfigError(f"model_params.q0 must be one of {', '.join(modes)}, "
+                          f"got {run['q0']!r}")
+    x0 = run["x0"]
+    if not (isinstance(x0, (list, tuple)) and len(x0) == 2
+            and all(_is_finite_number(v) for v in x0)):
+        raise ConfigError(f"model_params.x0 must be two finite numbers, got {x0!r}")
+    if not (_is_finite_number(run["horizon"]) and run["horizon"] > 0):
+        raise ConfigError("model_params.horizon must be a finite number > 0, "
+                          f"got {run['horizon']!r}")
+    max_events = run["max_events"]
+    if isinstance(max_events, bool) or not isinstance(max_events, int) or max_events < 1:
+        raise ConfigError(f"model_params.max_events must be an integer >= 1, "
+                          f"got {max_events!r}")
+
+
 def run_zeno_rate(cfg: ExperimentConfig):
-    run_keys = set(_MODEL_DEFAULTS[cfg.model])
-    defaults = dict(_MODEL_DEFAULTS[cfg.model])
+    run = dict(_MODEL_DEFAULTS[cfg.model])
     builder_kwargs = {}
     for key, value in cfg.model_params.items():
-        if key in run_keys:
-            defaults[key] = value
+        if key in run:
+            run[key] = value
         else:
             builder_kwargs[key] = tuple(value) if isinstance(value, list) else value
     try:
         system = MODEL_BUILDERS[cfg.model](**builder_kwargs)
-    except TypeError as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad model parameters for {cfg.model}: {exc}") from None
-    traj = run_until_overflow(system, defaults["q0"],
-                              tuple(defaults["x0"]), defaults["horizon"],
-                              max_events=int(defaults["max_events"]))
+    _check_run_values(run, system.modes)
+    traj = run_until_overflow(system, run["q0"], run["x0"], run["horizon"],
+                              max_events=run["max_events"])
     try:
         is_zeno, tau_inf = detect_zeno(traj)
     except ValueError as exc:  # too few events before the horizon to fit
         raise Inconclusive(f"model {cfg.model} reached the horizon "
-                           f"{defaults['horizon']:g}: {exc}") from None
+                           f"{run['horizon']:g}: {exc}") from None
     if not is_zeno:
         raise Inconclusive(f"model {cfg.model} did not produce a Zeno execution")
     lagrangian = (water_tank_lagrangian() if cfg.model == "water-tank"
@@ -411,6 +443,8 @@ def run_zeno_rate(cfg: ExperimentConfig):
         "model": cfg.model,
         "tau_inf": tau_inf,
         "n_events": traj.n_events,
+        "rk4_steps": sum(len(arc.times) - 1 for arc in traj.arcs),
+        "frozen_steps": sweep.frozen_steps,
         "dev_slope": sweep.dev_slope,
         "gap_slope": sweep.gap_slope,
         "gap_constant": sweep.gap_constant,

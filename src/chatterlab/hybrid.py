@@ -7,6 +7,11 @@ classical Runge-Kutta; events are localized by bisection inside the step
 that crossed.  Executions that exhaust their event budget before the
 horizon raise EventOverflow with the partial trajectory attached, which is
 the normal entry point for Zeno analysis.
+
+Fields, guards and resets receive the state as a tuple of floats.  A field
+or reset may return any length-dim sequence of numbers and a guard any
+number; the built-in models return plain floats, which keeps the RK4 kernel
+on Python float arithmetic.  Each arc's samples are stored as ndarrays.
 """
 
 from __future__ import annotations
@@ -119,13 +124,26 @@ class HybridTrajectory:
         return self.arcs[-1].end_state
 
 
-def _rk4_step(f: Callable, x: np.ndarray, h: float) -> np.ndarray:
+def _rk4_step(f: Callable, x: tuple, h: float) -> tuple:
+    """One classical RK4 step of the state tuple x, component by component.
+
+    Each component sees numpy's elementwise operations of the vector form
+    x + h/6 * (k1 + 2 k2 + 2 k3 + k4) in the same order; Python floats and
+    float64 arrays both round every operation once, without fused
+    multiply-adds, so the steps are the same doubles.
+    """
     half = 0.5 * h
-    k1 = np.asarray(f(x), dtype=float)
-    k2 = np.asarray(f(x + half * k1), dtype=float)
-    k3 = np.asarray(f(x + half * k2), dtype=float)
-    k4 = np.asarray(f(x + h * k3), dtype=float)
-    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k1 = f(x)
+    k2 = f(tuple([xi + half * ki for xi, ki in zip(x, k1)]))
+    k3 = f(tuple([xi + half * ki for xi, ki in zip(x, k2)]))
+    k4 = f(tuple([xi + h * ki for xi, ki in zip(x, k3)]))
+    sixth = h / 6.0
+    return tuple([xi + sixth * (((a + 2.0 * b) + 2.0 * c) + d)
+                  for xi, a, b, c, d in zip(x, k1, k2, k3, k4)])
+
+
+def _float_state(x) -> tuple:
+    return tuple([float(v) for v in x])
 
 
 def execute(system: HybridSystem, q0: str, x0, horizon: float,
@@ -148,7 +166,7 @@ def execute(system: HybridSystem, q0: str, x0, horizon: float,
     base_step = step_fraction * horizon
     step = base_step
     t = 0.0
-    x = np.asarray(x0, dtype=float)
+    x = _float_state(x0)
     q = q0
     event_times: list[float] = []
     arcs: list[HybridArc] = []
@@ -164,7 +182,7 @@ def execute(system: HybridSystem, q0: str, x0, horizon: float,
             if g > 0.0:
                 armed[e] = True
         times = [t]
-        states = [x.copy()]
+        states = [x]
         t_arc = t
         event = None
         while t_arc < horizon - 1e-15:
@@ -196,14 +214,14 @@ def execute(system: HybridSystem, q0: str, x0, horizon: float,
                 x_event = _rk4_step(f, x, dt_e)
                 t_event = t_arc + dt_e
                 times.append(t_event)
-                states.append(x_event.copy())
+                states.append(x_event)
                 residuals.append(abs(float(system.guards[edge](x_event))))
                 event = (t_event, edge, x_event)
                 break
             x = x_next
             t_arc = t_next
             times.append(t_arc)
-            states.append(x.copy())
+            states.append(x)
         arc_times = np.array(times)
         arc_states = np.array(states)
         if event is None:
@@ -214,7 +232,7 @@ def execute(system: HybridSystem, q0: str, x0, horizon: float,
         arcs.append(HybridArc(q, t, t_event - t, arc_times, arc_states))
         event_times.append(t_event)
         reset = system.resets.get(edge)
-        x = x_event.copy() if reset is None else np.asarray(reset(x_event), dtype=float)
+        x = x_event if reset is None else _float_state(reset(x_event))
         q = edge[1]
         # Zeno cascades contract the arcs geometrically; shrink the step with
         # them so a whole arc can never hide inside one integration step
@@ -229,7 +247,7 @@ def execute(system: HybridSystem, q0: str, x0, horizon: float,
             cut = (f"{max_events} events" if len(event_times) >= max_events else
                    f"{len(event_times)} events (interval {interval:.3g} holds the "
                    f"step at its floor)")
-            traj = HybridTrajectory(event_times, arcs, x.copy(), horizon, True,
+            traj = HybridTrajectory(event_times, arcs, np.array(x), horizon, True,
                                     residuals)
             raise EventOverflow(f"{cut} before t={t:.6g} < horizon {horizon:.6g}",
                                 trajectory=traj)
@@ -294,7 +312,6 @@ def truncate_zeno(traj_star: HybridTrajectory, n: int, system: HybridSystem,
     frozen_arc_src = traj_star.arcs[n]
     q = frozen_arc_src.mode
     t0 = traj_star.tau[n]
-    x0 = frozen_arc_src.x0.copy()
     f = system.fields[q]
     duration = tau_inf - t0
     step = step_fraction * max(tau_inf, 1e-12)
@@ -305,12 +322,12 @@ def truncate_zeno(traj_star: HybridTrajectory, n: int, system: HybridSystem,
     times = np.empty(n_steps + 1)
     times[0] = t0
     times[1:] = t0 + np.arange(1, n_steps + 1) * h
-    states = np.empty((n_steps + 1, len(x0)))
-    states[0] = x0
-    x = x0
-    for k in range(n_steps):
+    x = tuple(frozen_arc_src.x0.tolist())
+    states = [x]
+    for _ in range(n_steps):
         x = _rk4_step(f, x, h)
-        states[k + 1] = x
+        states.append(x)
+    states = np.array(states)
     arcs.append(HybridArc(q, t0, duration, times, states))
     return HybridTrajectory(events, arcs, states[-1].copy(), tau_inf, False,
                             list(traj_star.guard_residuals[:n]), zeno=False)
@@ -331,9 +348,9 @@ class HybridLagrangian:
 
 
 def _arc_rates(arc: HybridArc, lagrangian: HybridLagrangian) -> np.ndarray:
-    """The running-cost rate at every sample of the arc."""
+    """The running-cost rate at every sample of the arc, from plain floats."""
     return np.fromiter((lagrangian.rate(arc.mode, t, x)
-                        for t, x in zip(arc.times, arc.states)),
+                        for t, x in zip(arc.times.tolist(), arc.states.tolist())),
                        dtype=float, count=len(arc.times))
 
 
@@ -461,6 +478,8 @@ class ZenoSweep:
     sup_rate_constant: float
     rate_bound_constant: float
     bound_ok: bool
+    #: RK4 steps of the frozen arcs, summed over the depths
+    frozen_steps: int
 
 
 def zeno_rate_sweep(traj_star: HybridTrajectory, ns, lagrangian: HybridLagrangian,
@@ -496,10 +515,12 @@ def zeno_rate_sweep(traj_star: HybridTrajectory, ns, lagrangian: HybridLagrangia
     c_sup = float(max(r.max() for r in rates))
     records = []
     bound_ok = True
+    frozen_steps = 0
     for n in ns:
         t0 = time.perf_counter()
         traj_n = truncate_zeno(traj_star, n, system)
         frozen = traj_n.arcs[-1]
+        frozen_steps += len(frozen.times) - 1
         frozen_rates = _arc_rates(frozen, lagrangian)
         # hybrid_cost(traj_n): the kept arcs, then the frozen one (no tail)
         cost_n = sum(arc_costs[:n] + [_simpson(frozen.times, frozen_rates)])
@@ -531,6 +552,7 @@ def zeno_rate_sweep(traj_star: HybridTrajectory, ns, lagrangian: HybridLagrangia
         sup_rate_constant=sup_rate,
         rate_bound_constant=c_sup - c_inf,
         bound_ok=bound_ok,
+        frozen_steps=frozen_steps,
     )
 
 
@@ -545,13 +567,15 @@ def water_tank(inflow: float = 0.75, drain: tuple[float, float] = (0.5, 0.5),
     inflow is less than the total drain; with equal drain rates the
     inter-event intervals contract by (inflow - drain) / drain.
     """
-    v1, v2 = drain
-    th1, th2 = thresholds
+    inflow = float(inflow)
+    v1, v2 = (float(v) for v in drain)
+    th1, th2 = (float(v) for v in thresholds)
+    fill_1, fill_2 = (inflow - v1, -v2), (-v1, inflow - v2)
     return HybridSystem(
         modes=("fill-1", "fill-2"),
         fields={
-            "fill-1": lambda x: np.array([inflow - v1, -v2]),
-            "fill-2": lambda x: np.array([-v1, inflow - v2]),
+            "fill-1": lambda x: fill_1,
+            "fill-2": lambda x: fill_2,
         },
         edges=(("fill-1", "fill-2"), ("fill-2", "fill-1")),
         guards={
@@ -576,13 +600,13 @@ def bouncing_ball(gravity: float = 1.0, restitution: float = 0.5) -> HybridSyste
     """Ballistic flight with an impact reset x2 -> -restitution * x2 when the
     height crosses zero while falling (non-identity reset: shown for
     demonstration, the linear-rate guarantee does not cover it)."""
+    gravity, restitution = float(gravity), float(restitution)
     return HybridSystem(
         modes=("flight",),
-        fields={"flight": lambda x: np.array([x[1], -gravity])},
+        fields={"flight": lambda x: (x[1], -gravity)},
         edges=(("flight", "flight"),),
         guards={("flight", "flight"): lambda x: x[0]},
-        resets={("flight", "flight"):
-                lambda x: np.array([x[0], -restitution * x[1]])},
+        resets={("flight", "flight"): lambda x: (x[0], -restitution * x[1])},
     )
 
 

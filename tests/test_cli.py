@@ -7,7 +7,7 @@ import pytest
 from chatterlab import cli
 from chatterlab.cli import main, parse_grid
 from chatterlab.errors import ConfigError
-from chatterlab.hybrid import HybridLagrangian
+from chatterlab.hybrid import HybridLagrangian, detect_zeno, truncate_zeno
 
 
 def test_parse_decade_grid():
@@ -154,6 +154,13 @@ def test_unknown_model_param_is_config_error(tmp_path):
                  "--out", str(tmp_path)]) == 2
 
 
+def _config_file(tmp_path, data):
+    """A config file holding data, for argv lists that stand one in by a dict."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(data))
+    return cfg_path
+
+
 @pytest.mark.parametrize("argv", [
     ["fuller-synthesize", "--x0", "nan,0"],
     ["fuller-synthesize", "--x0", "inf,0"],
@@ -168,20 +175,56 @@ def test_unknown_model_param_is_config_error(tmp_path):
     ["fuller-synthesize", "--tol", "inf"],
     ["tv-path", "--config", {"seed": "abc", "eps": [0.1, 0.01]}],
     ["zeno-rate", "--config", {"model_params": 5, "n": [2, 3, 4, 5, 6]}],
+    ["zeno-rate", "--n", "2:12", "--config", {"model_params": {"horizon": "x"}}],
+    ["zeno-rate", "--n", "2:12", "--config", {"model_params": {"horizon": -1.0}}],
+    ["zeno-rate", "--n", "2:12", "--config", {"model_params": {"max_events": 0}}],
+    ["zeno-rate", "--n", "2:12", "--config", {"model_params": {"max_events": True}}],
+    ["zeno-rate", "--n", "2:12", "--config", {"model_params": {"max_events": 30.0}}],
+    ["zeno-rate", "--n", "2:12", "--config", {"model_params": {"x0": [0.5]}}],
+    ["zeno-rate", "--n", "2:12", "--config", {"model_params": {"x0": [0.5, "a"]}}],
+    ["zeno-rate", "--n", "2:12", "--config", {"model_params": {"x0": [0.5, math.nan]}}],
+    ["zeno-rate", "--n", "2:12", "--config", {"model_params": {"q0": "flight"}}],
+    ["zeno-rate", "--n", "2:12", "--config", {"model_params": {"inflow": "x"}}],
 ])
 def test_bad_input_exits_with_config_code(tmp_path, capsys, argv):
-    args = []
-    for arg in argv:
-        if isinstance(arg, dict):  # stands for a config file holding it
-            cfg_path = tmp_path / "cfg.json"
-            cfg_path.write_text(json.dumps(arg))
-            arg = str(cfg_path)
-        args.append(arg)
+    args = [str(_config_file(tmp_path, arg)) if isinstance(arg, dict) else arg
+            for arg in argv]
     out = tmp_path / "out"
     assert main(args + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["zeno-rate", "--x0", "0.5,0.5"],
+    ["zeno-rate", "--config", {"x0": [0.5, 0.5]}],
+])
+def test_zeno_rate_rejects_x0(tmp_path, capsys, argv):
+    # the hybrid models take their initial state from model_params.x0
+    args = [str(_config_file(tmp_path, arg)) if isinstance(arg, dict) else arg
+            for arg in argv]
+    out = tmp_path / "out"
+    assert main(args + ["--n", "2:12", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "model_params.x0" in err
+    assert not out.exists()
+
+
+def test_zeno_rate_manifest_counts_steps(tmp_path, tank_run):
+    system, traj = tank_run
+    detect_zeno(traj)
+    depths = range(2, 13)
+    counts = []
+    for run in ("a", "b"):
+        assert main(["zeno-rate", "--model", "water-tank", "--n", "2:12",
+                     "--out", str(tmp_path / run)]) == 0
+        manifest = json.loads((tmp_path / run / "zeno-rate-manifest.json").read_text())
+        results = manifest["results"]
+        counts.append((results["rk4_steps"], results["frozen_steps"]))
+    assert counts[0] == counts[1] == (
+        sum(len(arc.times) - 1 for arc in traj.arcs),
+        sum(len(truncate_zeno(traj, n, system).arcs[-1].times) - 1 for n in depths))
 
 
 def test_zeno_rate_ball_with_gaps_at_floor(tmp_path):
@@ -222,23 +265,23 @@ def test_water_tank_gaps_at_floor_fail_the_rate(tmp_path, monkeypatch):
 #: SHA-256 of each CSV of the README commands, recorded before the arc
 #: mathematics was collapsed into one kernel; a refactor must keep them
 GOLDEN_CSV_SHA256 = {
-    ("fuller-synthesize", "--tol", "1e-10"):
+    ("fuller-synthesize", "--x0", "1,0", "--tol", "1e-10"):
         "d55e4f6b86dcb4264c3925ad8d4451eab180cc2e1b5387ff2ed6e2d7c319571a",
-    ("tv-path", "--eps", "1e-1:1e-6:decade"):
+    ("tv-path", "--x0", "1,0", "--eps", "1e-1:1e-6:decade"):
         "45f173b17998269b9e602d384815a29a8cbcaa5ad89e09249af402d2bbbe9dcd",
-    ("truncation-rate",):
+    ("truncation-rate", "--x0", "1,0"):
         "94e26a612c4ce6dccb99e4dd6d7e4b9e7410e296ac827929e749adb60c83f678",
     ("zeno-rate", "--model", "water-tank", "--n", "2:12"):
         "43c3740c2507b9550dc2af3357b64c51d4862c9864047bcb4500ae3d3beb8b36",
     ("zeno-rate", "--model", "bouncing-ball", "--n", "2:8"):
         "b5edb5a76cdc6fb1a260b839bd4e11c86584d1558b47162e9821deedec4c1d36",
-    ("corollary-check", "--eps", "1e-1:1e-6:decade"):
+    ("corollary-check", "--x0", "1,0", "--eps", "1e-1:1e-6:decade"):
         "ef13e4703553f7f6210a0c3e8f88c4e3f8b76933202b36c1ff0782d22fa045e8",
 }
 
 
 @pytest.mark.parametrize("argv", sorted(GOLDEN_CSV_SHA256))
 def test_readme_csvs_match_golden_digests(tmp_path, argv):
-    assert main(list(argv) + ["--x0", "1,0", "--out", str(tmp_path)]) == 0
+    assert main(list(argv) + ["--out", str(tmp_path)]) == 0
     digest = hashlib.sha256((tmp_path / f"{argv[0]}.csv").read_bytes()).hexdigest()
     assert digest == GOLDEN_CSV_SHA256[argv]

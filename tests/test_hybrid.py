@@ -6,12 +6,15 @@ import pytest
 
 from chatterlab.errors import EventOverflow, Inconclusive
 from chatterlab.hybrid import (
+    EVENT_TIME_TOL,
     STEP_FLOOR,
+    STEP_FRACTION,
     HybridArc,
     HybridLagrangian,
     HybridSystem,
     _arc_cost,
     _frozen_deviation,
+    bouncing_ball,
     bouncing_ball_lagrangian,
     detect_zeno,
     execute,
@@ -24,6 +27,42 @@ from chatterlab.hybrid import (
 )
 
 SQRT2 = math.sqrt(2.0)
+
+
+# test systems whose fields and resets return ndarrays
+
+def stationary():
+    return HybridSystem(
+        modes=("idle",),
+        fields={"idle": lambda x: np.zeros(2)},
+        edges=(("idle", "idle"),),
+        guards={("idle", "idle"): lambda x: x[0] - 1.0},
+        resets={("idle", "idle"): None},
+    )
+
+
+def periodic_switcher():
+    return HybridSystem(
+        modes=("tick", "tock"),
+        fields={"tick": lambda x: np.array([-1.0]),
+                "tock": lambda x: np.array([-1.0])},
+        edges=(("tick", "tock"), ("tock", "tick")),
+        guards={("tick", "tock"): lambda x: x[0],
+                ("tock", "tick"): lambda x: x[0]},
+        resets={("tick", "tock"): lambda x: np.array([1.0]),
+                ("tock", "tick"): lambda x: np.array([1.0])},
+    )
+
+
+def polynomial_shrinker():
+    # intervals shrink like a power of the event index, not geometrically
+    return HybridSystem(
+        modes=("a",),
+        fields={"a": lambda x: np.array([-1.0, 1.0])},
+        edges=(("a", "a"),),
+        guards={("a", "a"): lambda x: x[0]},
+        resets={("a", "a"): lambda x: np.array([1.0 / (2.0 + x[1]) ** 2, x[1]])},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -60,14 +99,7 @@ def test_bouncing_ball_closed_forms(ball_run):
 
 
 def test_stationary_mode_runs_to_horizon():
-    system = HybridSystem(
-        modes=("idle",),
-        fields={"idle": lambda x: np.zeros(2)},
-        edges=(("idle", "idle"),),
-        guards={("idle", "idle"): lambda x: x[0] - 1.0},
-        resets={("idle", "idle"): None},
-    )
-    traj = execute(system, "idle", (0.0, 0.0), horizon=1.0)
+    traj = execute(stationary(), "idle", (0.0, 0.0), horizon=1.0)
     assert traj.n_events == 0
     assert len(traj.arcs) == 1
     assert traj.duration == pytest.approx(1.0)
@@ -125,32 +157,16 @@ def test_water_tank_accumulation_time(tank_run):
 
 
 def test_periodic_switcher_is_not_zeno():
-    system = HybridSystem(
-        modes=("tick", "tock"),
-        fields={"tick": lambda x: np.array([-1.0]),
-                "tock": lambda x: np.array([-1.0])},
-        edges=(("tick", "tock"), ("tock", "tick")),
-        guards={("tick", "tock"): lambda x: x[0],
-                ("tock", "tick"): lambda x: x[0]},
-        resets={("tick", "tock"): lambda x: np.array([1.0]),
-                ("tock", "tick"): lambda x: np.array([1.0])},
-    )
-    traj = run_until_overflow(system, "tick", (1.0,), horizon=12.0, max_events=11)
+    traj = run_until_overflow(periodic_switcher(), "tick", (1.0,), horizon=12.0,
+                              max_events=11)
     is_zeno, tau_inf = detect_zeno(traj)
     assert not is_zeno
     assert tau_inf == math.inf
 
 
 def test_polynomially_shrinking_intervals_are_inconclusive():
-    # intervals shrink like a power of the event index, not geometrically
-    system = HybridSystem(
-        modes=("a",),
-        fields={"a": lambda x: np.array([-1.0, 1.0])},
-        edges=(("a", "a"),),
-        guards={("a", "a"): lambda x: x[0]},
-        resets={("a", "a"): lambda x: np.array([1.0 / (2.0 + x[1]) ** 2, x[1]])},
-    )
-    traj = run_until_overflow(system, "a", (1.0, 0.0), horizon=4.0, max_events=12)
+    traj = run_until_overflow(polynomial_shrinker(), "a", (1.0, 0.0), horizon=4.0,
+                              max_events=12)
     with pytest.raises(Inconclusive):
         detect_zeno(traj)
 
@@ -380,3 +396,146 @@ def test_zeno_rate_sweep_evaluates_each_sample_once(tank_run):
     samples = sum(len(arc.times) for arc in traj.arcs)
     samples += sum(len(truncate_zeno(traj, n, system).arcs[-1].times) for n in depths)
     assert len(calls) <= samples
+
+
+# ---------------------------------------------------------------------------
+# the float-tuple RK4 kernel against the ndarray loops it replaced
+# ---------------------------------------------------------------------------
+
+def reference_rk4_step(f, x, h):
+    half = 0.5 * h
+    k1 = np.asarray(f(x), dtype=float)
+    k2 = np.asarray(f(x + half * k1), dtype=float)
+    k3 = np.asarray(f(x + half * k2), dtype=float)
+    k4 = np.asarray(f(x + h * k3), dtype=float)
+    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def reference_execute(system, q0, x0, horizon, max_events):
+    """The ndarray execute loop; returns (event times, [(times, states)],
+    guard residuals, final state) where execute returns or overflows."""
+    base_step = step = STEP_FRACTION * horizon
+    t, x, q = 0.0, np.asarray(x0, dtype=float), q0
+    event_times, arcs, residuals = [], [], []
+    while True:
+        f = system.fields[q]
+        edges = system.outgoing(q)
+        g_prev = {e: float(system.guards[e](x)) for e in edges}
+        armed = {e: g_prev[e] > 0.0 for e in edges}
+        times, states = [t], [x.copy()]
+        t_arc, event = t, None
+        while t_arc < horizon - 1e-15:
+            h = min(step, horizon - t_arc)
+            x_next = reference_rk4_step(f, x, h)
+            crossings = []
+            for e in edges:
+                g = float(system.guards[e](x_next))
+                if armed[e] and g_prev[e] > 0.0 >= g:
+                    crossings.append(e)
+                g_prev[e] = g
+                armed[e] = armed[e] or g > 0.0
+            if crossings:
+                best = None
+                for e in crossings:
+                    lo, hi = 0.0, h
+                    while hi - lo > EVENT_TIME_TOL:
+                        mid = 0.5 * (lo + hi)
+                        if float(system.guards[e](reference_rk4_step(f, x, mid))) > 0.0:
+                            lo = mid
+                        else:
+                            hi = mid
+                    if best is None or hi < best[0]:
+                        best = (hi, e)
+                dt_e, edge = best
+                x_event = reference_rk4_step(f, x, dt_e)
+                times.append(t_arc + dt_e)
+                states.append(x_event.copy())
+                residuals.append(abs(float(system.guards[edge](x_event))))
+                event = (t_arc + dt_e, edge, x_event)
+                break
+            x, t_arc = x_next, t_arc + h
+            times.append(t_arc)
+            states.append(x.copy())
+        arcs.append((np.array(times), np.array(states)))
+        if event is None:
+            return event_times, arcs, residuals, arcs[-1][1][-1]
+        t_event, edge, x_event = event
+        event_times.append(t_event)
+        reset = system.resets.get(edge)
+        x = x_event.copy() if reset is None else np.asarray(reset(x_event), dtype=float)
+        q = edge[1]
+        interval = t_event - (event_times[-2] if len(event_times) > 1 else 0.0)
+        step = min(base_step, max(interval / 4.0, STEP_FLOOR))
+        t = t_event
+        if t < horizon and (len(event_times) >= max_events
+                            or interval / 4.0 <= STEP_FLOOR):
+            return event_times, arcs, residuals, x
+
+
+def reference_frozen_states(traj_star, n, system):
+    """The ndarray loop of truncate_zeno's frozen arc."""
+    x = traj_star.arcs[n].x0.copy()
+    duration = traj_star.tau_inf - traj_star.tau[n]
+    n_steps = max(2, int(math.ceil(duration / (STEP_FRACTION * traj_star.tau_inf))))
+    n_steps += n_steps % 2
+    h = duration / n_steps
+    states = [x]
+    for _ in range(n_steps):
+        x = reference_rk4_step(system.fields[traj_star.arcs[n].mode], x, h)
+        states.append(x)
+    return np.array(states)
+
+
+def damped_pendulum():
+    # a nonlinear field; the impact reset keeps the event cascade Zeno
+    return HybridSystem(
+        modes=("swing",),
+        fields={"swing": lambda x: (x[1], -math.sin(x[0]) - 0.3 * x[1] * abs(x[1]) - 0.5)},
+        edges=(("swing", "swing"),),
+        guards={("swing", "swing"): lambda x: x[0]},
+        resets={("swing", "swing"): lambda x: (x[0], -0.6 * x[1])},
+    )
+
+
+@pytest.mark.parametrize("build, q0, x0, horizon, max_events, zeno", [
+    (water_tank, "fill-1", (0.5, 0.5), 5.0, 30, True),
+    (bouncing_ball, "flight", (1.0, 0.0), 5.0, 22, True),
+    (damped_pendulum, "swing", (1.0, 0.0), 20.0, 25, True),
+    (stationary, "idle", (0.0, 0.0), 1.0, 64, False),
+    (periodic_switcher, "tick", (1.0,), 12.0, 11, False),
+    (polynomial_shrinker, "a", (1.0, 0.0), 4.0, 12, False),
+])
+def test_execution_and_frozen_arcs_equal_ndarray_loops(build, q0, x0, horizon,
+                                                       max_events, zeno):
+    system = build()
+    traj = run_until_overflow(system, q0, x0, horizon, max_events)
+    event_times, arcs, residuals, final_state = reference_execute(
+        system, q0, x0, horizon, max_events)
+    assert traj.event_times == event_times
+    assert traj.guard_residuals == residuals
+    assert np.array_equal(traj.final_state, final_state)
+    assert len(traj.arcs) == len(arcs)
+    for arc, (times, states) in zip(traj.arcs, arcs):
+        assert np.array_equal(arc.times, times)
+        assert np.array_equal(arc.states, states)
+    if zeno:
+        assert detect_zeno(traj)[0]
+        for n in range(traj.n_events):
+            frozen = truncate_zeno(traj, n, system).arcs[-1]
+            assert np.array_equal(frozen.states, reference_frozen_states(traj, n, system))
+
+
+@pytest.mark.parametrize("system, x", [
+    (water_tank(), (0.5, 0.25)),
+    (water_tank(inflow=1, drain=(1, 1), thresholds=(0, 0)), (0.5, 0.25)),
+    (bouncing_ball(), (0.5, -0.25)),
+    (bouncing_ball(gravity=2, restitution=1), (0.5, -0.25)),
+])
+def test_builtin_models_compute_on_plain_floats(system, x):
+    # an ndarray anywhere would put the RK4 kernel on numpy scalars, about
+    # three times slower per step
+    for f in list(system.fields.values()) + [r for r in system.resets.values() if r]:
+        out = f(x)
+        assert type(out) is tuple and [type(v) for v in out] == [float] * len(x)
+    for g in system.guards.values():
+        assert type(g(x)) is float
