@@ -20,7 +20,6 @@ from .errors import (
     CutTooLarge,
     DegenerateFit,
     EquiboundViolation,
-    EventOverflow,
     Inconclusive,
     Infeasible,
     NoRootBracket,
@@ -37,11 +36,11 @@ from .hybrid import (
     HybridLagrangian,
     HybridSystem,
     HybridTrajectory,
+    ZenoFit,
     bouncing_ball,
     detect_zeno,
     execute,
     hybrid_cost,
-    run_until_overflow,
     truncate_zeno,
     water_tank,
     zeno_rate_sweep,

@@ -19,6 +19,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -31,7 +32,6 @@ from .errors import (
     CutTooLarge,
     DegenerateFit,
     EquiboundViolation,
-    EventOverflow,
     Inconclusive,
     Infeasible,
     NoRootBracket,
@@ -39,10 +39,11 @@ from .errors import (
 )
 from .fuller import default_synthesis, synthesize_chattering
 from .hybrid import (
-    MODEL_BUILDERS,
+    bouncing_ball,
     bouncing_ball_lagrangian,
     detect_zeno,
-    run_until_overflow,
+    execute,
+    water_tank,
     water_tank_lagrangian,
     zeno_rate_sweep,
     zeno_tail_cost,
@@ -64,9 +65,32 @@ _EXIT_CODES = (
     ((Infeasible, AllStartsInfeasible), 3),
     ((NoRootBracket, TolTooSmall), 4),
     ((CutTooLarge, DegenerateFit), 5),
-    ((EventOverflow, Inconclusive), 6),
+    ((Inconclusive,), 6),
     ((EquiboundViolation,), 7),
 )
+
+
+@dataclass(frozen=True)
+class _Model:
+    """A built-in zeno-rate model: its automaton builder (keyword physics
+    from model_params), its running cost, the defaults of the run values
+    model_params may override, and whether the linear cost-gap rate is
+    asserted (identity resets only)."""
+
+    build: Callable
+    lagrangian: Callable
+    run: dict
+    linear_rate_asserted: bool
+
+
+_MODELS = {
+    "water-tank": _Model(water_tank, water_tank_lagrangian,
+                         {"q0": "fill-1", "x0": (0.5, 0.5), "horizon": 5.0,
+                          "max_events": 30}, True),
+    "bouncing-ball": _Model(bouncing_ball, bouncing_ball_lagrangian,
+                            {"q0": "flight", "x0": (1.0, 0.0), "horizon": 5.0,
+                             "max_events": 22}, False),
+}
 
 
 @dataclass
@@ -91,7 +115,7 @@ class ExperimentConfig:
         if self.experiment == "zeno-rate":
             if not self.n:
                 raise ConfigError("truncation-depth grid must be nonempty")
-            if self.model not in MODEL_BUILDERS:
+            if self.model not in _MODELS:
                 raise ConfigError(f"unknown model {self.model!r}")
             if self.x0 is not None:
                 raise ConfigError("zeno-rate takes its initial state from "
@@ -137,13 +161,15 @@ class ExperimentConfig:
 
 
 def _finite_numbers(name: str, values) -> list:
-    """Floats of a configuration value; ConfigError unless all are finite."""
+    """Floats of a list of configuration values; ConfigError unless each is
+    an int or a float (not a bool) that is finite as a float."""
     try:
-        out = [float(v) for v in values]
-    except (TypeError, ValueError):
-        raise ConfigError(f"{name} must hold numbers, got {values!r}") from None
-    if not all(math.isfinite(v) for v in out):
-        raise ConfigError(f"{name} must be finite, got {values!r}")
+        out = [float(v) for v in values
+               if isinstance(v, (int, float)) and not isinstance(v, bool)]
+    except (TypeError, OverflowError):  # not a list; an int past the float range
+        raise ConfigError(f"{name} must hold finite numbers, got {values!r}") from None
+    if len(out) != len(values) or not all(math.isfinite(v) for v in out):
+        raise ConfigError(f"{name} must hold finite numbers, got {values!r}")
     return out
 
 
@@ -197,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--eps", default=None, help="penalty grid, e.g. 1e-1:1e-6:decade")
         p.add_argument("--eta", default=None, help="cut-window grid")
         p.add_argument("--n", default=None, help="event-depth grid, e.g. 2:12")
-        p.add_argument("--model", default=None, choices=sorted(MODEL_BUILDERS))
+        p.add_argument("--model", default=None, choices=sorted(_MODELS))
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--tol", type=float, default=None)
         p.add_argument("--out", default=None, help="output directory")
@@ -372,33 +398,14 @@ def run_corollary_check(cfg: ExperimentConfig):
     return records, manifest
 
 
-_MODEL_DEFAULTS = {
-    "water-tank": {"q0": "fill-1", "x0": (0.5, 0.5), "horizon": 5.0,
-                   "max_events": 30},
-    "bouncing-ball": {"q0": "flight", "x0": (1.0, 0.0), "horizon": 5.0,
-                      "max_events": 22},
-}
-
-
-def _is_finite_number(value) -> bool:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an int past the float range
-        return False
-
-
 def _check_run_values(run: dict, modes) -> None:
     """ConfigError unless the zeno-rate run values have their types."""
     if not (isinstance(run["q0"], str) and run["q0"] in modes):
         raise ConfigError(f"model_params.q0 must be one of {', '.join(modes)}, "
                           f"got {run['q0']!r}")
-    x0 = run["x0"]
-    if not (isinstance(x0, (list, tuple)) and len(x0) == 2
-            and all(_is_finite_number(v) for v in x0)):
-        raise ConfigError(f"model_params.x0 must be two finite numbers, got {x0!r}")
-    if not (_is_finite_number(run["horizon"]) and run["horizon"] > 0):
+    if len(_finite_numbers("model_params.x0", run["x0"])) != 2:
+        raise ConfigError(f"model_params.x0 must be two finite numbers, got {run['x0']!r}")
+    if _finite_numbers("model_params.horizon", [run["horizon"]])[0] <= 0:
         raise ConfigError("model_params.horizon must be a finite number > 0, "
                           f"got {run['horizon']!r}")
     max_events = run["max_events"]
@@ -408,7 +415,8 @@ def _check_run_values(run: dict, modes) -> None:
 
 
 def run_zeno_rate(cfg: ExperimentConfig):
-    run = dict(_MODEL_DEFAULTS[cfg.model])
+    model = _MODELS[cfg.model]
+    run = dict(model.run)
     builder_kwargs = {}
     for key, value in cfg.model_params.items():
         if key in run:
@@ -416,32 +424,32 @@ def run_zeno_rate(cfg: ExperimentConfig):
         else:
             builder_kwargs[key] = tuple(value) if isinstance(value, list) else value
     try:
-        system = MODEL_BUILDERS[cfg.model](**builder_kwargs)
+        system = model.build(**builder_kwargs)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad model parameters for {cfg.model}: {exc}") from None
     _check_run_values(run, system.modes)
-    traj = run_until_overflow(system, run["q0"], run["x0"], run["horizon"],
-                              max_events=run["max_events"])
+    traj = execute(system, run["q0"], run["x0"], run["horizon"],
+                   max_events=run["max_events"])
     try:
-        is_zeno, tau_inf = detect_zeno(traj)
+        fit = detect_zeno(traj)
     except ValueError as exc:  # too few events before the horizon to fit
         raise Inconclusive(f"model {cfg.model} reached the horizon "
                            f"{run['horizon']:g}: {exc}") from None
-    if not is_zeno:
+    if not fit.is_zeno:
         raise Inconclusive(f"model {cfg.model} did not produce a Zeno execution")
-    lagrangian = (water_tank_lagrangian() if cfg.model == "water-tank"
-                  else bouncing_ball_lagrangian())
+    lagrangian = model.lagrangian()
     ns = [n for n in cfg.n if n < traj.n_events]
     if len(ns) < 5:
         raise ConfigError("need at least 5 usable truncation depths")
     sweep = zeno_rate_sweep(traj, ns, lagrangian, system)
-    linear_rate_asserted = cfg.model == "water-tank"
-    if linear_rate_asserted and sweep.gap_slope is None:
+    if model.linear_rate_asserted and sweep.gap_slope is None:
         raise DegenerateFit("cost gaps at the rounding floor leave no linear-rate fit")
     tail, tail_bound = zeno_tail_cost(traj, lagrangian)
     manifest = {
         "model": cfg.model,
-        "tau_inf": tau_inf,
+        "tau_inf": fit.tau_inf,
+        "zeno_ratio": fit.ratio,
+        "zeno_fit_residual": fit.residual,
         "n_events": traj.n_events,
         "rk4_steps": sum(len(arc.times) - 1 for arc in traj.arcs),
         "frozen_steps": sweep.frozen_steps,
@@ -453,7 +461,7 @@ def run_zeno_rate(cfg: ExperimentConfig):
         "max_guard_residual": max(traj.guard_residuals),
         "zeno_tail_cost": tail,
         "zeno_tail_error_bound": tail_bound,
-        "linear_rate_asserted": linear_rate_asserted,
+        "linear_rate_asserted": model.linear_rate_asserted,
     }
     return list(sweep.records), manifest
 

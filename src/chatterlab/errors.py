@@ -37,16 +37,5 @@ class DegenerateFit(ChatterlabError):
     """Not enough usable points (or signal below arithmetic floor) for a power-law fit."""
 
 
-class EventOverflow(ChatterlabError):
-    """Hybrid execution exhausted max_events before the horizon (likely Zeno).
-
-    Carries the partial trajectory so callers can hand it to detect_zeno.
-    """
-
-    def __init__(self, message, trajectory=None):
-        super().__init__(message)
-        self.trajectory = trajectory
-
-
 class Inconclusive(ChatterlabError):
     """Geometric model of inter-event intervals did not fit within tolerance."""

@@ -5,8 +5,9 @@ carrying scalar guard functions (an event fires when a guard crosses zero
 from above) and optional reset maps.  Arcs are integrated with fixed-step
 classical Runge-Kutta; events are localized by bisection inside the step
 that crossed.  Executions that exhaust their event budget before the
-horizon raise EventOverflow with the partial trajectory attached, which is
-the normal entry point for Zeno analysis.
+horizon return the partial run with hit_max_events set, which is the normal
+entry point for Zeno analysis: detect_zeno fits it, and the fit's
+accumulation time sets where truncate_zeno ends its frozen arc.
 
 Fields, guards and resets receive the state as a tuple of floats.  A field
 or reset may return any length-dim sequence of numbers and a guard any
@@ -18,12 +19,12 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import EventOverflow, Inconclusive
+from .errors import Inconclusive
 from .ratefit import GAP_FLOOR, fit_power_law
 from .records import RateRecord
 
@@ -40,6 +41,9 @@ STEP_FLOOR = 16.0 * EVENT_TIME_TOL
 
 #: relative residual above which the geometric interval fit is inconclusive
 GEOMETRIC_FIT_TOL = 1e-6
+
+#: number of trailing inter-event intervals the geometric fit uses
+ZENO_WINDOW = 6
 
 
 @dataclass(frozen=True)
@@ -87,19 +91,17 @@ class HybridArc:
         return np.array([np.interp(t, self.times, col) for col in self.states.T])
 
 
-@dataclass
+@dataclass(frozen=True)
 class HybridTrajectory:
     """Execution record: event times, one arc per inter-event interval, and
-    the Zeno annotation filled in by detect_zeno."""
+    whether the event budget (or the step floor) cut the run short."""
 
     event_times: list[float]
     arcs: list[HybridArc]
     final_state: np.ndarray
     horizon: float
     hit_max_events: bool
-    guard_residuals: list[float] = field(default_factory=list)
-    zeno: bool | None = None
-    tau_inf: float | None = None
+    guard_residuals: list[float]
 
     @property
     def tau(self) -> tuple[float, ...]:
@@ -114,14 +116,6 @@ class HybridTrajectory:
     def duration(self) -> float:
         last = self.arcs[-1]
         return last.t0 + last.duration
-
-    def state_at(self, t: float) -> np.ndarray:
-        if t < 0.0 or t > self.duration * (1.0 + 1e-12):
-            raise ValueError(f"t={t} outside [0, {self.duration}]")
-        for arc in self.arcs:
-            if t <= arc.t0 + arc.duration:
-                return arc.state_at(t)
-        return self.arcs[-1].end_state
 
 
 def _rk4_step(f: Callable, x: tuple, h: float) -> tuple:
@@ -147,15 +141,15 @@ def _float_state(x) -> tuple:
 
 
 def execute(system: HybridSystem, q0: str, x0, horizon: float,
-            max_events: int = 64, step_fraction: float = STEP_FRACTION) -> HybridTrajectory:
+            max_events: int = 64) -> HybridTrajectory:
     """Run the automaton from (q0, x0) until the horizon or the event budget.
 
     Guards fire on downward zero crossings and are armed only after being
     observed positive, so a state resting exactly on a guard surface does
     not retrigger.  Each crossing is bisected to a time window of 1e-12.
-    Exhausting max_events raises EventOverflow carrying the partial
-    trajectory (the usual signature of a Zeno execution); so does an
-    inter-event interval short enough to hold the step at STEP_FLOOR.
+    Exhausting max_events returns the partial run with hit_max_events set
+    (the usual signature of a Zeno execution); so does an inter-event
+    interval short enough to hold the step at STEP_FLOOR.
     """
     if max_events < 1:
         raise ValueError("max_events must be at least 1")
@@ -163,7 +157,7 @@ def execute(system: HybridSystem, q0: str, x0, horizon: float,
         raise ValueError(f"unknown initial mode {q0!r}")
     if horizon <= 0.0:
         raise ValueError("horizon must be positive")
-    base_step = step_fraction * horizon
+    base_step = STEP_FRACTION * horizon
     step = base_step
     t = 0.0
     x = _float_state(x0)
@@ -244,41 +238,38 @@ def execute(system: HybridSystem, q0: str, x0, horizon: float,
         # floor steps would crawl to the horizon
         at_floor = interval / 4.0 <= STEP_FLOOR
         if t < horizon and (len(event_times) >= max_events or at_floor):
-            cut = (f"{max_events} events" if len(event_times) >= max_events else
-                   f"{len(event_times)} events (interval {interval:.3g} holds the "
-                   f"step at its floor)")
-            traj = HybridTrajectory(event_times, arcs, np.array(x), horizon, True,
+            return HybridTrajectory(event_times, arcs, np.array(x), horizon, True,
                                     residuals)
-            raise EventOverflow(f"{cut} before t={t:.6g} < horizon {horizon:.6g}",
-                                trajectory=traj)
 
 
-def run_until_overflow(system: HybridSystem, q0: str, x0, horizon: float,
-                       max_events: int = 64,
-                       step_fraction: float = STEP_FRACTION) -> HybridTrajectory:
-    """Execute and hand back the partial trajectory when the event budget is
-    exhausted; convenience wrapper around the EventOverflow signal."""
-    try:
-        return execute(system, q0, x0, horizon, max_events, step_fraction)
-    except EventOverflow as exc:
-        return exc.trajectory
+@dataclass(frozen=True)
+class ZenoFit:
+    """Geometric model of the last ZENO_WINDOW inter-event intervals: their
+    contraction ratio, the accumulation time it implies (+inf unless the
+    ratio is below one) and the fit's largest relative residual."""
+
+    ratio: float
+    tau_inf: float
+    residual: float
+
+    @property
+    def is_zeno(self) -> bool:
+        return self.ratio < 1.0 - 1e-9
 
 
-def detect_zeno(traj: HybridTrajectory, window: int = 6):
-    """Fit a geometric model to the last `window` inter-event intervals.
+def detect_zeno(traj: HybridTrajectory) -> ZenoFit:
+    """Fit a geometric model to the last ZENO_WINDOW inter-event intervals.
 
-    Returns (is_zeno, accumulation-time estimate); the estimate is +inf when
-    the fitted ratio is not below one.  Raises Inconclusive when the fit's
-    relative residual exceeds 1e-6, and ValueError when fewer than
-    window + 2 events were recorded.  A conclusive answer is annotated on
-    the trajectory.
+    Raises Inconclusive when the fit's relative residual exceeds
+    GEOMETRIC_FIT_TOL, and ValueError when fewer than ZENO_WINDOW + 2 events
+    were recorded.
     """
-    if traj.n_events < window + 2:
-        raise ValueError(f"need at least {window + 2} events, got {traj.n_events}")
+    if traj.n_events < ZENO_WINDOW + 2:
+        raise ValueError(f"need at least {ZENO_WINDOW + 2} events, got {traj.n_events}")
     tau = np.array(traj.tau)
-    intervals = np.diff(tau)[-window:]
-    idx = np.arange(window, dtype=float)
-    design = np.column_stack([np.ones(window), idx])
+    intervals = np.diff(tau)[-ZENO_WINDOW:]
+    idx = np.arange(ZENO_WINDOW, dtype=float)
+    design = np.column_stack([np.ones(ZENO_WINDOW), idx])
     (intercept, slope), *_ = np.linalg.lstsq(design, np.log(intervals), rcond=None)
     ratio = math.exp(slope)
     predicted = np.exp(intercept + slope * idx)
@@ -286,25 +277,17 @@ def detect_zeno(traj: HybridTrajectory, window: int = 6):
     if residual > GEOMETRIC_FIT_TOL:
         raise Inconclusive(
             f"interval fit residual {residual:.3g} exceeds {GEOMETRIC_FIT_TOL}")
-    if ratio >= 1.0 - 1e-9:
-        traj.zeno = False
-        traj.tau_inf = None
-        return False, math.inf
+    fit = ZenoFit(ratio, math.inf, residual)
+    if not fit.is_zeno:
+        return fit
     tau_inf = traj.event_times[-1] + intervals[-1] * ratio / (1.0 - ratio)
-    traj.zeno = True
-    traj.tau_inf = tau_inf
-    return True, tau_inf
+    return ZenoFit(ratio, float(tau_inf), residual)
 
 
 def truncate_zeno(traj_star: HybridTrajectory, n: int, system: HybridSystem,
-                  tau_inf: float | None = None,
-                  step_fraction: float = STEP_FRACTION) -> HybridTrajectory:
+                  tau_inf: float) -> HybridTrajectory:
     """Keep the first n events, then freeze the active mode and integrate its
-    field up to the accumulation time, ignoring guards."""
-    if tau_inf is None:
-        tau_inf = traj_star.tau_inf
-        if tau_inf is None:
-            _, tau_inf = detect_zeno(traj_star)
+    field up to the accumulation time tau_inf, ignoring guards."""
     if not 0 <= n < traj_star.n_events:
         raise ValueError(f"n must lie in [0, {traj_star.n_events})")
     arcs = list(traj_star.arcs[:n])
@@ -314,7 +297,7 @@ def truncate_zeno(traj_star: HybridTrajectory, n: int, system: HybridSystem,
     t0 = traj_star.tau[n]
     f = system.fields[q]
     duration = tau_inf - t0
-    step = step_fraction * max(tau_inf, 1e-12)
+    step = STEP_FRACTION * max(tau_inf, 1e-12)
     n_steps = max(2, int(math.ceil(duration / step)))
     if n_steps % 2:
         n_steps += 1
@@ -330,7 +313,7 @@ def truncate_zeno(traj_star: HybridTrajectory, n: int, system: HybridSystem,
     states = np.array(states)
     arcs.append(HybridArc(q, t0, duration, times, states))
     return HybridTrajectory(events, arcs, states[-1].copy(), tau_inf, False,
-                            list(traj_star.guard_residuals[:n]), zeno=False)
+                            list(traj_star.guard_residuals[:n]))
 
 
 # ---------------------------------------------------------------------------
@@ -392,27 +375,20 @@ def _arc_cost(arc: HybridArc, lagrangian: HybridLagrangian) -> float:
     return _simpson(arc.times, _arc_rates(arc, lagrangian))
 
 
-def _geometric_tail(traj: HybridTrajectory, c_prev: float, c_last: float,
-                    window: int):
-    """zeno_tail_cost from the costs of the last two recorded arcs."""
-    tau = np.array(traj.tau)
-    intervals = np.diff(tau)[-window:]
-    ratio = float(intervals[-1] / intervals[-2]) if len(intervals) >= 2 else 0.0
+def _geometric_tail(traj: HybridTrajectory, c_prev: float, c_last: float):
+    """zeno_tail_cost from the costs of the last two recorded arcs; the
+    trajectory must fit as Zeno."""
+    if not detect_zeno(traj).is_zeno:
+        raise Inconclusive("tail extrapolation needs a Zeno trajectory")
+    tau = traj.tau
+    ratio = (tau[-1] - tau[-2]) / (tau[-2] - tau[-3])
     r2 = ratio * ratio
     tail = (c_prev + c_last) * r2 / (1.0 - r2)
     bound = abs(tail) * max(10.0 * GEOMETRIC_FIT_TOL, 1e-12)
     return tail, bound
 
 
-def _zeno_checked(traj: HybridTrajectory, window: int):
-    if traj.zeno is None:
-        detect_zeno(traj, window)
-    if not traj.zeno:
-        raise Inconclusive("tail extrapolation needs a Zeno trajectory")
-
-
-def zeno_tail_cost(traj: HybridTrajectory, lagrangian: HybridLagrangian,
-                   window: int = 6):
+def zeno_tail_cost(traj: HybridTrajectory, lagrangian: HybridLagrangian):
     """Cost beyond the last resolved event, extrapolated with the fitted
     geometric interval model; returns (tail, error bound).
 
@@ -420,27 +396,23 @@ def zeno_tail_cost(traj: HybridTrajectory, lagrangian: HybridLagrangian,
     costs contract by the squared interval ratio; summing both parities from
     the last two arcs gives the tail in closed form.
     """
-    _zeno_checked(traj, window)
     return _geometric_tail(traj, _arc_cost(traj.arcs[-2], lagrangian),
-                           _arc_cost(traj.arcs[-1], lagrangian), window)
+                           _arc_cost(traj.arcs[-1], lagrangian))
 
 
-def _total_cost(traj: HybridTrajectory, arc_costs: list, window: int) -> float:
+def _total_cost(traj: HybridTrajectory, arc_costs: list) -> float:
     """hybrid_cost from the quadrature of each arc of traj, in arc order."""
     total = sum(arc_costs)
     if traj.hit_max_events:
-        _zeno_checked(traj, window)
-        tail, _ = _geometric_tail(traj, arc_costs[-2], arc_costs[-1], window)
+        tail, _ = _geometric_tail(traj, arc_costs[-2], arc_costs[-1])
         total += tail
     return total
 
 
-def hybrid_cost(traj: HybridTrajectory, lagrangian: HybridLagrangian,
-                window: int = 6) -> float:
+def hybrid_cost(traj: HybridTrajectory, lagrangian: HybridLagrangian) -> float:
     """Sum of per-arc quadratures; executions cut by the event budget get the
     geometric tail estimate added so the value covers [0, tau_inf]."""
-    return _total_cost(traj, [_arc_cost(arc, lagrangian) for arc in traj.arcs],
-                       window)
+    return _total_cost(traj, [_arc_cost(arc, lagrangian) for arc in traj.arcs])
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +455,7 @@ class ZenoSweep:
 
 
 def zeno_rate_sweep(traj_star: HybridTrajectory, ns, lagrangian: HybridLagrangian,
-                    system: HybridSystem, *, window: int = 6) -> ZenoSweep:
+                    system: HybridSystem) -> ZenoSweep:
     """Truncate the Zeno execution after each requested event count and
     record deviations against the accumulation-time scale tau_inf - tau_n.
 
@@ -500,17 +472,16 @@ def zeno_rate_sweep(traj_star: HybridTrajectory, ns, lagrangian: HybridLagrangia
         raise ValueError("need at least 5 truncation depths")
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("truncation depths must be strictly increasing")
-    if traj_star.zeno is None:
-        detect_zeno(traj_star, window)
-    if not traj_star.zeno:
+    fit = detect_zeno(traj_star)
+    if not fit.is_zeno:
         raise Inconclusive("rate sweep needs a Zeno trajectory")
-    tau_inf = traj_star.tau_inf
+    tau_inf = fit.tau_inf
     # every sample's rate is evaluated once: the reference arcs' rates give
     # their quadratures (reused by every depth's kept prefix) and, with the
     # frozen arcs', the cost-rate envelope measured along the run
     rates = [_arc_rates(arc, lagrangian) for arc in traj_star.arcs]
     arc_costs = [_simpson(arc.times, r) for arc, r in zip(traj_star.arcs, rates)]
-    cost_star = _total_cost(traj_star, arc_costs, window)
+    cost_star = _total_cost(traj_star, arc_costs)
     c_inf = float(min(r.min() for r in rates))
     c_sup = float(max(r.max() for r in rates))
     records = []
@@ -518,7 +489,7 @@ def zeno_rate_sweep(traj_star: HybridTrajectory, ns, lagrangian: HybridLagrangia
     frozen_steps = 0
     for n in ns:
         t0 = time.perf_counter()
-        traj_n = truncate_zeno(traj_star, n, system)
+        traj_n = truncate_zeno(traj_star, n, system, tau_inf)
         frozen = traj_n.arcs[-1]
         frozen_steps += len(frozen.times) - 1
         frozen_rates = _arc_rates(frozen, lagrangian)
@@ -560,16 +531,27 @@ def zeno_rate_sweep(traj_star: HybridTrajectory, ns, lagrangian: HybridLagrangia
 # built-in models
 # ---------------------------------------------------------------------------
 
+def _physical(name: str, value, rule: str, ok=lambda v: True) -> float:
+    """A model parameter as a float; ValueError naming it unless it is
+    finite and passes ok (rule says what ok asks)."""
+    value = float(value)
+    if not (math.isfinite(value) and ok(value)):
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
+    return value
+
+
 def water_tank(inflow: float = 0.75, drain: tuple[float, float] = (0.5, 0.5),
                thresholds: tuple[float, float] = (0.0, 0.0)) -> HybridSystem:
     """Two draining tanks sharing one inflow hose: the hose switches to a
     tank when that tank's level falls to its threshold.  Zeno whenever the
     inflow is less than the total drain; with equal drain rates the
-    inter-event intervals contract by (inflow - drain) / drain.
+    inter-event intervals contract by (inflow - drain) / drain.  Raises
+    ValueError unless the inflow is finite and >= 0, the drain rates finite
+    and > 0 and the thresholds finite.
     """
-    inflow = float(inflow)
-    v1, v2 = (float(v) for v in drain)
-    th1, th2 = (float(v) for v in thresholds)
+    inflow = _physical("inflow", inflow, "finite and >= 0", lambda v: v >= 0.0)
+    v1, v2 = (_physical("drain", v, "finite and > 0", lambda v: v > 0.0) for v in drain)
+    th1, th2 = (_physical("thresholds", v, "finite") for v in thresholds)
     fill_1, fill_2 = (inflow - v1, -v2), (-v1, inflow - v2)
     return HybridSystem(
         modes=("fill-1", "fill-2"),
@@ -599,8 +581,12 @@ def water_tank_lagrangian(rate_fill_1: float = 2.0,
 def bouncing_ball(gravity: float = 1.0, restitution: float = 0.5) -> HybridSystem:
     """Ballistic flight with an impact reset x2 -> -restitution * x2 when the
     height crosses zero while falling (non-identity reset: shown for
-    demonstration, the linear-rate guarantee does not cover it)."""
-    gravity, restitution = float(gravity), float(restitution)
+    demonstration, the linear-rate guarantee does not cover it).  Raises
+    ValueError unless gravity is finite and > 0 and the restitution lies in
+    (0, 1)."""
+    gravity = _physical("gravity", gravity, "finite and > 0", lambda v: v > 0.0)
+    restitution = _physical("restitution", restitution, "in (0, 1)",
+                            lambda v: 0.0 < v < 1.0)
     return HybridSystem(
         modes=("flight",),
         fields={"flight": lambda x: (x[1], -gravity)},
@@ -612,9 +598,3 @@ def bouncing_ball(gravity: float = 1.0, restitution: float = 0.5) -> HybridSyste
 
 def bouncing_ball_lagrangian() -> HybridLagrangian:
     return HybridLagrangian({"flight": lambda t, x: 1.0})
-
-
-MODEL_BUILDERS = {
-    "water-tank": water_tank,
-    "bouncing-ball": bouncing_ball,
-}

@@ -479,18 +479,19 @@ class SolutionPath:
 
     def laws(self, tol: float = 1e-9) -> dict:
         """Monotonicity and concavity checks along the path (epsilon
-        ascending): value nondecreasing and concave via divided differences,
-        total variation nonincreasing, running cost nondecreasing."""
+        ascending): value nondecreasing, total variation nonincreasing,
+        running cost nondecreasing, and the value concave as the lower
+        envelope of the points' lines, value_i <= L_j + eps_i * TV_j for all
+        i, j within the selection's 1e-12 tie slack (divided differences of
+        the values read rounding at small epsilon as a breach)."""
         recs = sorted(self.records, key=lambda r: r.epsilon)
-        eps = [r.epsilon for r in recs]
         val = [r.value for r in recs]
         tvs = [r.tv for r in recs]
         jls = [r.lagrangian for r in recs]
-        slopes = [(v2 - v1) / (e2 - e1)
-                  for (e1, v1), (e2, v2) in zip(zip(eps, val), zip(eps[1:], val[1:]))]
         return {
             "value_nondecreasing": all(b >= a - tol for a, b in zip(val, val[1:])),
-            "value_concave": all(s2 <= s1 + tol for s1, s2 in zip(slopes, slopes[1:])),
+            "value_concave": all(a.value <= b.lagrangian + a.epsilon * b.tv + 1e-12
+                                 for a in recs for b in recs),
             "tv_nonincreasing": all(b <= a + tol for a, b in zip(tvs, tvs[1:])),
             "lagrangian_nondecreasing": all(b >= a - tol for a, b in zip(jls, jls[1:])),
         }

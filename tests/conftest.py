@@ -4,7 +4,7 @@ import pytest
 
 from chatterlab.controls import ProblemSpec, lagrangian_cost, simulate
 from chatterlab.fuller import default_synthesis, synthesize_chattering
-from chatterlab.hybrid import bouncing_ball, run_until_overflow, water_tank
+from chatterlab.hybrid import bouncing_ball, execute, water_tank
 from chatterlab.solver import regularization_path
 
 DECADE_EPS = [10.0 ** (-k) for k in range(1, 7)]
@@ -34,14 +34,12 @@ def decade_path(reference, synth):
 @pytest.fixture(scope="session")
 def tank_run():
     system = water_tank()
-    traj = run_until_overflow(system, "fill-1", (0.5, 0.5), horizon=5.0,
-                              max_events=30)
+    traj = execute(system, "fill-1", (0.5, 0.5), horizon=5.0, max_events=30)
     return system, traj
 
 
 @pytest.fixture(scope="session")
 def ball_run():
     system = bouncing_ball()
-    traj = run_until_overflow(system, "flight", (1.0, 0.0), horizon=5.0,
-                              max_events=22)
+    traj = execute(system, "flight", (1.0, 0.0), horizon=5.0, max_events=22)
     return system, traj

@@ -149,15 +149,15 @@ def test_criterion_6_composite_bound(decade_path, reference):
 def test_criterion_7_zeno_closed_forms(ball_run, tank_run):
     _, ball_traj = ball_run
     _, tank_traj = tank_run
-    is_zeno, tau_ball = detect_zeno(ball_traj)
-    assert is_zeno
+    fit_ball = detect_zeno(ball_traj)
+    assert fit_ball.is_zeno
     expected_ball = 3.0 * SQRT2
-    rel_ball = abs(tau_ball - expected_ball) / expected_ball
+    rel_ball = abs(fit_ball.tau_inf - expected_ball) / expected_ball
     assert rel_ball <= 1e-9
-    is_zeno, tau_tank = detect_zeno(tank_traj)
-    assert is_zeno
+    fit_tank = detect_zeno(tank_traj)
+    assert fit_tank.is_zeno
     expected_tank = 1.0 + 1.5 / (1.0 - 0.5)
-    rel_tank = abs(tau_tank - expected_tank) / expected_tank
+    rel_tank = abs(fit_tank.tau_inf - expected_tank) / expected_tank
     assert rel_tank <= 1e-9
     _report(7, "Zeno closed forms",
             f"ball {rel_ball:.1e}, water tank {rel_tank:.1e} relative")

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -7,7 +8,12 @@ import pytest
 from chatterlab import cli
 from chatterlab.cli import main, parse_grid
 from chatterlab.errors import ConfigError
-from chatterlab.hybrid import HybridLagrangian, detect_zeno, truncate_zeno
+from chatterlab.hybrid import (
+    GEOMETRIC_FIT_TOL,
+    HybridLagrangian,
+    detect_zeno,
+    truncate_zeno,
+)
 
 
 def test_parse_decade_grid():
@@ -185,6 +191,14 @@ def _config_file(tmp_path, data):
     ["zeno-rate", "--n", "2:12", "--config", {"model_params": {"x0": [0.5, math.nan]}}],
     ["zeno-rate", "--n", "2:12", "--config", {"model_params": {"q0": "flight"}}],
     ["zeno-rate", "--n", "2:12", "--config", {"model_params": {"inflow": "x"}}],
+    ["tv-path", "--config", {"eps": [10 ** 400, 0.1]}],
+    ["zeno-rate", "--model", "bouncing-ball", "--n", "2:8",
+     "--config", {"model_params": {"restitution": math.nan}}],
+    ["zeno-rate", "--model", "bouncing-ball", "--n", "2:8",
+     "--config", {"model_params": {"restitution": 1.5}}],
+    ["zeno-rate", "--model", "bouncing-ball", "--n", "2:8",
+     "--config", {"model_params": {"gravity": -1.0}}],
+    ["zeno-rate", "--n", "2:12", "--config", {"model_params": {"inflow": math.nan}}],
 ])
 def test_bad_input_exits_with_config_code(tmp_path, capsys, argv):
     args = [str(_config_file(tmp_path, arg)) if isinstance(arg, dict) else arg
@@ -213,7 +227,7 @@ def test_zeno_rate_rejects_x0(tmp_path, capsys, argv):
 
 def test_zeno_rate_manifest_counts_steps(tmp_path, tank_run):
     system, traj = tank_run
-    detect_zeno(traj)
+    tau_inf = detect_zeno(traj).tau_inf
     depths = range(2, 13)
     counts = []
     for run in ("a", "b"):
@@ -224,7 +238,11 @@ def test_zeno_rate_manifest_counts_steps(tmp_path, tank_run):
         counts.append((results["rk4_steps"], results["frozen_steps"]))
     assert counts[0] == counts[1] == (
         sum(len(arc.times) - 1 for arc in traj.arcs),
-        sum(len(truncate_zeno(traj, n, system).arcs[-1].times) - 1 for n in depths))
+        sum(len(truncate_zeno(traj, n, system, tau_inf).arcs[-1].times) - 1
+            for n in depths))
+    # the geometric fit behind tau_inf: the default tank contracts by 1/2
+    assert results["zeno_ratio"] == pytest.approx(0.5, abs=1e-9)
+    assert 0.0 <= results["zeno_fit_residual"] <= GEOMETRIC_FIT_TOL
 
 
 def test_zeno_rate_ball_with_gaps_at_floor(tmp_path):
@@ -256,8 +274,10 @@ def test_zeno_rate_horizon_before_enough_events_is_hybrid_failure(tmp_path, caps
 def test_water_tank_gaps_at_floor_fail_the_rate(tmp_path, monkeypatch):
     # equal mode rates make every gap rounding: the asserted linear rate
     # cannot be fitted
-    monkeypatch.setattr(cli, "water_tank_lagrangian", lambda: HybridLagrangian(
-        {"fill-1": lambda t, x: 1.0, "fill-2": lambda t, x: 1.0}))
+    tank = cli._MODELS["water-tank"]
+    monkeypatch.setitem(cli._MODELS, "water-tank", dataclasses.replace(
+        tank, lagrangian=lambda: HybridLagrangian(
+            {"fill-1": lambda t, x: 1.0, "fill-2": lambda t, x: 1.0})))
     assert main(["zeno-rate", "--model", "water-tank", "--n", "2:12",
                  "--out", str(tmp_path)]) == 5
 

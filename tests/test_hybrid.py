@@ -1,10 +1,11 @@
+import dataclasses
 import math
 import time
 
 import numpy as np
 import pytest
 
-from chatterlab.errors import EventOverflow, Inconclusive
+from chatterlab.errors import Inconclusive
 from chatterlab.hybrid import (
     EVENT_TIME_TOL,
     STEP_FLOOR,
@@ -19,7 +20,6 @@ from chatterlab.hybrid import (
     detect_zeno,
     execute,
     hybrid_cost,
-    run_until_overflow,
     truncate_zeno,
     water_tank,
     water_tank_lagrangian,
@@ -107,23 +107,24 @@ def test_stationary_mode_runs_to_horizon():
 
 def test_event_overflow_carries_partial_trajectory():
     system = water_tank()
-    with pytest.raises(EventOverflow) as info:
-        execute(system, "fill-1", (0.5, 0.5), horizon=5.0, max_events=10)
-    partial = info.value.trajectory
-    assert partial is not None
+    partial = execute(system, "fill-1", (0.5, 0.5), horizon=5.0, max_events=10)
     assert partial.n_events == 10
     assert partial.hit_max_events
+
+
+def test_trajectory_is_frozen(tank_run):
+    _, traj = tank_run
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        traj.hit_max_events = False
 
 
 def test_execution_stops_when_intervals_hold_the_step_at_its_floor():
     # contraction ratio 0.2: long before thirty events the intervals reach
     # the bisection tolerance, where the run used to crawl on at floor steps
     start = time.perf_counter()
-    with pytest.raises(EventOverflow) as info:
-        execute(water_tank(inflow=0.6), "fill-1", (0.5, 0.5), horizon=5.0,
-                max_events=30)
+    partial = execute(water_tank(inflow=0.6), "fill-1", (0.5, 0.5), horizon=5.0,
+                      max_events=30)
     assert time.perf_counter() - start < 5.0
-    partial = info.value.trajectory
     assert partial.hit_max_events and partial.n_events < 30
     intervals = np.diff(partial.tau)
     assert intervals[-1] / 4.0 <= STEP_FLOOR < intervals[-2] / 4.0
@@ -141,42 +142,39 @@ def test_event_times_strictly_increase(tank_run, ball_run):
 
 def test_ball_accumulation_time(ball_run):
     _, traj = ball_run
-    is_zeno, tau_inf = detect_zeno(traj)
-    assert is_zeno
+    fit = detect_zeno(traj)
+    assert fit.is_zeno
     expected = 3.0 * SQRT2
-    assert abs(tau_inf - expected) / expected <= 1e-9
+    assert abs(fit.tau_inf - expected) / expected <= 1e-9
 
 
 def test_water_tank_accumulation_time(tank_run):
     _, traj = tank_run
-    is_zeno, tau_inf = detect_zeno(traj)
-    assert is_zeno
+    fit = detect_zeno(traj)
+    assert fit.is_zeno
     # start-up interval, then a plain geometric sum
     expected = 1.0 + 1.5 / (1.0 - 0.5)
-    assert abs(tau_inf - expected) / expected <= 1e-9
+    assert abs(fit.tau_inf - expected) / expected <= 1e-9
 
 
 def test_periodic_switcher_is_not_zeno():
-    traj = run_until_overflow(periodic_switcher(), "tick", (1.0,), horizon=12.0,
-                              max_events=11)
-    is_zeno, tau_inf = detect_zeno(traj)
-    assert not is_zeno
-    assert tau_inf == math.inf
+    traj = execute(periodic_switcher(), "tick", (1.0,), horizon=12.0, max_events=11)
+    fit = detect_zeno(traj)
+    assert not fit.is_zeno
+    assert fit.tau_inf == math.inf
 
 
 def test_polynomially_shrinking_intervals_are_inconclusive():
-    traj = run_until_overflow(polynomial_shrinker(), "a", (1.0, 0.0), horizon=4.0,
-                              max_events=12)
+    traj = execute(polynomial_shrinker(), "a", (1.0, 0.0), horizon=4.0, max_events=12)
     with pytest.raises(Inconclusive):
         detect_zeno(traj)
 
 
 def test_detect_zeno_needs_enough_events(tank_run):
     system, _ = tank_run
-    short = run_until_overflow(system, "fill-1", (0.5, 0.5), horizon=5.0,
-                               max_events=4)
+    short = execute(system, "fill-1", (0.5, 0.5), horizon=5.0, max_events=4)
     with pytest.raises(ValueError):
-        detect_zeno(short, window=6)
+        detect_zeno(short)
 
 
 # ---------------------------------------------------------------------------
@@ -185,18 +183,17 @@ def test_detect_zeno_needs_enough_events(tank_run):
 
 def test_truncate_zeno_depth_zero_is_single_arc(tank_run):
     system, traj = tank_run
-    detect_zeno(traj)
-    z0 = truncate_zeno(traj, 0, system)
+    tau_inf = detect_zeno(traj).tau_inf
+    z0 = truncate_zeno(traj, 0, system, tau_inf)
     assert len(z0.arcs) == 1
     assert z0.arcs[0].mode == "fill-1"
-    assert z0.duration == pytest.approx(traj.tau_inf, rel=1e-12)
+    assert z0.duration == pytest.approx(tau_inf, rel=1e-12)
 
 
 def test_truncate_zeno_at_last_event_matches_to_tolerance(tank_run):
     system, traj = tank_run
-    detect_zeno(traj)
     n = traj.n_events - 1
-    zn = truncate_zeno(traj, n, system)
+    zn = truncate_zeno(traj, n, system, detect_zeno(traj).tau_inf)
     # the kept prefix is exact, the frozen window is geometrically small
     for arc_a, arc_b in zip(zn.arcs[:-1], traj.arcs[:n]):
         assert arc_a.mode == arc_b.mode
@@ -210,12 +207,12 @@ def test_truncate_zeno_at_last_event_matches_to_tolerance(tank_run):
 
 def test_water_tank_deviation_linear_with_single_constant(tank_run):
     system, traj = tank_run
-    detect_zeno(traj)
+    tau_inf = detect_zeno(traj).tau_inf
     ratios = []
     for n in range(2, 13):
-        zn = truncate_zeno(traj, n, system)
+        zn = truncate_zeno(traj, n, system, tau_inf)
         dev = _frozen_deviation(traj, zn, n)
-        ratios.append(dev / (traj.tau_inf - traj.tau[n]))
+        ratios.append(dev / (tau_inf - traj.tau[n]))
     c_hat = max(ratios)
     assert all(r <= c_hat * (1.0 + 1e-9) for r in ratios)
     assert min(ratios) >= 0.2 * c_hat  # genuinely linear, not super-linear
@@ -235,7 +232,6 @@ def test_unit_lagrangian_cost_is_duration():
 
 def test_zeno_ball_cost_equals_accumulation_time(ball_run):
     _, traj = ball_run
-    detect_zeno(traj)
     cost = hybrid_cost(traj, bouncing_ball_lagrangian())
     expected = 3.0 * SQRT2
     assert abs(cost - expected) / expected <= 1e-9
@@ -243,11 +239,11 @@ def test_zeno_ball_cost_equals_accumulation_time(ball_run):
 
 def test_truncated_cost_exceeds_zeno_cost_when_frozen_mode_is_expensive(tank_run):
     system, traj = tank_run
-    detect_zeno(traj)
+    tau_inf = detect_zeno(traj).tau_inf
     lagrangian = water_tank_lagrangian()
     c_star = hybrid_cost(traj, lagrangian)
     for n in (2, 4, 6):  # even depths freeze the expensive mode
-        zn = truncate_zeno(traj, n, system)
+        zn = truncate_zeno(traj, n, system, tau_inf)
         assert zn.arcs[-1].mode == "fill-1"
         assert hybrid_cost(zn, lagrangian) >= c_star
 
@@ -337,8 +333,6 @@ def _wavy(modes):
 def _runs(tank_run, ball_run):
     tank_system, tank = tank_run
     ball_system, ball = ball_run
-    for traj in (tank, ball):
-        detect_zeno(traj)
     height = HybridLagrangian({"flight": lambda t, x: max(x[0], 0.0)})
     return ((tank_system, tank, water_tank_lagrangian()),
             (tank_system, tank, _wavy(tank_system.modes)),
@@ -348,8 +342,9 @@ def _runs(tank_run, ball_run):
 
 def test_arc_cost_equals_per_sample_loop(tank_run, ball_run):
     for system, traj, lagrangian in _runs(tank_run, ball_run):
+        tau_inf = detect_zeno(traj).tau_inf
         arcs = list(traj.arcs)
-        arcs += [truncate_zeno(traj, n, system).arcs[-1] for n in range(2, 13)]
+        arcs += [truncate_zeno(traj, n, system, tau_inf).arcs[-1] for n in range(2, 13)]
         for arc in arcs:
             assert _arc_cost(arc, lagrangian) == reference_arc_cost(arc, lagrangian)
 
@@ -368,9 +363,9 @@ def test_arc_cost_with_uneven_pair_and_odd_tail_equals_per_sample_loop():
 
 def test_frozen_deviation_equals_per_sample_loop(tank_run, ball_run):
     for system, traj in (tank_run, ball_run):
-        detect_zeno(traj)
+        tau_inf = detect_zeno(traj).tau_inf
         for n in range(2, 13):
-            traj_n = truncate_zeno(traj, n, system)
+            traj_n = truncate_zeno(traj, n, system, tau_inf)
             assert (_frozen_deviation(traj, traj_n, n)
                     == reference_frozen_deviation(traj, traj_n, n))
 
@@ -379,14 +374,15 @@ def test_zeno_rate_sweep_records_equal_truncated_costs(tank_run, ball_run):
     for system, traj, lagrangian in _runs(tank_run, ball_run):
         sweep = zeno_rate_sweep(traj, range(2, 13), lagrangian, system)
         cost_star = hybrid_cost(traj, lagrangian)
+        tau_inf = detect_zeno(traj).tau_inf
         for rec in sweep.records:
-            traj_n = truncate_zeno(traj, int(rec.tv), system)
+            traj_n = truncate_zeno(traj, int(rec.tv), system, tau_inf)
             assert rec.cost_gap == hybrid_cost(traj_n, lagrangian) - cost_star
 
 
 def test_zeno_rate_sweep_evaluates_each_sample_once(tank_run):
     system, traj = tank_run
-    detect_zeno(traj)
+    tau_inf = detect_zeno(traj).tau_inf
     calls = []
     rates = water_tank_lagrangian()
     counted = HybridLagrangian({q: (lambda t, x, q=q: calls.append(q) or rates.rate(q, t, x))
@@ -394,7 +390,8 @@ def test_zeno_rate_sweep_evaluates_each_sample_once(tank_run):
     depths = range(2, 13)
     zeno_rate_sweep(traj, depths, counted, system)
     samples = sum(len(arc.times) for arc in traj.arcs)
-    samples += sum(len(truncate_zeno(traj, n, system).arcs[-1].times) for n in depths)
+    samples += sum(len(truncate_zeno(traj, n, system, tau_inf).arcs[-1].times)
+                   for n in depths)
     assert len(calls) <= samples
 
 
@@ -413,7 +410,7 @@ def reference_rk4_step(f, x, h):
 
 def reference_execute(system, q0, x0, horizon, max_events):
     """The ndarray execute loop; returns (event times, [(times, states)],
-    guard residuals, final state) where execute returns or overflows."""
+    guard residuals, final state) where execute returns."""
     base_step = step = STEP_FRACTION * horizon
     t, x, q = 0.0, np.asarray(x0, dtype=float), q0
     event_times, arcs, residuals = [], [], []
@@ -472,11 +469,11 @@ def reference_execute(system, q0, x0, horizon, max_events):
             return event_times, arcs, residuals, x
 
 
-def reference_frozen_states(traj_star, n, system):
+def reference_frozen_states(traj_star, n, system, tau_inf):
     """The ndarray loop of truncate_zeno's frozen arc."""
     x = traj_star.arcs[n].x0.copy()
-    duration = traj_star.tau_inf - traj_star.tau[n]
-    n_steps = max(2, int(math.ceil(duration / (STEP_FRACTION * traj_star.tau_inf))))
+    duration = tau_inf - traj_star.tau[n]
+    n_steps = max(2, int(math.ceil(duration / (STEP_FRACTION * tau_inf))))
     n_steps += n_steps % 2
     h = duration / n_steps
     states = [x]
@@ -508,7 +505,7 @@ def damped_pendulum():
 def test_execution_and_frozen_arcs_equal_ndarray_loops(build, q0, x0, horizon,
                                                        max_events, zeno):
     system = build()
-    traj = run_until_overflow(system, q0, x0, horizon, max_events)
+    traj = execute(system, q0, x0, horizon, max_events)
     event_times, arcs, residuals, final_state = reference_execute(
         system, q0, x0, horizon, max_events)
     assert traj.event_times == event_times
@@ -519,17 +516,19 @@ def test_execution_and_frozen_arcs_equal_ndarray_loops(build, q0, x0, horizon,
         assert np.array_equal(arc.times, times)
         assert np.array_equal(arc.states, states)
     if zeno:
-        assert detect_zeno(traj)[0]
+        fit = detect_zeno(traj)
+        assert fit.is_zeno
         for n in range(traj.n_events):
-            frozen = truncate_zeno(traj, n, system).arcs[-1]
-            assert np.array_equal(frozen.states, reference_frozen_states(traj, n, system))
+            frozen = truncate_zeno(traj, n, system, fit.tau_inf).arcs[-1]
+            assert np.array_equal(frozen.states,
+                                  reference_frozen_states(traj, n, system, fit.tau_inf))
 
 
 @pytest.mark.parametrize("system, x", [
     (water_tank(), (0.5, 0.25)),
     (water_tank(inflow=1, drain=(1, 1), thresholds=(0, 0)), (0.5, 0.25)),
     (bouncing_ball(), (0.5, -0.25)),
-    (bouncing_ball(gravity=2, restitution=1), (0.5, -0.25)),
+    (bouncing_ball(gravity=2, restitution=0.75), (0.5, -0.25)),
 ])
 def test_builtin_models_compute_on_plain_floats(system, x):
     # an ndarray anywhere would put the RK4 kernel on numpy scalars, about
@@ -539,3 +538,20 @@ def test_builtin_models_compute_on_plain_floats(system, x):
         assert type(out) is tuple and [type(v) for v in out] == [float] * len(x)
     for g in system.guards.values():
         assert type(g(x)) is float
+
+
+@pytest.mark.parametrize("build, kwargs, name", [
+    (water_tank, {"inflow": -0.1}, "inflow"),
+    (water_tank, {"inflow": math.nan}, "inflow"),
+    (water_tank, {"drain": (0.5, 0.0)}, "drain"),
+    (water_tank, {"drain": (math.inf, 0.5)}, "drain"),
+    (water_tank, {"thresholds": (0.0, math.nan)}, "thresholds"),
+    (bouncing_ball, {"gravity": 0.0}, "gravity"),
+    (bouncing_ball, {"gravity": math.inf}, "gravity"),
+    (bouncing_ball, {"restitution": 0.0}, "restitution"),
+    (bouncing_ball, {"restitution": 1.0}, "restitution"),
+    (bouncing_ball, {"restitution": math.nan}, "restitution"),
+])
+def test_builtin_models_reject_physics_out_of_range(build, kwargs, name):
+    with pytest.raises(ValueError, match=name):
+        build(**kwargs)

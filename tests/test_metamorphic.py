@@ -1,0 +1,59 @@
+"""Exact identities of the Fuller problem, checked on seeded states.
+
+The double integrator x1' = x2, x2' = u with |u| <= 1 and running cost x1^2
+is invariant under x -> -x with u -> -u (odd symmetry), and under
+(x1, x2, t) -> (lam^2 x1, lam x2, lam t) every running cost scales by
+lam^5 while the total variation of u is unchanged; so with the penalty
+weight scaled by lam^5 the regularized value scales by lam^5 too.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from chatterlab.controls import ProblemSpec
+from chatterlab.fuller import optimal_cost
+from chatterlab.solver import solve_regularized
+
+SEED = 7
+LAM = 3.0
+EPS = 1e-3
+REL = 1e-12
+
+
+def _states(count):
+    rng = np.random.default_rng(SEED)
+    for _ in range(count):
+        radius = float(rng.uniform(0.5, 2.0))
+        angle = float(rng.uniform(0.0, 2.0 * math.pi))
+        yield (radius * math.cos(angle), radius * math.sin(angle))
+
+
+def _negated(x, eps):
+    """(state, penalty weight, cost factor) after x -> -x."""
+    return (-x[0], -x[1]), eps, 1.0
+
+
+def _scaled(x, eps):
+    """(state, penalty weight, cost factor) after the lam-scaling."""
+    return (LAM ** 2 * x[0], LAM * x[1]), LAM ** 5 * eps, LAM ** 5
+
+
+@pytest.mark.parametrize("transform", [_negated, _scaled])
+def test_optimal_cost_identities(synth, transform):
+    for x in _states(4):
+        x_t, _, factor = transform(x, EPS)
+        cost = factor * optimal_cost(x, synth)
+        assert abs(optimal_cost(x_t, synth) - cost) <= REL * cost
+
+
+@pytest.mark.parametrize("transform", [_negated, _scaled])
+def test_regularized_value_identities(synth, transform):
+    (x,) = _states(1)
+    x_t, eps_t, factor = transform(x, EPS)
+    base = solve_regularized(EPS, ProblemSpec(x0=x), synth=synth)
+    moved = solve_regularized(eps_t, ProblemSpec(x0=x_t), synth=synth)
+    assert moved.n_switches == base.n_switches
+    value = factor * base.value(EPS)
+    assert abs(moved.value(eps_t) - value) <= REL * value

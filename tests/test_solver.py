@@ -7,6 +7,8 @@ from chatterlab.controls import ProblemSpec, simulate, tv
 from chatterlab.errors import AllStartsInfeasible, Infeasible
 from chatterlab.solver import (
     BangBangCandidate,
+    PathPoint,
+    SolutionPath,
     _better,
     _evaluate,
     _vector_eval,
@@ -160,6 +162,29 @@ def test_exchange_inequalities_along_path(decade_path):
 def test_path_laws(decade_path):
     laws = decade_path.laws(tol=1e-9)
     assert all(laws.values()), laws
+
+
+def test_path_laws_hold_where_divided_differences_round(synth):
+    # from this state the divided-difference slope of the values rises by
+    # 2e-9 from [1e-8, 1e-7] to [1e-7, 1e-6] (both points keep the same
+    # 3-switch candidate: rounding) while the exchange inequalities hold
+    spec = ProblemSpec(x0=(1.7309, 0.0573))
+    path = regularization_path([10.0 ** -k for k in range(1, 9)], spec, synth=synth)
+    laws = path.laws()
+    assert all(laws.values()), laws
+
+
+def test_path_laws_flag_a_convex_value():
+    # values 3, 6, 10 at eps 1, 2, 3: monotone in every column, but the
+    # first candidate's line undercuts the last value (0 + 3 * 3 < 10)
+    points = tuple(PathPoint(epsilon=e, n_switches=n, lagrangian=lag, tv=t,
+                             value=lag + e * t, candidate=None)
+                   for e, n, lag, t in ((1.0, 3, 0.0, 3.0), (2.0, 2, 2.0, 2.0),
+                                        (3.0, 1, 7.0, 1.0)))
+    laws = SolutionPath(points).laws()
+    assert not laws["value_concave"]
+    assert laws["value_nondecreasing"] and laws["tv_nonincreasing"]
+    assert laws["lagrangian_nondecreasing"]
 
 
 def test_path_gap_nonnegative(decade_path, reference):
