@@ -125,6 +125,8 @@ class ExperimentConfig:
                                             else self.x0))
             if len(self.x0) != 2:
                 raise ConfigError("x0 needs exactly two components")
+            if self.x0 == (0.0, 0.0):
+                raise ConfigError("x0 must differ from the origin")
         if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
             raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if not isinstance(self.model_params, dict):
@@ -439,8 +441,12 @@ def run_zeno_rate(cfg: ExperimentConfig):
         raise Inconclusive(f"model {cfg.model} did not produce a Zeno execution")
     lagrangian = model.lagrangian()
     ns = [n for n in cfg.n if n < traj.n_events]
+    dropped = [n for n in cfg.n if n >= traj.n_events]
     if len(ns) < 5:
         raise ConfigError("need at least 5 usable truncation depths")
+    if dropped:
+        print(f"warning: dropped truncation depths {', '.join(map(str, dropped))}: "
+              f"the run has {traj.n_events} events", file=sys.stderr)
     sweep = zeno_rate_sweep(traj, ns, lagrangian, system)
     if model.linear_rate_asserted and sweep.gap_slope is None:
         raise DegenerateFit("cost gaps at the rounding floor leave no linear-rate fit")
@@ -451,6 +457,7 @@ def run_zeno_rate(cfg: ExperimentConfig):
         "zeno_ratio": fit.ratio,
         "zeno_fit_residual": fit.residual,
         "n_events": traj.n_events,
+        "dropped_depths": dropped,
         "rk4_steps": sum(len(arc.times) - 1 for arc in traj.arcs),
         "frozen_steps": sweep.frozen_steps,
         "dev_slope": sweep.dev_slope,

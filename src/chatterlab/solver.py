@@ -11,6 +11,13 @@ For fixed arc count the duration optimum does not depend on epsilon (the
 penalty is an additive constant), so a sweep over epsilons can reuse one
 optimization per arc count; `regularization_path` exploits that to make the
 monotonicity and concavity of the value function exact to roundoff.
+
+The durations are found by coordinate descent.  A line search along free
+duration j holds the arcs before j, so `_line_kernel` folds them through
+`di_arc` once per line and each probe integrates only arc j, the later free
+arcs and the terminal pair; the sums keep their left-to-right order, so a
+probe's value equals a from-scratch `_evaluate` bit for bit.  Probes at
+epsilon = 0, which is every subproblem of the path, skip the collapsed TV.
 """
 
 from __future__ import annotations
@@ -30,6 +37,9 @@ _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 
 #: duration search interval per free arc, as a multiple of the minimum time
 DURATION_CAP_FACTOR = 3.0
+
+#: grid cells the oracle scores per numpy pass
+_ORACLE_BLOCK_CELLS = 1 << 14
 
 
 def solve_terminal_arcs(state, first_sign: float):
@@ -106,16 +116,13 @@ class BangBangCandidate:
         return PiecewiseConstantControl(tuple(bp), tuple(vals))
 
 
-def _evaluate(x0, sign: float, free, equibound: float):
-    """Cost data of the candidate with the given free durations, or None when
-    the terminal solve fails, a duration is negative, or the equibound is
-    violated.  Returns (lagrangian, tv, durations, residual, sup, total_t)."""
-    x1, x2 = x0
-    cost = 0.0
-    sup = 0.0
-    total = 0.0
-    u = sign
-    for d in free:
+def _fold(state, durations):
+    """Fold free arcs through `di_arc` into the running sums `state` =
+    (x1, x2, control sign, cost, sup, elapsed time), each in left-to-right
+    order; None when a duration is negative.  Folding a prefix once and its
+    continuations later gives the same floats as folding the whole list."""
+    x1, x2, u, cost, sup, total = state
+    for d in durations:
         if d < 0.0:
             return None
         e1, e2, c, vertex = di_arc(x1, x2, u, d)
@@ -124,6 +131,14 @@ def _evaluate(x0, sign: float, free, equibound: float):
         x1, x2 = e1, e2
         total += d
         u = -u
+    return x1, x2, u, cost, sup, total
+
+
+def _close(state, equibound):
+    """Append the terminal pair to a fold: (cost, pair, end x1, end x2, sup,
+    total), or None when the terminal solve fails or the equibound is
+    violated."""
+    x1, x2, u, cost, sup, total = state
     if x1 == 0.0 and x2 == 0.0:
         pair = (0.0, 0.0)
     else:
@@ -139,9 +154,57 @@ def _evaluate(x0, sign: float, free, equibound: float):
     total += pair[0] + pair[1]
     if total + sup > equibound:
         return None
+    return cost, pair, x1, x2, sup, total
+
+
+def _evaluate(x0, sign: float, free, equibound: float):
+    """Cost data of the candidate with the given free durations, or None when
+    the terminal solve fails, a duration is negative, or the equibound is
+    violated.  Returns (lagrangian, tv, durations, residual, sup, total_t).
+    The from-scratch case of the fold `_line_kernel` probes with."""
+    head = _fold((x0[0], x0[1], sign, 0.0, 0.0, 0.0), free)
+    end = None if head is None else _close(head, equibound)
+    if end is None:
+        return None
+    cost, pair, x1, x2, sup, total = end
     durations = tuple(free) + pair
     return (cost, _collapsed_tv(durations), durations,
             math.hypot(x1, x2), sup, total)
+
+
+def _value(res, epsilon: float) -> float:
+    """Regularized value of _evaluate data; inf when infeasible."""
+    return math.inf if res is None else res[0] + epsilon * res[1]
+
+
+def _line_kernel(spec: ProblemSpec, sign: float, epsilon: float):
+    """Line factory of the coordinate descent: `line(theta, j)` returns the
+    function t -> regularized value of theta with duration j set to t, equal
+    bit for bit to `_value(_evaluate(...))` of that point.
+
+    Arcs 0..j-1 are folded once per line; a probe folds arc j and the later
+    free arcs from there, then the terminal pair.  The collapsed TV is only
+    computed when epsilon > 0 (at 0 it is priced at 0.0 either way).
+    """
+    x0, equibound = spec.x0, spec.equibound
+
+    def line(theta, j):
+        head = _fold((x0[0], x0[1], sign, 0.0, 0.0, 0.0), theta[:j])
+        if head is None:
+            return lambda t: math.inf
+        before, after = tuple(theta[:j]), tuple(theta[j + 1:])
+
+        def probe(t):
+            body = _fold(head, (t,) + after)
+            end = None if body is None else _close(body, equibound)
+            if end is None:
+                return math.inf
+            tv = _collapsed_tv(before + (t,) + after + end[1]) if epsilon > 0.0 else 0.0
+            return end[0] + epsilon * tv
+
+        return probe
+
+    return line
 
 
 def _golden(fun, lo: float, hi: float, xtol: float):
@@ -165,25 +228,24 @@ def _golden(fun, lo: float, hi: float, xtol: float):
     return (a, fa) if fa <= fb else (b, fb)
 
 
-def _coordinate_descent(objective, theta: list, val: float, *, cap: float,
+def _coordinate_descent(line, theta: list, val: float, *, cap: float,
                         scan, half_width: float, xtol: float, rtol: float,
                         max_passes: int, trace: list) -> float:
     """Cyclic coordinate descent on the free durations `theta` (updated in
     place) from objective value `val`; returns the final value.
 
-    Per coordinate, the best of the current point and the `scan` points
-    centres a golden-section search of half-width `half_width`, clipped to
-    [0, cap]; a strictly better point is accepted and its value appended to
-    `trace`.  Passes stop once one gains less than rtol * (1 + |value|).
+    Per coordinate j, `line(theta, j)` gives the objective along duration j
+    (see `_line_kernel`: arcs before j are folded once, so each probe only
+    integrates arc j onwards).  The best of the current point and the `scan`
+    points centres a golden-section search of half-width `half_width`,
+    clipped to [0, cap]; a strictly better point is accepted and its value
+    appended to `trace`.  Passes stop once one gains less than
+    rtol * (1 + |value|).
     """
     for _ in range(max_passes):
         prev = val
         for j in range(len(theta)):
-            def along(t, j=j):
-                probe = list(theta)
-                probe[j] = t
-                return objective(probe)[0]
-
+            along = line(theta, j)
             cand_t, cand_f = theta[j], val
             for t in scan:
                 f = along(t)
@@ -201,20 +263,6 @@ def _coordinate_descent(objective, theta: list, val: float, *, cap: float,
         if not val < prev - rtol * (1.0 + abs(prev)):
             break
     return val
-
-
-def _objective(spec: ProblemSpec, sign: float, epsilon: float):
-    """Regularized value of the candidate with the given free durations,
-    paired with its _evaluate data; (inf, None) when infeasible."""
-    x0, equibound = spec.x0, spec.equibound
-
-    def objective(free):
-        res = _evaluate(x0, sign, free, equibound)
-        if res is None:
-            return math.inf, None
-        return res[0] + epsilon * res[1], res
-
-    return objective
 
 
 def _candidate(sign: float, res) -> BangBangCandidate:
@@ -282,34 +330,34 @@ def optimize_durations(n_switches: int, sign: float, epsilon: float,
     x0 = spec.x0
     cap = DURATION_CAP_FACTOR * min_time_to_origin(x0)
     n_free = n_switches - 1
-    objective = _objective(spec, sign, epsilon)
 
     if n_free == 0:
-        val, res = objective(())
+        res = _evaluate(x0, sign, (), spec.equibound)
         if res is None:
             raise AllStartsInfeasible(f"sign {sign:+.0f} cannot reach the origin")
         if trace is not None:
-            trace.append([val])
+            trace.append([_value(res, epsilon)])
         return _candidate(sign, res)
 
     best_val = math.inf
     best_res = None
     scan = [cap * k / 16.0 for k in range(17)]
     xtol = 1e-11 * (1.0 + cap)
+    line = _line_kernel(spec, sign, epsilon)
     for theta0 in _build_starts(n_free, x0, synth, seed, cap, extra_starts):
         theta = list(theta0)
-        val = objective(theta)[0]
+        val = _value(_evaluate(x0, sign, theta, spec.equibound), epsilon)
         run_trace = []
         if val < math.inf:
             run_trace.append(val)
         val = _coordinate_descent(
-            objective, theta, val, cap=cap, scan=scan, half_width=cap / 16.0,
+            line, theta, val, cap=cap, scan=scan, half_width=cap / 16.0,
             xtol=xtol, rtol=1e-14, max_passes=max_passes, trace=run_trace)
         if trace is not None and run_trace:
             trace.append(run_trace)
         if val < best_val:
             best_val = val
-            best_res = objective(theta)[1]
+            best_res = _evaluate(x0, sign, theta, spec.equibound)
     if best_res is None:
         raise AllStartsInfeasible(
             f"all starts infeasible for {n_switches} switches, sign {sign:+.0f}")
@@ -418,6 +466,30 @@ def _vector_eval(x0, sign: float, free_grids, equibound: float):
     return np.where(feasible, cost, np.inf), tv_grid
 
 
+def _grid_argmin(x0, sign: float, epsilon: float, axis, n_free: int,
+                 equibound: float):
+    """Free durations of the grid cell (every duration on `axis`) with the
+    least regularized value, the first in row-major order among equals, or
+    None when no cell is feasible.
+
+    The grid is scored in blocks of leading-axis rows of about
+    _ORACLE_BLOCK_CELLS cells, which bounds its memory; a strict < across
+    blocks keeps the first minimum of the whole grid, as np.argmin would.
+    """
+    rows = max(1, _ORACLE_BLOCK_CELLS // axis.size ** (n_free - 1))
+    best, theta = math.inf, None
+    for r0 in range(0, axis.size, rows):
+        grids = np.meshgrid(axis[r0:r0 + rows], *([axis] * (n_free - 1)),
+                            indexing="ij")
+        cost, tv_grid = _vector_eval(x0, sign, grids, equibound)
+        value = cost + epsilon * tv_grid
+        flat = int(np.argmin(value))
+        if value.flat[flat] < best:
+            best = value.flat[flat]
+            theta = [float(g.flat[flat]) for g in grids]
+    return theta
+
+
 def brute_force_oracle(n_switches: int, sign: float, epsilon: float,
                        spec: ProblemSpec, resolution: float = 1e-3) -> BangBangCandidate:
     """Exhaustive grid search over the free durations (switch count <= 3),
@@ -434,26 +506,17 @@ def brute_force_oracle(n_switches: int, sign: float, epsilon: float,
     cells = max(2, int(round(1.0 / resolution)))
     axis = np.linspace(0.0, cap, cells + 1)
     n_free = n_switches - 1
-    objective = _objective(spec, sign, epsilon)
 
-    if n_free == 0:
-        theta = []
-    else:
-        grids = np.meshgrid(*([axis] * n_free), indexing="ij")
-        cost, tv_grid = _vector_eval(x0, sign, grids, spec.equibound)
-        value = cost + epsilon * tv_grid
-        flat = int(np.argmin(value))
-        if not np.isfinite(value.flat[flat]):
-            raise AllStartsInfeasible(
-                f"no feasible grid cell for sign {sign:+.0f}")
-        idx = np.unravel_index(flat, value.shape)
-        theta = [float(axis[i]) for i in idx]
+    theta = _grid_argmin(x0, sign, epsilon, axis, n_free, spec.equibound) if n_free else []
+    if theta is None:
+        raise AllStartsInfeasible(f"no feasible grid cell for sign {sign:+.0f}")
     # local refinement around the best cell: coordinate golden sections,
     # iterated to convergence inside the one-cell trust region
-    _coordinate_descent(objective, theta, objective(theta)[0], cap=cap, scan=(),
-                        half_width=cap / cells, xtol=1e-12 * (1.0 + cap),
-                        rtol=1e-15, max_passes=8, trace=[])
-    res = objective(theta)[1]
+    _coordinate_descent(_line_kernel(spec, sign, epsilon), theta,
+                        _value(_evaluate(x0, sign, theta, spec.equibound), epsilon),
+                        cap=cap, scan=(), half_width=cap / cells,
+                        xtol=1e-12 * (1.0 + cap), rtol=1e-15, max_passes=8, trace=[])
+    res = _evaluate(x0, sign, theta, spec.equibound)
     if res is None:
         raise AllStartsInfeasible(f"sign {sign:+.0f} infeasible")
     return _candidate(sign, res)

@@ -199,6 +199,10 @@ def _config_file(tmp_path, data):
     ["zeno-rate", "--model", "bouncing-ball", "--n", "2:8",
      "--config", {"model_params": {"gravity": -1.0}}],
     ["zeno-rate", "--n", "2:12", "--config", {"model_params": {"inflow": math.nan}}],
+    ["tv-path", "--x0=0,0", "--eps", "1e-1:1e-2:decade"],
+    ["corollary-check", "--x0=0,0", "--eps", "1e-1:1e-2:decade"],
+    ["truncation-rate", "--x0=0,0"],
+    ["fuller-synthesize", "--x0=0,0"],
 ])
 def test_bad_input_exits_with_config_code(tmp_path, capsys, argv):
     args = [str(_config_file(tmp_path, arg)) if isinstance(arg, dict) else arg
@@ -223,6 +227,25 @@ def test_zeno_rate_rejects_x0(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "model_params.x0" in err
     assert not out.exists()
+
+
+def test_zeno_rate_reports_dropped_depths(tmp_path, capsys):
+    # the default tank stops at its 30-event budget: depths 30-40 cannot be
+    # truncated, are named on stderr and in the manifest, and leave the CSV
+    # as if they had not been asked for
+    assert main(["zeno-rate", "--n", "2:40", "--out", str(tmp_path / "a")]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == ("warning: dropped truncation depths "
+                      + ", ".join(str(n) for n in range(30, 41))
+                      + ": the run has 30 events")
+    assert len(err) == 2 and err[1].startswith("wrote ")
+    assert main(["zeno-rate", "--n", "2:29", "--out", str(tmp_path / "b")]) == 0
+    assert capsys.readouterr().err.count("\n") == 1
+    for run, dropped in (("a", list(range(30, 41))), ("b", [])):
+        manifest = json.loads((tmp_path / run / "zeno-rate-manifest.json").read_text())
+        assert manifest["results"]["dropped_depths"] == dropped
+    assert ((tmp_path / "a" / "zeno-rate.csv").read_bytes()
+            == (tmp_path / "b" / "zeno-rate.csv").read_bytes())
 
 
 def test_zeno_rate_manifest_counts_steps(tmp_path, tank_run):

@@ -11,6 +11,9 @@ from chatterlab.solver import (
     SolutionPath,
     _better,
     _evaluate,
+    _grid_argmin,
+    _line_kernel,
+    _value,
     _vector_eval,
     brute_force_oracle,
     optimize_durations,
@@ -18,7 +21,11 @@ from chatterlab.solver import (
     solve_regularized,
     solve_terminal_arcs,
 )
-from chatterlab.truncation import truncate, truncation_lag_for_budget
+from chatterlab.truncation import (
+    min_time_to_origin,
+    truncate,
+    truncation_lag_for_budget,
+)
 
 
 def forward_residual(state, sign, pair):
@@ -284,3 +291,51 @@ def test_grid_evaluator_matches_scalar_cell_by_cell(equibound):
                     assert tv_grid[idx] == res[1]
                     cand = BangBangCandidate(sign, res[2], res[0], res[1], res[3])
                     assert tv(cand.control()) == res[1]
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 1e-4])
+@pytest.mark.parametrize("equibound", [1e3, 3.0, 1.2])
+def test_line_kernel_matches_evaluate_bit_for_bit(epsilon, equibound):
+    # every probe of every coordinate line equals the from-scratch value of
+    # the probed point; infeasible and over-equibound probes are inf on
+    # both sides
+    rng = np.random.default_rng(23)
+    probes = finite = 0
+    for x0 in ((1.0, 0.0), (-0.3, 0.8), (0.2, -1.1), (0.05, -0.3)):
+        spec = ProblemSpec(x0=x0, equibound=equibound)
+        for sign in (-1.0, 1.0):
+            line = _line_kernel(spec, sign, epsilon)
+            for n_free in range(1, 6):
+                for _ in range(3):
+                    theta = [float(v) for v in rng.uniform(0.0, 1.5, n_free)]
+                    for k in rng.choice(n_free, size=n_free // 2, replace=False):
+                        theta[k] = 0.0  # zero-length arcs collapse the TV
+                    for j in range(n_free):
+                        along = line(theta, j)
+                        for t in [0.0, -0.5, theta[j], *rng.uniform(0.0, 3.0, 4)]:
+                            probe = list(theta)
+                            probe[j] = float(t)
+                            want = _value(_evaluate(x0, sign, probe, equibound),
+                                          epsilon)
+                            assert along(float(t)) == want
+                            probes += 1
+                            finite += math.isfinite(want)
+    assert 0 < finite < probes
+
+
+@pytest.mark.parametrize("equibound", [1e3, 3.0])
+def test_blocked_oracle_grid_picks_the_full_grid_argmin(equibound):
+    # the oracle's 3-switch grid at resolution 2e-3 spans 16 row blocks; the
+    # first minimum over them is np.argmin's over the whole grid
+    for x0 in ((1.0, 0.0), (-0.3, 0.8), (0.2, -1.1), (0.05, -0.3)):
+        axis = np.linspace(0.0, 3.0 * min_time_to_origin(x0), 501)
+        for sign in (-1.0, 1.0):
+            grids = np.meshgrid(axis, axis, indexing="ij")
+            cost, tv_grid = _vector_eval(x0, sign, grids, equibound)
+            value = cost + 1e-4 * tv_grid
+            flat = int(np.argmin(value))
+            theta = _grid_argmin(x0, sign, 1e-4, axis, 2, equibound)
+            if not np.isfinite(value.flat[flat]):
+                assert theta is None
+                continue
+            assert theta == [float(g.flat[flat]) for g in grids]
