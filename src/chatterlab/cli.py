@@ -138,6 +138,9 @@ class ExperimentConfig:
         self.eta = sorted(_finite_numbers("eta", self.eta), reverse=True)
         if any(e <= 0 for e in self.eps) or any(e <= 0 for e in self.eta):
             raise ConfigError("grid values must be positive")
+        if self.experiment == "truncation-rate" and self.eta and (
+                len(self.eta) < 5 or self.eta[0] < 99.0 * self.eta[-1]):
+            raise ConfigError("eta grid needs at least 5 cut windows spanning two decades")
         n = _finite_numbers("n", self.n)
         if any(v != int(v) for v in n):
             raise ConfigError("truncation depths must be integers")
@@ -181,11 +184,16 @@ def parse_grid(text: str):
     text = text.strip()
     if not text:
         raise ConfigError("empty grid")
-    if ":" in text:
-        parts = text.split(":")
+    parts = text.split(":")
+    try:
+        if len(parts) == 1:
+            return [float(v) for v in text.split(",")]
+        if len(parts) == 2:
+            a, b = int(parts[0]), int(parts[1])
+            return list(range(min(a, b), max(a, b) + 1))
         if len(parts) == 3 and parts[2] == "decade":
             hi, lo = float(parts[0]), float(parts[1])
-            if hi <= 0 or lo <= 0:
+            if not (hi > 0 and lo > 0):
                 raise ConfigError("decade grids need positive endpoints")
             if hi < lo:
                 hi, lo = lo, hi
@@ -193,16 +201,9 @@ def parse_grid(text: str):
             if n_dec < 1 or abs(math.log10(hi / lo) - n_dec) > 1e-9:
                 raise ConfigError("decade grids need endpoints a power of ten apart")
             return [hi * 10.0 ** (-k) for k in range(n_dec + 1)]
-        if len(parts) == 2:
-            a, b = int(parts[0]), int(parts[1])
-            if b < a:
-                a, b = b, a
-            return list(range(a, b + 1))
-        raise ConfigError(f"cannot parse grid {text!r}")
-    try:
-        return [float(v) for v in text.split(",")]
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(f"cannot parse grid {text!r}: {exc}") from None
+    raise ConfigError(f"cannot parse grid {text!r}")
 
 
 def _parse_x0(text: str):
@@ -213,8 +214,15 @@ def _parse_x0(text: str):
     return tuple(parts)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as a ConfigError: one line, exit 2."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="chatterlab",
         description="chattering-control regularization experiments")
     sub = parser.add_subparsers(dest="experiment")
@@ -434,9 +442,10 @@ def run_zeno_rate(cfg: ExperimentConfig):
                    max_events=run["max_events"])
     try:
         fit = detect_zeno(traj)
-    except ValueError as exc:  # too few events before the horizon to fit
-        raise Inconclusive(f"model {cfg.model} reached the horizon "
-                           f"{run['horizon']:g}: {exc}") from None
+    except ValueError as exc:  # too few events to fit
+        stop = ("its event budget or Zeno cut" if traj.hit_max_events
+                else f"the horizon {run['horizon']:g}")
+        raise Inconclusive(f"model {cfg.model} reached {stop}: {exc}") from None
     if not fit.is_zeno:
         raise Inconclusive(f"model {cfg.model} did not produce a Zeno execution")
     lagrangian = model.lagrangian()
@@ -458,8 +467,6 @@ def run_zeno_rate(cfg: ExperimentConfig):
         "zeno_fit_residual": fit.residual,
         "n_events": traj.n_events,
         "dropped_depths": dropped,
-        "rk4_steps": sum(len(arc.times) - 1 for arc in traj.arcs),
-        "frozen_steps": sweep.frozen_steps,
         "dev_slope": sweep.dev_slope,
         "gap_slope": sweep.gap_slope,
         "gap_constant": sweep.gap_constant,
@@ -508,11 +515,10 @@ def run(cfg: ExperimentConfig) -> int:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    if not args.experiment:
-        parser.print_usage(sys.stderr)
-        return 2
     try:
+        args = parser.parse_args(argv)
+        if not args.experiment:
+            raise ConfigError(f"choose an experiment: {', '.join(EXPERIMENTS)}")
         cfg = load_config(args)
         return run(cfg)
     except ChatterlabError as exc:

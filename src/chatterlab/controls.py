@@ -38,6 +38,21 @@ def di_arc(x1, x2, u: float, d):
     return e1, e2, cost, vertex
 
 
+def motion_gap(a, b, d: float) -> float:
+    """Exact sup over s in [0, d] of max(|a1(s) - b1(s)|, |a2(s) - b2(s)|) for
+    two planar polynomial motions, each given as (x1, v, u, x2, w) with
+    x1(s) = x1 + v s + u s^2 / 2 and x2(s) = x2 + w s.
+
+    The first component of the difference is one double-integrator arc with
+    control ua - ub, so `di_arc` gives its end and vertex; the second is
+    linear and peaks at an end.  A double-integrator arc from (x1, x2) under
+    u is the motion (x1, x2, u, x2, u).
+    """
+    x1, v, u, x2, w = (p - q for p, q in zip(a, b))
+    e1, _, _, vertex = di_arc(x1, v, u, d)
+    return max(abs(x1), abs(e1), vertex, abs(x2), abs(x2 + w * d))
+
+
 # ---------------------------------------------------------------------------
 # controls
 # ---------------------------------------------------------------------------

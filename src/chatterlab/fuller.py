@@ -217,7 +217,9 @@ def synthesize_chattering(x0, synth: FullerSynthesis):
     Each curve crossing is found by the closed-form quadratic solve of the
     arc polynomial; once the state enters the truncation radius the exact
     two-arc minimum-time steering closes the control at the origin.  Returns
-    (control, final time).
+    (control, final time).  Raises TolTooSmall when x2^2 overflows or an
+    arc no longer advances the clock, which a state far outside the
+    truncation radius reaches before the radius.
     """
     x = (float(x0[0]), float(x0[1]))
     if x == (0.0, 0.0):
@@ -225,25 +227,30 @@ def synthesize_chattering(x0, synth: FullerSynthesis):
     if synth.truncation_tol < 1e-13:
         raise TolTooSmall(
             f"truncation radius {synth.truncation_tol} underflows arc durations")
+    if not math.isfinite(abs(x[0]) + x[1] * x[1]):
+        raise TolTooSmall(f"x0 = {x} overflows the switching-curve residual")
     breakpoints = [0.0]
     values: list[float] = []
-    t = 0.0
+
+    def append(u, d):
+        if breakpoints[-1] + d == breakpoints[-1]:
+            raise TolTooSmall(
+                f"arc of {d:.3g} no longer advances the clock at t = {breakpoints[-1]:.6g}: "
+                f"|x0| is too large for the truncation radius {synth.truncation_tol}")
+        breakpoints.append(breakpoints[-1] + d)
+        values.append(u)
+
     while math.hypot(*x) >= synth.truncation_tol:
         u = feedback_sign(x, synth.zeta)
         d = first_crossing(x, u, synth.zeta)
-        t += d
-        breakpoints.append(t)
-        values.append(u)
+        append(u, d)
         x = di_arc(x[0], x[1], u, d)[:2]
         if len(values) > _MAX_ARCS:
             raise ArithmeticError("switching cascade failed to contract")
     tail, _ = min_time_steer(x)
     if tail is not None:
         for i, v in enumerate(tail.values):
-            d = tail.breakpoints[i + 1] - tail.breakpoints[i]
-            t += d
-            breakpoints.append(t)
-            values.append(v)
+            append(v, tail.breakpoints[i + 1] - tail.breakpoints[i])
     if not values:
         raise ValueError("x0 is indistinguishable from the origin at this tol")
     control = PiecewiseConstantControl(tuple(breakpoints), tuple(values))

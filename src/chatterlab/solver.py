@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -269,6 +270,16 @@ def _candidate(sign: float, res) -> BangBangCandidate:
     return BangBangCandidate(sign, res[2], res[0], res[1], res[3])
 
 
+@lru_cache(maxsize=16)
+def _chattering_durations(x0: tuple, synth: FullerSynthesis) -> tuple:
+    """Arc durations of the chattering control synthesized from x0; every
+    (count, sign) subproblem of one state seeds a start with them, so a
+    path synthesizes once."""
+    control, _ = synthesize_chattering(x0, synth)
+    bp = control.breakpoints
+    return tuple(bp[i + 1] - bp[i] for i in range(control.n_arcs))
+
+
 def _build_starts(n_free: int, x0, synth: FullerSynthesis, seed: int, cap: float,
                   extra_starts):
     """Eight multistarts: the chattering prefix, a uniform split, two
@@ -276,9 +287,7 @@ def _build_starts(n_free: int, x0, synth: FullerSynthesis, seed: int, cap: float
     (vanishing first arc, then the prefix), and seeded jitters."""
     t_min = min_time_to_origin(x0)
     rho = synth.rho
-    control, _ = synthesize_chattering(x0, synth)
-    fuller = [control.breakpoints[i + 1] - control.breakpoints[i]
-              for i in range(control.n_arcs)]
+    fuller = list(_chattering_durations(tuple(x0), synth))
 
     def geometric(first):
         return [first * rho ** k for k in range(n_free)]

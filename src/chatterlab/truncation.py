@@ -18,6 +18,7 @@ from .controls import (
     ProblemSpec,
     Trajectory,
     lagrangian_cost,
+    motion_gap,
     simulate,
     tv,
 )
@@ -122,18 +123,25 @@ class TruncationResult:
     prefix_tv: float
 
 
-def _state_clamped(traj: Trajectory, t: float):
-    """State at t, frozen at the final state beyond the horizon (admissible
-    controls end at the origin, an equilibrium)."""
-    if t >= traj.duration:
-        return traj.final_state
-    return traj.state_at(t)
+def _motion(traj: Trajectory, lo: float, hi: float):
+    """motion_gap's (x1, v, u, x2, w) of traj on the piece [lo, hi], which
+    lies inside one arc or past the horizon, where the state rests at the
+    final state (admissible controls end at the origin, an equilibrium)."""
+    if lo >= traj.duration:
+        x1, x2 = traj.final_state
+        return (x1, 0.0, 0.0, x2, 0.0)
+    x1, x2 = traj.state_at(lo)
+    mid = 0.5 * (lo + hi)
+    u = next(arc.u for arc in traj.arcs if mid < arc.t0 + arc.duration)
+    return (x1, x2, u, x2, u)
 
 
 def sup_state_deviation(traj_a: Trajectory, traj_b: Trajectory,
-                        t_from: float = 0.0, samples_per_arc: int = 128) -> float:
-    """Sampled sup-norm distance between two trajectories on [t_from, T],
-    T the larger horizon, extending each by its terminal equilibrium."""
+                        t_from: float = 0.0) -> float:
+    """Exact sup-norm distance between two trajectories on [t_from, T], T the
+    larger horizon, extending each by its terminal equilibrium: on each
+    piece between the arc ends of both the difference is one polynomial
+    motion, whose sup motion_gap gives from its ends and vertex."""
     horizon = max(traj_a.duration, traj_b.duration)
     cuts = {t_from, horizon}
     for traj in (traj_a, traj_b):
@@ -142,16 +150,8 @@ def sup_state_deviation(traj_a: Trajectory, traj_b: Trajectory,
                 if t_from <= t <= horizon:
                     cuts.add(t)
     cuts = sorted(cuts)
-    worst = 0.0
-    for lo, hi in zip(cuts, cuts[1:]):
-        if hi <= lo:
-            continue
-        for k in range(samples_per_arc + 1):
-            t = lo + (hi - lo) * k / samples_per_arc
-            xa = _state_clamped(traj_a, t)
-            xb = _state_clamped(traj_b, t)
-            worst = max(worst, abs(xa[0] - xb[0]), abs(xa[1] - xb[1]))
-    return worst
+    return max((motion_gap(_motion(traj_a, lo, hi), _motion(traj_b, lo, hi), hi - lo)
+                for lo, hi in zip(cuts, cuts[1:])), default=0.0)
 
 
 def l1_control_distance(u: PiecewiseConstantControl,

@@ -1,0 +1,143 @@
+"""Seeded fuzz of the CLI inputs: every run ends in a documented exit.
+
+Each case draws an experiment, grid flags (`--eps`, `--eta`, `--n`) in every
+grid syntax, an `--x0` over many magnitudes and a config file with some of
+its keys, `model_params` included.  Each part is well formed most of the
+time and broken now and then, so runs reach every layer.  Every exit code
+must be 0 or one of 2-7 with exactly one stderr line ("wrote ..." or
+"error: ..."; a zeno-rate run may add its documented dropped-depth warning)
+and no traceback.  Successful runs stay small: no penalty below 1e-2 and no
+event budget above 200.
+"""
+
+import json
+import math
+import random
+
+from chatterlab.cli import main
+
+SEED = 20261018
+CASES = 180
+
+GRIDS = {
+    "--eps": ["1e-1", "1e-1,1e-2", "1e-1:1e-2:decade", "0.5,1e-1"],
+    "--eta": ["1e-1:1e-3:decade", "0.5,0.1,0.05,0.01,0.005", "0.1,0.01",
+              "0.3,0.2,0.1,0.05,0.03", "1e-1:1e-4:decade", "5,1,0.1,0.01,0.001"],
+    "--n": ["2:12", "2:8", "3:9", "2,3,4,5,6", "0:40", "2:3", "12:2"],
+}
+BAD_TOKENS = ["0", "-1", "nan", "inf", "1e400", "x", "", "2.5", "1e-300"]
+#: the flags each experiment reads
+READS = {"fuller-synthesize": (), "tv-path": ("--eps",), "corollary-check": ("--eps",),
+         "truncation-rate": ("--eta",), "zeno-rate": ("--n",)}
+#: a solver run takes about 0.25 s, the others 1-40 ms
+EXPERIMENTS = ["fuller-synthesize"] * 6 + ["truncation-rate"] * 7 + ["zeno-rate"] * 11 \
+    + ["tv-path", "corollary-check"]
+PARAMS = {
+    "water-tank": {"inflow": lambda r: r.uniform(0.55, 1.05),
+                   "drain": lambda r: r.choice([[0.5, 0.5], [0.4, 0.6]]),
+                   "thresholds": lambda r: r.choice([[0.0, 0.0], [0.1, 0.0]]),
+                   "q0": lambda r: r.choice(["fill-1", "fill-2"]),
+                   "x0": lambda r: [r.uniform(0.1, 1.0), r.uniform(0.1, 1.0)]},
+    "bouncing-ball": {"restitution": lambda r: r.uniform(0.05, 0.95),
+                      "gravity": lambda r: r.uniform(0.5, 3.0),
+                      "q0": lambda r: "flight",
+                      "x0": lambda r: [r.uniform(0.1, 2.0), r.uniform(-1.0, 1.0)]},
+}
+RUN = {"horizon": lambda r: r.uniform(0.5, 30.0),
+       "max_events": lambda r: r.choice([8, 22, 30, 200])}
+NONSENSE = [0, -1.0, 1.5, 3, math.nan, math.inf, 10 ** 400, "x", True, None, [0.5], {}]
+
+
+def _grid(rng, flag):
+    if rng.random() < 0.85:
+        return rng.choice(GRIDS[flag])
+    tokens = [rng.choice(BAD_TOKENS) for _ in range(3)]
+    return rng.choice([",".join(tokens), ":".join(tokens[:2]),
+                       f"{tokens[0]}:{tokens[1]}:decade", "1:2:3", "1e-1:1e-2:century"])
+
+
+def _x0(rng):
+    u = rng.random()
+    if u < 0.6:
+        exponents = [-9, -1, 0, 0, 0, 1]
+    elif u < 0.85:
+        exponents = [8, 12, 200, 300, -300, 400]
+    else:
+        return rng.choice(["nan,0", "inf,1", "1", "1,0,0", "a,b", "0,0"])
+    return ",".join(f"{rng.choice(['', '-'])}{rng.uniform(1.0, 9.9):.4g}"
+                    f"e{rng.choice(exponents)}" for _ in range(2))
+
+
+def _model_params(rng, model):
+    table = {**PARAMS[model], **RUN, "bogus": lambda r: 1.0}
+    keys = rng.sample(sorted(table), rng.randint(1, 3))
+    return {key: table[key](rng) if rng.random() < 0.8 and key != "bogus"
+            else rng.choice(NONSENSE) for key in keys}
+
+
+def _config(rng, experiment, model):
+    config = {}
+    for key in rng.sample(["x0", "eps", "eta", "n", "tol", "seed", "model_params"],
+                          rng.randint(1, 3)):
+        broken = rng.random() < 0.25
+        if key == "model_params":
+            config[key] = rng.choice(NONSENSE) if broken else _model_params(rng, model)
+        elif key == "seed":
+            config[key] = rng.choice(["abc", -1, 2.5, True]) if broken else rng.randint(0, 9)
+        elif key == "tol":
+            config[key] = rng.choice([0, -1, 1e-14, "x"]) if broken else 1e-10
+        elif key == "x0":
+            if experiment != "zeno-rate" or broken:
+                config[key] = [rng.choice(NONSENSE), 0.5] if broken else [0.6, -0.3]
+        elif broken:
+            config[key] = rng.choice([[rng.choice(NONSENSE)], rng.choice(NONSENSE)])
+        else:
+            config[key] = {"eps": [0.1, 0.01], "eta": [0.1, 0.03, 0.01, 0.003, 0.001],
+                           "n": [2, 3, 4, 5, 6, 7]}[key]
+    return config
+
+
+def _case(rng):
+    experiment = rng.choice(EXPERIMENTS)
+    model = rng.choice(sorted(PARAMS))
+    argv = [experiment]
+    if experiment == "zeno-rate":
+        argv += ["--model", model]
+    if (experiment != "zeno-rate" and rng.random() < 0.8) or rng.random() < 0.1:
+        argv.append(f"--x0={_x0(rng)}")
+    for flag in GRIDS:
+        if rng.random() < (0.9 if flag in READS[experiment] else 0.15):
+            argv.append(f"{flag}={_grid(rng, flag)}")
+    if rng.random() < 0.1:
+        argv += [rng.choice(["--seed", "--tol"]), rng.choice(["x", "1", "-1", "1e-14"])]
+    return argv, _config(rng, experiment, model) if rng.random() < 0.4 else {}
+
+
+#: inputs that once ended in a traceback, run ahead of the drawn cases:
+#: integer ranges with a non-integer end, and states so far outside the
+#: truncation radius that the switch intervals stop advancing the clock
+KNOWN = [
+    (["zeno-rate", "--n=2:x"], {}),
+    (["zeno-rate", "--n=2.5:8"], {}),
+    (["fuller-synthesize", "--x0=1e12,0"], {}),
+    (["fuller-synthesize", "--x0=1e200,0"], {}),
+    (["truncation-rate", "--x0=1e12,0"], {}),
+]
+
+CASE_LIST = KNOWN + [_case(random.Random(SEED + k)) for k in range(CASES)]
+
+
+def test_fuzzed_inputs_end_in_documented_exits(tmp_path, capsys):
+    for k, (argv, config) in enumerate(CASE_LIST):
+        args = list(argv)
+        if config:
+            path = tmp_path / f"cfg{k}.json"
+            path.write_text(json.dumps(config))
+            args += ["--config", str(path)]
+        code = main(args + ["--out", str(tmp_path / f"out{k}")])
+        err = capsys.readouterr().err
+        lines = [line for line in err.splitlines()
+                 if not line.startswith("warning: dropped truncation depths")]
+        assert code == 0 or 2 <= code <= 7, (args, config, code, err)
+        assert len(lines) == 1 and "Traceback" not in err, (args, config, err)
+        assert lines[0].startswith("wrote " if code == 0 else "error: "), (args, err)

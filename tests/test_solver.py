@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from chatterlab import solver
 from chatterlab.controls import ProblemSpec, simulate, tv
 from chatterlab.errors import AllStartsInfeasible, Infeasible
 from chatterlab.solver import (
@@ -154,6 +155,20 @@ def test_path_switch_count_grows_as_epsilon_shrinks(reference, synth):
     assert small.n_switches > big.n_switches
     mid = solve_regularized(1e-3, spec, synth=synth, cache=cache)
     assert big.n_switches <= mid.n_switches <= small.n_switches
+
+
+def test_path_synthesizes_the_chattering_reference_once(monkeypatch, synth):
+    # every (count, sign) subproblem with a free duration seeds a start with
+    # the same chattering prefix; one path synthesizes it once
+    synthesized, seeded = [], []
+    for name, calls in (("synthesize_chattering", synthesized),
+                        ("optimize_durations", seeded)):
+        original = getattr(solver, name)
+        monkeypatch.setattr(solver, name, lambda *a, _f=original, _c=calls, **kw:
+                            _c.append(a) or _f(*a, **kw))
+    solver._chattering_durations.cache_clear()
+    regularization_path([1e-1, 1e-2, 1e-3], ProblemSpec(x0=(0.3, -0.7)), synth=synth)
+    assert len([a for a in seeded if a[0] > 1]) > 2 and len(synthesized) == 1
 
 
 def test_exchange_inequalities_along_path(decade_path):

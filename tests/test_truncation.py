@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from chatterlab.controls import ProblemSpec, simulate, tv
+from chatterlab.controls import ProblemSpec, di_arc, simulate, tv
 from chatterlab.errors import CutTooLarge, DegenerateFit
 from chatterlab.truncation import (
     TAIL_TV_BUDGET,
@@ -11,6 +11,7 @@ from chatterlab.truncation import (
     l1_control_distance,
     min_time_steer,
     min_time_to_origin,
+    sup_state_deviation,
     truncate,
     truncation_lag_for_budget,
     truncation_rate_sweep,
@@ -172,6 +173,43 @@ def test_rate_sweep_validates_grid(reference):
     with pytest.raises(ValueError):
         truncation_rate_sweep(u_star, traj_star, [0.5, 0.4, 0.3, 0.2, 0.1],
                               spec, j_star=j_star)
+
+
+def sampled_deviation(traj_a, traj_b, t_from, samples):
+    """Sup deviation sampled at `samples` + 1 points of each piece between
+    the arc ends of both trajectories, each extended by its final state."""
+    horizon = max(traj_a.duration, traj_b.duration)
+    cuts = sorted({t_from, horizon} | {t for traj in (traj_a, traj_b) for arc in traj.arcs
+                                       for t in (arc.t0, arc.t0 + arc.duration)
+                                       if t_from <= t <= horizon})
+
+    def states(traj, ts):
+        if ts[0] >= traj.duration:
+            return [np.full_like(ts, v) for v in traj.final_state]
+        arc = next(a for a in traj.arcs if ts[len(ts) // 2] < a.t0 + a.duration)
+        return di_arc(arc.x0[0], arc.x0[1], arc.u, ts - arc.t0)[:2]
+
+    worst = 0.0
+    for lo, hi in zip(cuts, cuts[1:]):
+        ts = np.linspace(lo, hi, samples + 1)
+        (a1, a2), (b1, b2) = states(traj_a, ts), states(traj_b, ts)
+        worst = max(worst, np.max(np.abs(a1 - b1)), np.max(np.abs(a2 - b2)))
+    return worst
+
+
+def test_sup_deviation_is_exact(reference, decade_path):
+    # dense samples never exceed the exact sup beyond rounding, and the 128
+    # samples per piece the metric once took never exceed it either
+    spec, u_star, traj_star, t_star, j_star = reference
+    pairs = [(simulate(spec, p.candidate.control()), 0.0) for p in decade_path.records]
+    pairs += [(simulate(spec, truncate(u_star, traj_star, eta, spec, j_star=j_star).control),
+               t_star - eta) for eta in (0.7, 0.2, 0.05, 0.01)]
+    for traj, t_from in pairs:
+        exact = sup_state_deviation(traj, traj_star, t_from=t_from)
+        for samples in (128, 10_000):
+            sampled = sampled_deviation(traj, traj_star, t_from, samples)
+            assert sampled <= exact * (1.0 + 1e-12)
+        assert exact <= sampled * (1.0 + 1e-6)
 
 
 def test_l1_distance_between_shifted_controls():
