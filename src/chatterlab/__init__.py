@@ -9,7 +9,6 @@ from .controls import (
     Trajectory,
     constant_control,
     lagrangian_cost,
-    regularized_cost,
     simulate,
     tv,
 )
@@ -21,7 +20,6 @@ from .errors import (
     DegenerateFit,
     EquiboundViolation,
     Inconclusive,
-    Infeasible,
     NoRootBracket,
     TolTooSmall,
 )
@@ -54,7 +52,6 @@ from .solver import (
     optimize_durations,
     regularization_path,
     solve_regularized,
-    solve_terminal_arcs,
 )
 from .truncation import (
     TruncationResult,

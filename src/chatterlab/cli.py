@@ -33,7 +33,6 @@ from .errors import (
     DegenerateFit,
     EquiboundViolation,
     Inconclusive,
-    Infeasible,
     NoRootBracket,
     TolTooSmall,
 )
@@ -51,6 +50,7 @@ from .hybrid import (
 from .records import RateRecord, write_csv, write_manifest
 from .solver import regularization_path
 from .truncation import (
+    HOLDER_EXPONENT,
     composite_rate_bound,
     l1_control_distance,
     sup_state_deviation,
@@ -62,7 +62,7 @@ EXPERIMENTS = ("fuller-synthesize", "tv-path", "truncation-rate",
 
 _EXIT_CODES = (
     ((ConfigError,), 2),
-    ((Infeasible, AllStartsInfeasible), 3),
+    ((AllStartsInfeasible,), 3),
     ((NoRootBracket, TolTooSmall), 4),
     ((CutTooLarge, DegenerateFit), 5),
     ((Inconclusive,), 6),
@@ -127,6 +127,8 @@ class ExperimentConfig:
                 raise ConfigError("x0 needs exactly two components")
             if self.x0 == (0.0, 0.0):
                 raise ConfigError("x0 must differ from the origin")
+        if not (isinstance(self.out, str) and self.out):
+            raise ConfigError(f"out must be a nonempty path, got {self.out!r}")
         if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
             raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if not isinstance(self.model_params, dict):
@@ -282,11 +284,15 @@ def _versions() -> dict:
 
 
 def _reference_solution(cfg: ExperimentConfig):
+    """The synthesized reference and the spec every candidate of the run is
+    held to: its equibound is 1e3, or ten times the reference's own
+    t* + sup|x*| when that is larger, so the reference is admissible."""
     synth = default_synthesis(truncation_tol=cfg.tol)
-    spec = ProblemSpec(x0=cfg.x0)
     u_star, t_star = synthesize_chattering(cfg.x0, synth)
-    traj_star = simulate(spec, u_star)
-    j_star = lagrangian_cost(traj_star, u_star, spec)
+    traj_star = simulate(ProblemSpec(x0=cfg.x0, equibound=math.inf), u_star)
+    spec = ProblemSpec(x0=cfg.x0,
+                       equibound=max(1e3, 10.0 * (t_star + traj_star.sup_abs())))
+    j_star = lagrangian_cost(traj_star)
     return synth, spec, u_star, t_star, traj_star, j_star
 
 
@@ -403,7 +409,7 @@ def run_corollary_check(cfg: ExperimentConfig):
         "j_star": j_star,
         "m_hat": check.m_hat,
         "bound_holds_everywhere": check.holds,
-        "holder_exponent": 0.5,
+        "holder_exponent": HOLDER_EXPONENT,
     }
     return records, manifest
 
@@ -495,9 +501,6 @@ def run(cfg: ExperimentConfig) -> int:
     t0 = time.perf_counter()
     records, manifest = _RUNNERS[cfg.experiment](cfg)
     wall_total = (time.perf_counter() - t0) * 1e3
-    out_dir = Path(cfg.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = write_csv(out_dir / f"{cfg.experiment}.csv", records)
     payload = {
         "config": cfg.echo(),
         "results": manifest,
@@ -508,7 +511,14 @@ def run(cfg: ExperimentConfig) -> int:
         },
         "versions": _versions(),
     }
-    write_manifest(out_dir / f"{cfg.experiment}-manifest.json", payload)
+    out_dir = Path(cfg.out)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        csv_path = write_csv(out_dir / f"{cfg.experiment}.csv", records)
+        write_manifest(out_dir / f"{cfg.experiment}-manifest.json", payload)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output under {cfg.out}: "
+                          f"{exc.strerror or exc}") from None
     print(f"wrote {csv_path}", file=sys.stderr)
     return 0
 

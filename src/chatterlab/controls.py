@@ -219,12 +219,12 @@ class ProblemSpec:
     with running cost x1^2.
 
     x0: planar initial state (x1, x2).
-    control_bounds: admissible control values lie in [lo, hi].
     equibound: admissible candidates must satisfy t_u + sup|x| <= equibound.
+
+    Admissible control values lie in [-1, 1].
     """
 
     x0: tuple[float, float]
-    control_bounds: tuple[float, float] = (-1.0, 1.0)
     equibound: float = 1e3
 
     def __post_init__(self):
@@ -233,22 +233,16 @@ class ProblemSpec:
             raise ValueError("double integrator needs a planar initial state")
         if self.equibound <= 0.0:
             raise ValueError("equibound must be positive")
-        lo, hi = self.control_bounds
-        if not lo < hi:
-            raise ValueError("control bounds must satisfy lo < hi")
-
-    def check_value(self, v: float) -> bool:
-        lo, hi = self.control_bounds
-        return lo - 1e-12 <= v <= hi + 1e-12
 
 
 def simulate(spec: ProblemSpec, control: PiecewiseConstantControl) -> Trajectory:
     """Propagate spec.x0 under the control by exact arcs.
 
-    Raises EquiboundViolation when t_u + sup|x| exceeds spec.equibound.
+    Raises ValueError when a control value lies outside [-1, 1] and
+    EquiboundViolation when t_u + sup|x| exceeds spec.equibound.
     """
     for v in control.values:
-        if not spec.check_value(v):
+        if not abs(v) <= 1.0 + 1e-12:
             raise ValueError(f"control value {v} outside admissible set")
     arcs = []
     x = spec.x0
@@ -265,24 +259,10 @@ def simulate(spec: ProblemSpec, control: PiecewiseConstantControl) -> Trajectory
     return traj
 
 
-def lagrangian_cost(traj: Trajectory, control: PiecewiseConstantControl,
-                    spec: ProblemSpec) -> float:
+def lagrangian_cost(traj: Trajectory) -> float:
     """Running cost of the trajectory: the integral of x1^2, summed from the
-    exact quintic arc integrals.  `control` must be the control that
-    produced `traj` (checked by arc count); the closed form needs nothing
-    from `spec`, which keeps the (traj, control, spec) signature that
-    regularized_cost shares."""
-    if len(traj.arcs) != control.n_arcs:
-        raise ValueError("trajectory was not produced from this control")
+    exact quintic arc integrals."""
     total = 0.0
     for arc in traj.arcs:
         total += arc.cost_x1sq()
     return total
-
-
-def regularized_cost(traj: Trajectory, control: PiecewiseConstantControl,
-                     spec: ProblemSpec, epsilon: float) -> float:
-    """Running cost plus epsilon times the control's total variation."""
-    if epsilon < 0.0:
-        raise ValueError("epsilon must be nonnegative")
-    return lagrangian_cost(traj, control, spec) + epsilon * tv(control)

@@ -21,10 +21,6 @@ class TolTooSmall(ChatterlabError):
     """Requested truncation radius would underflow arc durations."""
 
 
-class Infeasible(ChatterlabError):
-    """No nonnegative two-arc steering exists for the requested first sign."""
-
-
 class AllStartsInfeasible(ChatterlabError):
     """Every multistart of the duration optimizer was infeasible."""
 

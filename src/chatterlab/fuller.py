@@ -200,14 +200,13 @@ class FullerSynthesis:
             raise ValueError("truncation_tol must be positive")
 
 
-@lru_cache(maxsize=8)
-def _cached_constant(tol: float) -> tuple[float, float]:
-    return compute_fuller_constant(tol)
+@lru_cache(maxsize=1)
+def _cached_constant() -> tuple[float, float]:
+    return compute_fuller_constant()
 
 
-def default_synthesis(truncation_tol: float = 1e-10,
-                      tol: float = 1e-12) -> FullerSynthesis:
-    zeta, rho = _cached_constant(tol)
+def default_synthesis(truncation_tol: float = 1e-10) -> FullerSynthesis:
+    zeta, rho = _cached_constant()
     return FullerSynthesis(zeta=zeta, rho=rho, truncation_tol=truncation_tol)
 
 
@@ -257,13 +256,10 @@ def synthesize_chattering(x0, synth: FullerSynthesis):
     return control, control.duration
 
 
-def optimal_cost(x0, synth: FullerSynthesis, spec: ProblemSpec | None = None) -> float:
+def optimal_cost(x0, synth: FullerSynthesis) -> float:
     """Running cost of the synthesized solution from x0; obeys the scaling
     law J(lam^2 x1, lam x2) = lam^5 J(x1, x2).  Zero at the origin."""
     if float(x0[0]) == 0.0 and float(x0[1]) == 0.0:
         return 0.0
-    if spec is None:
-        spec = ProblemSpec(x0=tuple(x0))
     control, _ = synthesize_chattering(x0, synth)
-    traj = simulate(spec, control)
-    return lagrangian_cost(traj, control, spec)
+    return lagrangian_cost(simulate(ProblemSpec(x0=tuple(x0)), control))

@@ -20,24 +20,16 @@ class PowerLawFit:
     max_rel_residual: float
     n_points: int
 
-    def predict(self, x: float) -> float:
-        return self.constant * x ** self.exponent
 
+def fit_power_law(points) -> PowerLawFit:
+    """Least-squares fit of y = C * x^a on log-log axes to (x, y) pairs.
 
-def fit_power_law(records, x: str = "param", y: str = "cost_gap") -> PowerLawFit:
-    """Least-squares fit of y = C * x^a on log-log axes.
-
-    `records` is either a sequence of objects carrying the named attributes
-    or a sequence of (x, y) pairs.  Points with nonpositive or nonfinite
-    coordinates are unusable; fewer than three usable points raise
-    DegenerateFit.  The residual reported is max |C x^a - y| / y.
+    Points with nonpositive or nonfinite coordinates are unusable; fewer
+    than three usable points raise DegenerateFit.  The residual reported is
+    max |C x^a - y| / y.
     """
     pts = []
-    for rec in records:
-        if hasattr(rec, x):
-            xv, yv = getattr(rec, x), getattr(rec, y)
-        else:
-            xv, yv = rec
+    for xv, yv in points:
         if xv > 0.0 and yv > 0.0 and math.isfinite(xv) and math.isfinite(yv):
             pts.append((float(xv), float(yv)))
     if len(pts) < 3:

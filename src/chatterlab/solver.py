@@ -8,9 +8,10 @@ Each extra switch adds 2 to the total variation, which prices it at
 count and keeps the cheapest feasible candidate.
 
 For fixed arc count the duration optimum does not depend on epsilon (the
-penalty is an additive constant), so a sweep over epsilons can reuse one
-optimization per arc count; `regularization_path` exploits that to make the
-monotonicity and concavity of the value function exact to roundoff.
+penalty is an additive constant), so one table of (count, sign) optima
+serves every epsilon; `regularization_path` builds it in one sweep and
+selects each point from it, which makes the monotonicity and concavity of
+the value function exact to roundoff.
 
 The durations are found by coordinate descent.  A line search along free
 duration j holds the arcs before j, so `_line_kernel` folds them through
@@ -29,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from .controls import PiecewiseConstantControl, ProblemSpec, di_arc
-from .errors import AllStartsInfeasible, Infeasible
+from .errors import AllStartsInfeasible
 from .fuller import FullerSynthesis, default_synthesis, synthesize_chattering
 from .truncation import min_time_to_origin, steer_durations
 
@@ -42,22 +43,11 @@ DURATION_CAP_FACTOR = 3.0
 #: grid cells the oracle scores per numpy pass
 _ORACLE_BLOCK_CELLS = 1 << 14
 
+#: coordinate-descent passes per multistart of `optimize_durations`
+DESCENT_PASSES = 60
 
-def solve_terminal_arcs(state, first_sign: float):
-    """Durations of the final two arcs steering `state` to the origin exactly,
-    applying first_sign then -first_sign.
-
-    Raises Infeasible when the quadratic elimination has no nonnegative
-    solution for that sign (the caller then tries the opposite sign).
-    """
-    if state[0] == 0.0 and state[1] == 0.0:
-        raise ValueError("state must differ from the origin")
-    if first_sign not in (-1.0, 1.0):
-        raise ValueError("first_sign must be -1 or +1")
-    pair = steer_durations(state, first_sign)
-    if pair is None:
-        raise Infeasible(f"no terminal pair from {state} with sign {first_sign:+.0f}")
-    return pair
+#: largest switch count a regularization path sweeps
+MAX_SWITCHES = 40
 
 
 def _collapsed_tv(durations):
@@ -95,10 +85,6 @@ class BangBangCandidate:
     @property
     def n_switches(self) -> int:
         return len(self.durations) - 1
-
-    @property
-    def total_time(self) -> float:
-        return sum(self.durations)
 
     def value(self, epsilon: float) -> float:
         return self.lagrangian + epsilon * self.tv
@@ -231,7 +217,7 @@ def _golden(fun, lo: float, hi: float, xtol: float):
 
 def _coordinate_descent(line, theta: list, val: float, *, cap: float,
                         scan, half_width: float, xtol: float, rtol: float,
-                        max_passes: int, trace: list) -> float:
+                        passes: int, trace: list) -> float:
     """Cyclic coordinate descent on the free durations `theta` (updated in
     place) from objective value `val`; returns the final value.
 
@@ -243,7 +229,7 @@ def _coordinate_descent(line, theta: list, val: float, *, cap: float,
     appended to `trace`.  Passes stop once one gains less than
     rtol * (1 + |value|).
     """
-    for _ in range(max_passes):
+    for _ in range(passes):
         prev = val
         for j in range(len(theta)):
             along = line(theta, j)
@@ -317,8 +303,8 @@ def _build_starts(n_free: int, x0, synth: FullerSynthesis, seed: int, cap: float
 
 def optimize_durations(n_switches: int, sign: float, epsilon: float,
                        spec: ProblemSpec, *, synth: FullerSynthesis | None = None,
-                       seed: int = 0, extra_starts=(), trace: list | None = None,
-                       max_passes: int = 60) -> BangBangCandidate:
+                       seed: int = 0, extra_starts=(),
+                       trace: list | None = None) -> BangBangCandidate:
     """Best alternating bang-bang candidate with the given switch count and
     initial sign, by multistart coordinate descent with golden-section line
     searches; the terminal two durations are eliminated exactly at every
@@ -361,7 +347,7 @@ def optimize_durations(n_switches: int, sign: float, epsilon: float,
             run_trace.append(val)
         val = _coordinate_descent(
             line, theta, val, cap=cap, scan=scan, half_width=cap / 16.0,
-            xtol=xtol, rtol=1e-14, max_passes=max_passes, trace=run_trace)
+            xtol=xtol, rtol=1e-14, passes=DESCENT_PASSES, trace=run_trace)
         if trace is not None and run_trace:
             trace.append(run_trace)
         if val < best_val:
@@ -371,75 +357,6 @@ def optimize_durations(n_switches: int, sign: float, epsilon: float,
         raise AllStartsInfeasible(
             f"all starts infeasible for {n_switches} switches, sign {sign:+.0f}")
     return _candidate(sign, best_res)
-
-
-def solve_regularized(epsilon: float, spec: ProblemSpec, *, n_max: int = 40,
-                      seed: int = 0, synth: FullerSynthesis | None = None,
-                      cache: dict | None = None) -> BangBangCandidate:
-    """Minimize running cost + epsilon * TV over switch counts and both
-    initial signs.
-
-    The sweep stops early once, for two consecutive counts, adding two more
-    switches buys less running cost than the 4 * epsilon they charge.  Ties
-    between equal-value candidates go to the lower switch count.
-
-    For a fixed switch count the penalty term is an additive constant, so
-    each (count, sign) subproblem minimizes the running cost alone and the
-    penalty prices candidates only at selection time; collapsed-switch
-    candidates are already represented by lower counts.  A dict passed as
-    `cache` memoizes these subproblems across calls, which a sweep over
-    epsilons uses for warm starting.
-    """
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
-    synth = synth or default_synthesis()
-    if cache is None:
-        cache = {}
-    best = None
-    best_jl = {}
-    streak = 0
-    infeasible_streak = 0
-    warm: dict[float, tuple] = {}
-    for n in range(1, n_max + 1):
-        jl_n = math.inf
-        for sign in (-1.0, 1.0):
-            key = (n, sign)
-            if key not in cache:
-                extra = (warm[sign],) if sign in warm else ()
-                try:
-                    cache[key] = optimize_durations(
-                        n, sign, 0.0, spec, synth=synth, seed=seed,
-                        extra_starts=extra)
-                except AllStartsInfeasible:
-                    cache[key] = None
-            cand = cache[key]
-            if cand is None:
-                continue
-            warm[sign] = cand.durations
-            jl_n = min(jl_n, cand.lagrangian)
-            value = cand.value(epsilon)
-            if _better(value, n, best):
-                best = (value, n, cand)
-        if math.isfinite(jl_n):
-            best_jl[n] = jl_n
-            infeasible_streak = 0
-        elif best is None:
-            # nothing feasible yet and this count failed too; a few such
-            # counts in a row means the problem itself is inadmissible
-            infeasible_streak += 1
-            if infeasible_streak >= 3:
-                raise AllStartsInfeasible(
-                    "no feasible candidate for any switch count")
-        if n >= 3 and n in best_jl and (n - 2) in best_jl:
-            if best_jl[n - 2] - best_jl[n] < 4.0 * epsilon:
-                streak += 1
-            else:
-                streak = 0
-            if streak >= 2:
-                break
-    if best is None:
-        raise AllStartsInfeasible("no feasible candidate for any switch count")
-    return best[2]
 
 
 def _vector_eval(x0, sign: float, free_grids, equibound: float):
@@ -524,7 +441,7 @@ def brute_force_oracle(n_switches: int, sign: float, epsilon: float,
     _coordinate_descent(_line_kernel(spec, sign, epsilon), theta,
                         _value(_evaluate(x0, sign, theta, spec.equibound), epsilon),
                         cap=cap, scan=(), half_width=cap / cells,
-                        xtol=1e-12 * (1.0 + cap), rtol=1e-15, max_passes=8, trace=[])
+                        xtol=1e-12 * (1.0 + cap), rtol=1e-15, passes=8, trace=[])
     res = _evaluate(x0, sign, theta, spec.equibound)
     if res is None:
         raise AllStartsInfeasible(f"sign {sign:+.0f} infeasible")
@@ -569,15 +486,22 @@ class SolutionPath:
         }
 
 
-def regularization_path(epsilons, spec: ProblemSpec, *, n_max: int = 40,
-                        seed: int = 0,
+def regularization_path(epsilons, spec: ProblemSpec, *, seed: int = 0,
                         synth: FullerSynthesis | None = None) -> SolutionPath:
-    """Solve the regularized problem over a descending grid of penalty
-    weights, one solve per weight with memoized per-switch-count optima.
+    """Minimize running cost + epsilon * TV over switch counts and both
+    initial signs, for each of a descending grid of penalty weights.
 
-    After the sweep each point is re-selected as the argmin over every
-    optimized (count, sign) pair, so all points minimize over the identical
-    candidate table and the exchange inequalities hold to roundoff.
+    For a fixed switch count the penalty is an additive constant, so each
+    (count, sign) subproblem minimizes the running cost alone, once, warm
+    started from the previous count's optimum of its sign; collapsed-switch
+    candidates are already represented by lower counts.  The counts are
+    swept upward once; the sweep stops when, for two consecutive counts,
+    adding two more switches buys less running cost than the 4 * epsilon
+    they charge at the smallest epsilon.  Wherever that test holds at the
+    smallest epsilon it holds at every larger one, so no point would sweep
+    further on its own.  Each point is then the cheapest entry of the one
+    table, ties going to the lower switch count, so the exchange
+    inequalities hold to roundoff.
     """
     eps = [float(e) for e in epsilons]
     if not eps:
@@ -587,11 +511,41 @@ def regularization_path(epsilons, spec: ProblemSpec, *, n_max: int = 40,
     if any(b >= a for a, b in zip(eps, eps[1:])):
         raise ValueError("epsilons must be sorted descending")
     synth = synth or default_synthesis()
-    cache: dict = {}
-    for e in eps:
-        solve_regularized(e, spec, n_max=n_max, seed=seed, synth=synth, cache=cache)
-    table = [(n, cand) for (n, _sign), cand in sorted(
-        cache.items(), key=lambda kv: (kv[0][0], kv[0][1])) if cand is not None]
+    table = []  # (count, candidate), count ascending, sign -1 before +1
+    best_jl = {}
+    streak = 0
+    infeasible_streak = 0
+    warm: dict[float, tuple] = {}
+    for n in range(1, MAX_SWITCHES + 1):
+        jl_n = math.inf
+        for sign in (-1.0, 1.0):
+            extra = (warm[sign],) if sign in warm else ()
+            try:
+                cand = optimize_durations(n, sign, 0.0, spec, synth=synth, seed=seed,
+                                          extra_starts=extra)
+            except AllStartsInfeasible:
+                continue
+            warm[sign] = cand.durations
+            jl_n = min(jl_n, cand.lagrangian)
+            table.append((n, cand))
+        if math.isfinite(jl_n):
+            best_jl[n] = jl_n
+            infeasible_streak = 0
+        elif not table:
+            # nothing feasible yet and this count failed too; a few such
+            # counts in a row means the problem itself is inadmissible
+            infeasible_streak += 1
+            if infeasible_streak >= 3:
+                break
+        if n >= 3 and n in best_jl and (n - 2) in best_jl:
+            if best_jl[n - 2] - best_jl[n] < 4.0 * eps[-1]:
+                streak += 1
+            else:
+                streak = 0
+            if streak >= 2:
+                break
+    if not table:
+        raise AllStartsInfeasible("no feasible candidate for any switch count")
     points = []
     for e in eps:
         best = None
@@ -603,3 +557,10 @@ def regularization_path(epsilons, spec: ProblemSpec, *, n_max: int = 40,
         points.append(PathPoint(epsilon=e, n_switches=n, lagrangian=cand.lagrangian,
                                 tv=cand.tv, value=value, candidate=cand))
     return SolutionPath(tuple(points))
+
+
+def solve_regularized(epsilon: float, spec: ProblemSpec, *, seed: int = 0,
+                      synth: FullerSynthesis | None = None) -> BangBangCandidate:
+    """Candidate minimizing running cost + epsilon * TV: the one point of a
+    one-weight regularization path."""
+    return regularization_path([epsilon], spec, seed=seed, synth=synth).records[0].candidate

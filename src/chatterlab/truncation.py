@@ -29,6 +29,10 @@ from .records import RateRecord
 #: added total variation of the closing tail, junction jumps included
 TAIL_TV_BUDGET = 4.0
 
+#: Hoelder exponent of the truncation lag in the composite rate bound, that
+#: of the minimum time to the origin
+HOLDER_EXPONENT = 0.5
+
 
 def steer_durations(state, first_sign: float):
     """Durations (d_a, d_b) >= 0 so that first_sign then -first_sign steers
@@ -194,9 +198,9 @@ def truncate(u_star: PiecewiseConstantControl, traj_star: Trajectory,
     tail, tau = min_time_steer(cut_state)
     control = prefix if tail is None else prefix.concat(tail)
     if j_star is None:
-        j_star = lagrangian_cost(traj_star, u_star, spec)
+        j_star = lagrangian_cost(traj_star)
     traj = simulate(spec, control)
-    gap = lagrangian_cost(traj, control, spec) - j_star
+    gap = lagrangian_cost(traj) - j_star
     return TruncationResult(
         eta=eta,
         control=control,
@@ -239,7 +243,7 @@ def truncation_rate_sweep(u_star: PiecewiseConstantControl, traj_star: Trajector
     if etas[-1] / etas[0] < 99.0:
         raise ValueError("cut windows must span at least two decades")
     if j_star is None:
-        j_star = lagrangian_cost(traj_star, u_star, spec)
+        j_star = lagrangian_cost(traj_star)
     results = []
     records = []
     for eta in etas:
@@ -289,10 +293,10 @@ class CompositeBoundCheck:
 
 
 def composite_rate_bound(path_rows, u_star: PiecewiseConstantControl,
-                         j_star: float, alpha: float = 0.5) -> CompositeBoundCheck:
-    """Single-constant bound gap <= M * (lag^alpha + epsilon) across a
-    regularization path, with lag the TV-matched truncation point of the
-    reference control.
+                         j_star: float) -> CompositeBoundCheck:
+    """Single-constant bound gap <= M * (lag^a + epsilon), a = HOLDER_EXPONENT,
+    across a regularization path, with lag the TV-matched truncation point
+    of the reference control.
 
     M is anchored at the largest epsilon through the dominant lag term:
     gaps are nonincreasing along the path while the anchored bound never
@@ -307,8 +311,8 @@ def composite_rate_bound(path_rows, u_star: PiecewiseConstantControl,
         gap = lagr - j_star
         lag = truncation_lag_for_budget(u_star, tv_eps)
         if m_hat is None:
-            m_hat = gap / lag ** alpha
-        rows.append((eps, gap, lag, m_hat * (lag ** alpha + eps)))
+            m_hat = gap / lag ** HOLDER_EXPONENT
+        rows.append((eps, gap, lag, m_hat * (lag ** HOLDER_EXPONENT + eps)))
     holds = all(gap <= bound * (1.0 + 1e-9) + 1e-15 for _, gap, _, bound in rows)
     return CompositeBoundCheck(m_hat=m_hat, holds=holds, rows=tuple(rows))
 

@@ -21,7 +21,7 @@ def reference(synth):
     spec = ProblemSpec(x0=(1.0, 0.0))
     u_star, t_star = synthesize_chattering((1.0, 0.0), synth)
     traj_star = simulate(spec, u_star)
-    j_star = lagrangian_cost(traj_star, u_star, spec)
+    j_star = lagrangian_cost(traj_star)
     return spec, u_star, traj_star, t_star, j_star
 
 

@@ -138,7 +138,7 @@ def test_criterion_5_truncation_rate(reference):
 
 def test_criterion_6_composite_bound(decade_path, reference):
     _, u_star, _, _, j_star = reference
-    check = composite_rate_bound(decade_path.records, u_star, j_star, alpha=0.5)
+    check = composite_rate_bound(decade_path.records, u_star, j_star)
     assert check.holds
     margin = min(bound / gap for _, gap, _, bound in check.rows if gap > 0.0)
     assert margin >= 1.0

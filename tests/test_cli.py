@@ -280,7 +280,6 @@ def test_zeno_rate_resolves_fast_contractions(tmp_path, model, grid, params):
     (["fuller-synthesize", "--x0=1e12,0"], 4),
     (["fuller-synthesize", "--x0=1e200,0"], 4),
     (["truncation-rate", "--x0=1e12,0"], 4),
-    (["fuller-synthesize", "--x0=1e8,0"], 7),
 ])
 def test_synthesis_far_from_the_radius_exits_with_one_line(tmp_path, capsys, argv, code):
     # switch intervals that no longer advance the clock end the synthesis
@@ -289,6 +288,32 @@ def test_synthesis_far_from_the_radius_exits_with_one_line(tmp_path, capsys, arg
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["fuller-synthesize", "--x0=1e8,0"],
+    ["tv-path", "--x0=1e4,0", "--eps", "1e-1:1e-6:decade"],
+])
+def test_far_states_run_under_the_reference_equibound(tmp_path, argv):
+    # the equibound grows with the reference's own t* + sup|x*|, which a
+    # fixed 1e3 rejected from these states (exit 7)
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    results = json.loads((tmp_path / f"{argv[0]}-manifest.json").read_text())["results"]
+    assert all(results.get("laws", {}).values())
+
+
+@pytest.mark.parametrize("case", ["below-a-file", "a-file", "not-a-string"])
+def test_unwritable_out_exits_with_config_code(tmp_path, capsys, case):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("kept\n")
+    out = {"below-a-file": ["--out", str(blocker / "out")],
+           "a-file": ["--out", str(blocker)],
+           "not-a-string": ["--config", str(_config_file(tmp_path, {"out": 5}))]}[case]
+    before = sorted(tmp_path.rglob("*"))
+    assert main(["fuller-synthesize"] + out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert sorted(tmp_path.rglob("*")) == before and blocker.read_text() == "kept\n"
 
 
 def test_zeno_rate_ball_with_gaps_at_floor(tmp_path):

@@ -11,7 +11,6 @@ from chatterlab.controls import (
     constant_control,
     di_arc,
     lagrangian_cost,
-    regularized_cost,
     simulate,
     tv,
 )
@@ -154,7 +153,7 @@ def test_cost_unit_push_is_one_twentieth():
     spec = ProblemSpec(x0=(0.0, 0.0))
     u = constant_control(1.0, 1.0)
     traj = simulate(spec, u)
-    cost = lagrangian_cost(traj, u, spec)
+    cost = lagrangian_cost(traj)
     oracle, err = quad(lambda s: (0.5 * s * s) ** 2, 0.0, 1.0, epsabs=1e-14)
     assert err < 1e-12
     assert cost == pytest.approx(oracle, abs=1e-12)
@@ -164,13 +163,13 @@ def test_cost_unit_push_is_one_twentieth():
 def test_cost_zero_trajectory():
     spec = ProblemSpec(x0=(0.0, 0.0))
     u = constant_control(0.0, 3.0)
-    assert lagrangian_cost(simulate(spec, u), u, spec) == 0.0
+    assert lagrangian_cost(simulate(spec, u)) == 0.0
 
 
 def test_cost_constant_integrand():
     spec = ProblemSpec(x0=(1.0, 0.0))
     u = constant_control(0.0, 1.0)
-    assert lagrangian_cost(simulate(spec, u), u, spec) == pytest.approx(1.0, abs=1e-15)
+    assert lagrangian_cost(simulate(spec, u)) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_closed_form_matches_gauss_legendre_on_random_arcs():
@@ -221,40 +220,9 @@ def test_generic_integrator_matches_closed_form():
 
 
 def test_generic_lagrangian_quadrature_matches_closed_form():
-    for spec, u, traj, sols in solve_ivp_arcs(100):
-        assert lagrangian_cost(traj, u, spec) == pytest.approx(
+    for _, _, traj, sols in solve_ivp_arcs(100):
+        assert lagrangian_cost(traj) == pytest.approx(
             sols[-1].y[2, -1], rel=1e-9, abs=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# regularized cost
-# ---------------------------------------------------------------------------
-
-def test_regularized_cost_reduces_to_lagrangian_at_zero_epsilon():
-    spec = ProblemSpec(x0=(0.0, 0.0))
-    u = alternating(2, dur=0.3)
-    traj = simulate(spec, u)
-    assert regularized_cost(traj, u, spec, 0.0) == lagrangian_cost(traj, u, spec)
-
-
-def test_regularized_cost_zero_trajectory_any_epsilon():
-    spec = ProblemSpec(x0=(0.0, 0.0))
-    u = constant_control(0.0, 1.0)
-    traj = simulate(spec, u)
-    for eps in (0.0, 0.1, 10.0):
-        assert regularized_cost(traj, u, spec, eps) == 0.0
-
-
-def test_regularized_cost_adds_tv_price():
-    spec = ProblemSpec(x0=(0.0, 0.0))
-    u = PiecewiseConstantControl((0.0, 0.4, 0.8, 1.2), (1.0, -1.0, 1.0))
-    traj = simulate(spec, u)
-    base = lagrangian_cost(traj, u, spec)
-    assert regularized_cost(traj, u, spec, 0.1) == pytest.approx(
-        base + 0.1 * 4.0, abs=1e-15)
-    # the arithmetic the regularizer implements: J of 0.05 with two
-    # switches at eps = 0.1 prices to 0.45
-    assert 0.05 + 0.1 * 4.0 == pytest.approx(0.45, abs=1e-15)
 
 
 def test_double_integrator_rejects_vector_values():

@@ -14,11 +14,12 @@ import pytest
 
 from chatterlab.controls import ProblemSpec
 from chatterlab.fuller import optimal_cost
-from chatterlab.solver import solve_regularized
+from chatterlab.solver import regularization_path
 
 SEED = 7
 LAM = 3.0
 EPS = 1e-3
+LADDER = (1e-1, 1e-2, 1e-3, 1e-4)
 REL = 1e-12
 
 
@@ -50,10 +51,13 @@ def test_optimal_cost_identities(synth, transform):
 
 @pytest.mark.parametrize("transform", [_negated, _scaled])
 def test_regularized_value_identities(synth, transform):
+    # every point of a path keeps its switch count and scales its value
     (x,) = _states(1)
-    x_t, eps_t, factor = transform(x, EPS)
-    base = solve_regularized(EPS, ProblemSpec(x0=x), synth=synth)
-    moved = solve_regularized(eps_t, ProblemSpec(x0=x_t), synth=synth)
-    assert moved.n_switches == base.n_switches
-    value = factor * base.value(EPS)
-    assert abs(moved.value(eps_t) - value) <= REL * value
+    x_t, _, factor = transform(x, EPS)
+    ladder_t = [transform(x, eps)[1] for eps in LADDER]
+    base = regularization_path(LADDER, ProblemSpec(x0=x), synth=synth)
+    moved = regularization_path(ladder_t, ProblemSpec(x0=x_t), synth=synth)
+    for a, b in zip(base.records, moved.records):
+        assert b.n_switches == a.n_switches
+        value = factor * a.value
+        assert abs(b.value - value) <= REL * value

@@ -6,14 +6,9 @@ from chatterlab.ratefit import fit_power_law
 from chatterlab.records import RateRecord
 
 
-def make_records(xs, ys):
-    return [RateRecord(param=x, cost_gap=y, sup_dev=0.0, l1_dev=0.0, tv=0.0,
-                       wall_ms=0.0) for x, y in zip(xs, ys)]
-
-
 def test_exact_linear_law():
     xs = np.logspace(-3, 0, 7)
-    fit = fit_power_law(make_records(xs, 2.0 * xs))
+    fit = fit_power_law(zip(xs, 2.0 * xs))
     assert fit.exponent == pytest.approx(1.0, abs=1e-12)
     assert fit.constant == pytest.approx(2.0, rel=1e-12)
     assert fit.max_rel_residual <= 1e-12
@@ -21,25 +16,25 @@ def test_exact_linear_law():
 
 def test_exact_square_root_law():
     xs = np.logspace(-4, 2, 9)
-    fit = fit_power_law(make_records(xs, 3.0 * np.sqrt(xs)))
+    fit = fit_power_law(zip(xs, 3.0 * np.sqrt(xs)))
     assert fit.exponent == pytest.approx(0.5, abs=1e-12)
     assert fit.constant == pytest.approx(3.0, rel=1e-12)
 
 
 def test_tuple_input_and_column_selection():
+    # callers pick the record columns they fit by building the pairs
     xs = np.logspace(-2, 0, 5)
-    recs = make_records(xs, xs ** 2)
+    recs = [RateRecord(param=x, cost_gap=x ** 2, sup_dev=5.0 * x, l1_dev=0.0,
+                       tv=0.0, wall_ms=0.0) for x in xs]
     fit = fit_power_law([(r.param, r.cost_gap) for r in recs])
     assert fit.exponent == pytest.approx(2.0, abs=1e-12)
-    recs = [RateRecord(param=x, cost_gap=0.0, sup_dev=5.0 * x, l1_dev=0.0,
-                       tv=0.0, wall_ms=0.0) for x in xs]
-    fit = fit_power_law(recs, y="sup_dev")
+    fit = fit_power_law([(r.param, r.sup_dev) for r in recs])
     assert fit.constant == pytest.approx(5.0, rel=1e-12)
 
 
 def test_single_point_is_degenerate():
     with pytest.raises(DegenerateFit):
-        fit_power_law(make_records([1.0], [2.0]))
+        fit_power_law([(1.0, 2.0)])
 
 
 def test_nonpositive_points_are_dropped():

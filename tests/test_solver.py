@@ -5,7 +5,7 @@ import pytest
 
 from chatterlab import solver
 from chatterlab.controls import ProblemSpec, simulate, tv
-from chatterlab.errors import AllStartsInfeasible, Infeasible
+from chatterlab.errors import AllStartsInfeasible
 from chatterlab.solver import (
     BangBangCandidate,
     PathPoint,
@@ -20,10 +20,10 @@ from chatterlab.solver import (
     optimize_durations,
     regularization_path,
     solve_regularized,
-    solve_terminal_arcs,
 )
 from chatterlab.truncation import (
     min_time_to_origin,
+    steer_durations,
     truncate,
     truncation_lag_for_budget,
 )
@@ -41,27 +41,21 @@ def forward_residual(state, sign, pair):
 # ---------------------------------------------------------------------------
 
 def test_terminal_arcs_from_rest():
-    pair = solve_terminal_arcs((1.0, 0.0), -1.0)
+    pair = steer_durations((1.0, 0.0), -1.0)
     assert pair == pytest.approx((1.0, 1.0), abs=1e-14)
     assert forward_residual((1.0, 0.0), -1.0, pair) <= 1e-12
 
 
 def test_terminal_arcs_pure_velocity():
     v = 2.0
-    pair = solve_terminal_arcs((0.0, v), -1.0)
+    pair = steer_durations((0.0, v), -1.0)
     d = v / math.sqrt(2.0)
     assert pair == pytest.approx((v + d, d), rel=1e-14)
     assert forward_residual((0.0, v), -1.0, pair) <= 1e-12
 
 
-def test_terminal_arcs_reject_origin():
-    with pytest.raises(ValueError):
-        solve_terminal_arcs((0.0, 0.0), -1.0)
-
-
 def test_terminal_arcs_infeasible_sign():
-    with pytest.raises(Infeasible):
-        solve_terminal_arcs((1.0, 0.0), 1.0)
+    assert steer_durations((1.0, 0.0), 1.0) is None
 
 
 def test_terminal_arcs_random_states_steer_exactly():
@@ -72,9 +66,8 @@ def test_terminal_arcs_random_states_steer_exactly():
             continue
         hit = False
         for sign in (-1.0, 1.0):
-            try:
-                pair = solve_terminal_arcs(state, sign)
-            except Infeasible:
+            pair = steer_durations(state, sign)
+            if pair is None:
                 continue
             hit = True
             assert forward_residual(state, sign, pair) <= 1e-12
@@ -149,11 +142,10 @@ def test_large_epsilon_returns_minimal_tv(reference, synth):
 
 def test_path_switch_count_grows_as_epsilon_shrinks(reference, synth):
     spec = reference[0]
-    cache = {}
-    big = solve_regularized(1e-1, spec, synth=synth, cache=cache)
-    small = solve_regularized(1e-6, spec, synth=synth, cache=cache)
+    big = solve_regularized(1e-1, spec, synth=synth)
+    small = solve_regularized(1e-6, spec, synth=synth)
     assert small.n_switches > big.n_switches
-    mid = solve_regularized(1e-3, spec, synth=synth, cache=cache)
+    mid = solve_regularized(1e-3, spec, synth=synth)
     assert big.n_switches <= mid.n_switches <= small.n_switches
 
 
@@ -169,6 +161,23 @@ def test_path_synthesizes_the_chattering_reference_once(monkeypatch, synth):
     solver._chattering_durations.cache_clear()
     regularization_path([1e-1, 1e-2, 1e-3], ProblemSpec(x0=(0.3, -0.7)), synth=synth)
     assert len([a for a in seeded if a[0] > 1]) > 2 and len(synthesized) == 1
+
+
+def test_path_sweeps_each_subproblem_of_its_smallest_epsilon_once(monkeypatch, synth):
+    # one table serves every epsilon: a path makes exactly the subproblem
+    # calls of its smallest epsilon solved alone, each (count, sign) once
+    calls = []
+    original = solver.optimize_durations
+    monkeypatch.setattr(solver, "optimize_durations", lambda *a, **kw:
+                        calls.append(a[:2]) or original(*a, **kw))
+    spec = ProblemSpec(x0=(0.3, -0.7))
+    regularization_path([1e-1, 1e-3, 1e-5], spec, synth=synth)
+    path_calls = list(calls)
+    calls.clear()
+    solve_regularized(1e-5, spec, synth=synth)
+    assert path_calls == calls
+    assert sorted(path_calls) == [(n, s) for n in range(1, path_calls[-1][0] + 1)
+                                  for s in (-1.0, 1.0)]
 
 
 def test_exchange_inequalities_along_path(decade_path):
