@@ -332,6 +332,15 @@ def run_fuller_synthesize(cfg: ExperimentConfig):
     return records, manifest
 
 
+def _subproblem_reports(path) -> list:
+    """Manifest entries of a path's (count, sign) subproblems: the
+    projected-gradient norm at the returned durations (first-order
+    certificate), the objective evaluations and the feasible starts."""
+    return [{"n_switches": n, "sign": sign, "pg_norm": r.pg_norm,
+             "evaluations": r.evaluations, "feasible_starts": r.feasible_starts}
+            for n, sign, r in path.subproblems]
+
+
 def run_tv_path(cfg: ExperimentConfig):
     synth, spec, u_star, t_star, traj_star, j_star = _reference_solution(cfg)
     path = regularization_path(cfg.eps, spec, seed=cfg.seed, synth=synth)
@@ -356,6 +365,7 @@ def run_tv_path(cfg: ExperimentConfig):
              "lagrangian": p.lagrangian, "tv": p.tv, "value": p.value}
             for p in path.records
         ],
+        "subproblems": _subproblem_reports(path),
     }
     return records, manifest
 
@@ -376,7 +386,7 @@ def _default_eta_grid(u_star, traj_star, decades: int = 3, points: int = 9):
 def run_truncation_rate(cfg: ExperimentConfig):
     synth, spec, u_star, t_star, traj_star, j_star = _reference_solution(cfg)
     etas = cfg.eta or _default_eta_grid(u_star, traj_star)
-    sweep = truncation_rate_sweep(u_star, traj_star, etas, spec, j_star=j_star)
+    sweep = truncation_rate_sweep(u_star, traj_star, etas, spec)
     manifest = {
         "j_star": j_star,
         "t_star": t_star,
@@ -410,6 +420,7 @@ def run_corollary_check(cfg: ExperimentConfig):
         "m_hat": check.m_hat,
         "bound_holds_everywhere": check.holds,
         "holder_exponent": HOLDER_EXPONENT,
+        "subproblems": _subproblem_reports(path),
     }
     return records, manifest
 

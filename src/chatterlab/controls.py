@@ -38,6 +38,17 @@ def di_arc(x1, x2, u: float, d):
     return e1, e2, cost, vertex
 
 
+def di_arc_cost_grad(x1, x2, u: float, d):
+    """Partial derivatives of `di_arc`'s cost in its start state (x1, x2).
+
+    The other arc sensitivities are read off `di_arc`'s results: the cost's
+    derivative in d is (end x1)^2, the end state's is (end x2, u), and the
+    end state moves with the start state by [[1, d], [0, 1]].
+    """
+    return (2.0 * d * (x1 + d * (0.5 * x2 + d * (u / 6.0))),
+            d * d * (x1 + d * (x2 * (2.0 / 3.0) + d * (0.25 * u))))
+
+
 def motion_gap(a, b, d: float) -> float:
     """Exact sup over s in [0, d] of max(|a1(s) - b1(s)|, |a2(s) - b2(s)|) for
     two planar polynomial motions, each given as (x1, v, u, x2, w) with
@@ -207,6 +218,30 @@ class Trajectory:
 
     def sup_abs(self) -> float:
         return max(arc.sup_abs() for arc in self.arcs)
+
+    @cached_property
+    def _cost_suffixes(self) -> tuple:
+        """Running cost from the start of each arc to the end (and a final
+        0), summed from the last arc backward, smallest terms first."""
+        acc, out = 0.0, [0.0]
+        for arc in reversed(self.arcs):
+            acc += arc.cost_x1sq()
+            out.append(acc)
+        return tuple(reversed(out))
+
+    def cost_after(self, t: float) -> float:
+        """Running cost on [t, end]: the part of the arc holding t plus the
+        later arcs' suffix sum, which is cached, so cutting one trajectory
+        at many times costs one arc per cut."""
+        for k, arc in enumerate(self.arcs):
+            rest = arc.t0 + arc.duration - t
+            if rest <= 0.0:
+                continue
+            if arc.t0 >= t:
+                return self._cost_suffixes[k]
+            x1, x2 = arc.state_at(t - arc.t0)
+            return self._cost_suffixes[k + 1] + di_arc(x1, x2, arc.u, rest)[2]
+        return 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,12 @@ class TolTooSmall(ChatterlabError):
 
 
 class AllStartsInfeasible(ChatterlabError):
-    """Every multistart of the duration optimizer was infeasible."""
+    """Every multistart of the duration optimizer was infeasible;
+    `evaluations` counts the objective evaluations spent finding out."""
+
+    def __init__(self, message: str = "", evaluations: int = 0):
+        super().__init__(message)
+        self.evaluations = evaluations
 
 
 class CutTooLarge(ChatterlabError):

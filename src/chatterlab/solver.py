@@ -13,26 +13,36 @@ serves every epsilon; `regularization_path` builds it in one sweep and
 selects each point from it, which makes the monotonicity and concavity of
 the value function exact to roundoff.
 
-The durations are found by coordinate descent.  A line search along free
-duration j holds the arcs before j, so `_line_kernel` folds them through
-`di_arc` once per line and each probe integrates only arc j, the later free
-arcs and the terminal pair; the sums keep their left-to-right order, so a
-probe's value equals a from-scratch `_evaluate` bit for bit.  Probes at
-epsilon = 0, which is every subproblem of the path, skip the collapsed TV.
+The free durations are found by multistart projected BFGS on the box
+[0, cap]^m.  Arcs are polynomial (`di_arc`) and the terminal pair is
+algebraic (`steer_durations`), so `_objective` returns the exact gradient
+of the eliminated objective from one forward fold and one adjoint pass,
+the switching-time gradient of Egerstedt, Wardi & Axelsson (IEEE TAC 51(1),
+2006) and Xu & Antsaklis (IEEE TAC 49(1), 2004).  Zero-length arcs are
+active bounds of the box.  Infeasible points and the collapsed-TV jump at a
+zero face enter only through value comparisons in the line search.  A start
+the terminal solve rejects is made feasible by one pass of a coordinate
+scan along `_line_kernel`, whose lines fold the arcs before their
+coordinate once; each subproblem reports its projected-gradient norm as a
+first-order certificate (`DescentReport`).
+
+`brute_force_oracle` scores a numpy grid and refines by coordinate
+golden-section descent along the same lines, independent of the
+quasi-Newton solver it checks.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from .controls import PiecewiseConstantControl, ProblemSpec, di_arc
+from .controls import PiecewiseConstantControl, ProblemSpec, di_arc, di_arc_cost_grad
 from .errors import AllStartsInfeasible
 from .fuller import FullerSynthesis, default_synthesis, synthesize_chattering
-from .truncation import min_time_to_origin, steer_durations
+from .truncation import min_time_to_origin, steer_durations, steer_floor
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
@@ -43,8 +53,8 @@ DURATION_CAP_FACTOR = 3.0
 #: grid cells the oracle scores per numpy pass
 _ORACLE_BLOCK_CELLS = 1 << 14
 
-#: coordinate-descent passes per multistart of `optimize_durations`
-DESCENT_PASSES = 60
+#: quasi-Newton steps per multistart of `optimize_durations`
+_MAX_ITERATIONS = 60
 
 #: largest switch count a regularization path sweeps
 MAX_SWITCHES = 40
@@ -72,15 +82,30 @@ def _better(value: float, n: int, best) -> bool:
 
 
 @dataclass(frozen=True)
+class DescentReport:
+    """What one (count, sign) subproblem of `optimize_durations` did: the
+    infinity norm of the projected gradient of the running cost at the
+    returned durations (its first-order certificate; None when no start was
+    feasible), the objective evaluations, and the starts that reached a
+    feasible point."""
+
+    pg_norm: float | None
+    evaluations: int
+    feasible_starts: int
+
+
+@dataclass(frozen=True)
 class BangBangCandidate:
     """Alternating bang-bang candidate: initial sign plus one duration per
-    arc (terminal two solved exactly), with its evaluated costs."""
+    arc (terminal two solved exactly), with its evaluated costs and, from
+    `optimize_durations`, the report of its solve."""
 
     initial_sign: float
     durations: tuple[float, ...]
     lagrangian: float
     tv: float
     terminal_residual: float
+    report: DescentReport | None = field(default=None, compare=False)
 
     @property
     def n_switches(self) -> int:
@@ -103,11 +128,12 @@ class BangBangCandidate:
         return PiecewiseConstantControl(tuple(bp), tuple(vals))
 
 
-def _fold(state, durations):
+def _fold(state, durations, arcs=None):
     """Fold free arcs through `di_arc` into the running sums `state` =
     (x1, x2, control sign, cost, sup, elapsed time), each in left-to-right
     order; None when a duration is negative.  Folding a prefix once and its
-    continuations later gives the same floats as folding the whole list."""
+    continuations later gives the same floats as folding the whole list.
+    A list `arcs` receives (x1, x2, u, d, end x1, end x2) of each arc."""
     x1, x2, u, cost, sup, total = state
     for d in durations:
         if d < 0.0:
@@ -115,6 +141,8 @@ def _fold(state, durations):
         e1, e2, c, vertex = di_arc(x1, x2, u, d)
         cost += c
         sup = max(sup, abs(x1), abs(x2), abs(e1), abs(e2), vertex)
+        if arcs is not None:
+            arcs.append((x1, x2, u, d, e1, e2))
         x1, x2 = e1, e2
         total += d
         u = -u
@@ -165,9 +193,10 @@ def _value(res, epsilon: float) -> float:
 
 
 def _line_kernel(spec: ProblemSpec, sign: float, epsilon: float):
-    """Line factory of the coordinate descent: `line(theta, j)` returns the
-    function t -> regularized value of theta with duration j set to t, equal
-    bit for bit to `_value(_evaluate(...))` of that point.
+    """Line factory of the feasibility scan and the oracle's coordinate
+    descent: `line(theta, j)` returns the function t -> regularized value of
+    theta with duration j set to t, equal bit for bit to
+    `_value(_evaluate(...))` of that point.
 
     Arcs 0..j-1 are folded once per line; a probe folds arc j and the later
     free arcs from there, then the terminal pair.  The collapsed TV is only
@@ -194,6 +223,154 @@ def _line_kernel(spec: ProblemSpec, sign: float, epsilon: float):
     return line
 
 
+def _objective(x0, sign: float, epsilon: float, equibound: float):
+    """Objective of the quasi-Newton descent: `f(theta)` returns the
+    regularized value of the free durations `theta` (none negative) and the
+    exact gradient of their running cost, or (inf, None) when infeasible.
+
+    One fold through `di_arc` records the arcs.  The terminal pair's cost is
+    differentiated in the state z it starts from through the closed form of
+    `steer_durations` (a = -u z2 + r, b = r, r = sqrt(z2^2/2 - u z1)), and
+    one adjoint pass carries that gradient back through the free arcs, the
+    switching-time gradient.  The collapsed TV is piecewise constant, so it
+    enters the value only.  The value equals `_value(_evaluate(...))` bit for
+    bit.
+    """
+    start = (x0[0], x0[1], sign, 0.0, 0.0, 0.0)
+
+    def f(theta):
+        arcs = []
+        head = _fold(start, theta, arcs)
+        end = _close(head, equibound)
+        if end is None:
+            return math.inf, None
+        cost, (a, b), w1 = end[0], end[1], end[2]
+        z1, z2, u = head[0], head[1], head[2]
+        y1, y2, _, _ = di_arc(z1, z2, u, a)
+        l1, l2 = di_arc_cost_grad(y1, y2, -u, b)
+        cost_a = y1 * y1 + l1 * y2 + l2 * u  # pair cost's derivative in a
+        c1, c2 = di_arc_cost_grad(z1, z2, u, a)
+        l1, l2 = c1 + l1, c2 + a * l1 + l2 - u * cost_a
+        if b > 0.0:  # dr/dz = (-u, z2) / 2r; its terms vanish as r -> 0
+            k = (cost_a + w1 * w1) / (2.0 * b)
+            l1, l2 = l1 - u * k, l2 + z2 * k
+        grad = [0.0] * len(arcs)
+        for i in range(len(arcs) - 1, -1, -1):
+            x1, x2, u, d, e1, e2 = arcs[i]
+            grad[i] = e1 * e1 + l1 * e2 + l2 * u
+            c1, c2 = di_arc_cost_grad(x1, x2, u, d)
+            l1, l2 = c1 + l1, c2 + d * l1 + l2
+        tv = _collapsed_tv(list(theta) + [a, b]) if epsilon > 0.0 else 0.0
+        return cost + epsilon * tv, grad
+
+    return f
+
+
+def _projected_gradient_norm(theta, grad, cap: float) -> float:
+    """Infinity norm of theta - P(theta - grad), P the projection onto
+    [0, cap]^m: zero exactly at first-order stationary points of the box."""
+    return max((abs(t - min(max(t - g, 0.0), cap)) for t, g in zip(theta, grad)),
+               default=0.0)
+
+
+def _projected_bfgs(f, theta: list, val: float, grad: list, cap: float,
+                    trace: list) -> tuple:
+    """Projected BFGS on the box [0, cap]^m from the feasible point `theta`
+    (updated in place) with value `val` and gradient `grad`; returns the
+    final (value, gradient) and appends every accepted value to `trace`.
+
+    Coordinates at a bound whose gradient points out of the box are held;
+    the others move along -H g, H the dense inverse-Hessian estimate (a
+    scaled identity until the first curvature pair).  A trial is the step
+    projected onto the box; the step shrinks by safeguarded quadratic
+    interpolation, or halves on an infeasible trial, until the Armijo
+    condition holds along the projected path.  Values decide acceptance, so
+    infeasible points and the collapsed-TV jump at a zero face at
+    epsilon > 0 are rejected trials, not gradient information.
+
+    When a direction yields no step whose first-order gain is above the
+    value's rounding, 1e-16 * |value|, H is reset; when the reset direction
+    fails too, the coordinates it would move off zero are pinned there, and
+    the descent ends once there is nothing left to pin.  It also ends on two
+    full quasi-Newton steps in a row that each gain less than
+    1e-14 * |value| (one such step can stop short in a flat valley H has
+    not yet seen); on a projected gradient whose first-order gain across
+    the whole box is below that; on two steps in a row cut short by
+    infeasible trials that leave the gradient about as large (a creep along
+    the feasibility boundary, whose points are lower-count candidates); or
+    after _MAX_ITERATIONS steps.  Tolerances relative to |value| keep the
+    stop invariant under the problem's scaling law.
+    """
+    m = len(theta)
+    h = None  # inverse-Hessian rows; None stands for gamma times the identity
+    gamma = None
+    pinned = [False] * m
+    cut, q_prev = False, math.inf
+    walled = small = 0
+    for _ in range(_MAX_ITERATIONS):
+        tol = 1e-14 * abs(val)
+        q = [0.0 if p or (t <= 0.0 and g > 0.0) or (t >= cap and g < 0.0) else g
+             for p, t, g in zip(pinned, theta, grad)]
+        q_max = max(map(abs, q))
+        if q_max * cap <= tol:
+            break
+        # creeping along the feasibility boundary (see the docstring)
+        walled = walled + 1 if cut and q_max > 0.5 * q_prev else 0
+        if walled >= 2:
+            break
+        q_prev = q_max
+        if h is None:
+            scale = gamma if gamma is not None else 1e-2 * cap / q_max
+            step = [-scale * v for v in q]
+        else:
+            step = [-sum(a * b for a, b in zip(row, q)) if qi else 0.0
+                    for row, qi in zip(h, q)]
+        alpha, cut = 1.0, False
+        while True:
+            trial = [min(max(t + alpha * s, 0.0), cap) for t, s in zip(theta, step)]
+            moved = [b - a for a, b in zip(theta, trial)]
+            slope = sum(g * d for g, d in zip(grad, moved))
+            if -slope <= 1e-16 * abs(val):
+                trial = None
+                break
+            new_val, new_grad = f(trial)
+            if new_val <= val + 1e-4 * slope:
+                break
+            if new_grad is None:
+                cut = True
+                alpha *= 0.5
+            else:
+                alpha *= min(0.5, max(0.1, -slope / (2.0 * (new_val - val - slope))))
+        if trial is None:
+            if h is None:
+                leaving = [t <= 0.0 < s for t, s in zip(theta, step)]
+                if not any(leaving):
+                    break
+                pinned = [p or gone for p, gone in zip(pinned, leaving)]
+            h = None
+            continue
+        y = [b - a for a, b in zip(grad, new_grad)]
+        sy = sum(a * b for a, b in zip(moved, y))
+        if sy > 0.0:
+            if h is None:
+                gamma = sy / sum(v * v for v in y)
+                h = [[gamma if i == k else 0.0 for k in range(m)] for i in range(m)]
+            hy = [sum(a * b for a, b in zip(row, y)) for row in h]
+            rho = 1.0 / sy
+            c = rho * (1.0 + rho * sum(a * b for a, b in zip(y, hy)))
+            h = [[hik - rho * (si * hyk + hyi * sk) + c * si * sk
+                  for hik, hyk, sk in zip(row, hy, moved)]
+                 for row, hyi, si in zip(h, hy, moved)]
+        gain = val - new_val
+        theta[:] = trial
+        val, grad = new_val, new_grad
+        trace.append(val)
+        small = small + 1 if gain < tol and alpha == 1.0 and h is not None else 0
+        if small >= 2:
+            break
+    return val, grad
+
+
 def _golden(fun, lo: float, hi: float, xtol: float):
     h = hi - lo
     a = lo + _INVPHI2 * h
@@ -216,44 +393,50 @@ def _golden(fun, lo: float, hi: float, xtol: float):
 
 
 def _coordinate_descent(line, theta: list, val: float, *, cap: float,
-                        scan, half_width: float, xtol: float, rtol: float,
-                        passes: int, trace: list) -> float:
+                        half_width: float, xtol: float, rtol: float,
+                        passes: int) -> float:
     """Cyclic coordinate descent on the free durations `theta` (updated in
-    place) from objective value `val`; returns the final value.
+    place) from objective value `val`; returns the final value.  The
+    oracle's local refinement, independent of the quasi-Newton descent.
 
-    Per coordinate j, `line(theta, j)` gives the objective along duration j
-    (see `_line_kernel`: arcs before j are folded once, so each probe only
-    integrates arc j onwards).  The best of the current point and the `scan`
-    points centres a golden-section search of half-width `half_width`,
-    clipped to [0, cap]; a strictly better point is accepted and its value
-    appended to `trace`.  Passes stop once one gains less than
-    rtol * (1 + |value|).
+    Per coordinate j, `line(theta, j)` gives the objective along duration j.
+    A golden-section search of half-width `half_width` around the current
+    duration, clipped to [0, cap], replaces it when strictly better.  Passes
+    stop once one gains less than rtol * (1 + |value|).
     """
     for _ in range(passes):
         prev = val
         for j in range(len(theta)):
-            along = line(theta, j)
-            cand_t, cand_f = theta[j], val
-            for t in scan:
-                f = along(t)
-                if f < cand_f:
-                    cand_t, cand_f = t, f
-            lo = max(0.0, cand_t - half_width)
-            hi = min(cap, cand_t + half_width)
-            g_t, g_f = _golden(along, lo, hi, xtol)
-            if g_f < cand_f:
-                cand_t, cand_f = g_t, g_f
-            if cand_f < val:
-                theta[j] = cand_t
-                val = cand_f
-                trace.append(val)
+            lo = max(0.0, theta[j] - half_width)
+            hi = min(cap, theta[j] + half_width)
+            g_t, g_f = _golden(line(theta, j), lo, hi, xtol)
+            if g_f < val:
+                theta[j] = g_t
+                val = g_f
         if not val < prev - rtol * (1.0 + abs(prev)):
             break
     return val
 
 
-def _candidate(sign: float, res) -> BangBangCandidate:
-    return BangBangCandidate(sign, res[2], res[0], res[1], res[3])
+def _scan_pass(line, theta: list, val: float, scan, trace: list) -> float:
+    """One pass of the coordinate scan: per free duration j, the best of the
+    `scan` points along `line(theta, j)` replaces it when strictly better,
+    and its value goes to `trace`; returns the value.  This is how an
+    infeasible start is made feasible."""
+    for j in range(len(theta)):
+        along = line(theta, j)
+        improved = False
+        for t in scan:
+            f = along(t)
+            if f < val:
+                theta[j], val, improved = t, f, True
+        if improved:
+            trace.append(val)
+    return val
+
+
+def _candidate(sign: float, res, report=None) -> BangBangCandidate:
+    return BangBangCandidate(sign, res[2], res[0], res[1], res[3], report)
 
 
 @lru_cache(maxsize=16)
@@ -306,13 +489,17 @@ def optimize_durations(n_switches: int, sign: float, epsilon: float,
                        seed: int = 0, extra_starts=(),
                        trace: list | None = None) -> BangBangCandidate:
     """Best alternating bang-bang candidate with the given switch count and
-    initial sign, by multistart coordinate descent with golden-section line
-    searches; the terminal two durations are eliminated exactly at every
-    evaluation.
+    initial sign, by multistart projected BFGS on the free durations with the
+    exact switching-time gradient; the terminal two durations are eliminated
+    exactly at every evaluation.  A start the terminal solve rejects is first
+    made feasible by one coordinate scan pass.
 
-    Passing a list as `trace` records, per start, the objective after every
-    accepted improvement (one weakly decreasing sublist per feasible start).
-    Raises AllStartsInfeasible when no start yields a feasible candidate.
+    The candidate's `report` holds the projected-gradient norm at its
+    durations, the objective evaluations and the feasible starts.  Passing a
+    list as `trace` records, per start, the objective after every accepted
+    improvement (one weakly decreasing sublist per feasible start).  Raises
+    AllStartsInfeasible, carrying its evaluation count, when no start yields
+    a feasible candidate.
     """
     if n_switches < 1:
         raise ValueError("need at least one switch")
@@ -329,34 +516,47 @@ def optimize_durations(n_switches: int, sign: float, epsilon: float,
     if n_free == 0:
         res = _evaluate(x0, sign, (), spec.equibound)
         if res is None:
-            raise AllStartsInfeasible(f"sign {sign:+.0f} cannot reach the origin")
+            raise AllStartsInfeasible(f"sign {sign:+.0f} cannot reach the origin",
+                                      evaluations=1)
         if trace is not None:
             trace.append([_value(res, epsilon)])
-        return _candidate(sign, res)
+        return _candidate(sign, res, DescentReport(0.0, 1, 1))
 
-    best_val = math.inf
-    best_res = None
-    scan = [cap * k / 16.0 for k in range(17)]
-    xtol = 1e-11 * (1.0 + cap)
+    objective = _objective(x0, sign, epsilon, spec.equibound)
     line = _line_kernel(spec, sign, epsilon)
-    for theta0 in _build_starts(n_free, x0, synth, seed, cap, extra_starts):
-        theta = list(theta0)
-        val = _value(_evaluate(x0, sign, theta, spec.equibound), epsilon)
+    scan = [cap * k / 16.0 for k in range(17)]
+    evaluations = feasible = 0
+    best_val, best_theta, best_grad = math.inf, None, None
+
+    def counted(theta):
+        nonlocal evaluations
+        evaluations += 1
+        return objective(theta)
+
+    for theta in _build_starts(n_free, x0, synth, seed, cap, extra_starts):
+        val, grad = counted(theta)
         run_trace = []
-        if val < math.inf:
+        if grad is None:
+            val = _scan_pass(line, theta, val, scan, run_trace)
+            evaluations += n_free * len(scan)
+            if val == math.inf:
+                continue
+            val, grad = counted(theta)
+        else:
             run_trace.append(val)
-        val = _coordinate_descent(
-            line, theta, val, cap=cap, scan=scan, half_width=cap / 16.0,
-            xtol=xtol, rtol=1e-14, passes=DESCENT_PASSES, trace=run_trace)
-        if trace is not None and run_trace:
+        val, grad = _projected_bfgs(counted, theta, val, grad, cap, run_trace)
+        feasible += 1
+        if trace is not None:
             trace.append(run_trace)
         if val < best_val:
-            best_val = val
-            best_res = _evaluate(x0, sign, theta, spec.equibound)
-    if best_res is None:
+            best_val, best_theta, best_grad = val, list(theta), grad
+    if best_theta is None:
         raise AllStartsInfeasible(
-            f"all starts infeasible for {n_switches} switches, sign {sign:+.0f}")
-    return _candidate(sign, best_res)
+            f"all starts infeasible for {n_switches} switches, sign {sign:+.0f}",
+            evaluations=evaluations)
+    report = DescentReport(_projected_gradient_norm(best_theta, best_grad, cap),
+                           evaluations, feasible)
+    return _candidate(sign, _evaluate(x0, sign, best_theta, spec.equibound), report)
 
 
 def _vector_eval(x0, sign: float, free_grids, equibound: float):
@@ -378,8 +578,8 @@ def _vector_eval(x0, sign: float, free_grids, equibound: float):
     feasible = disc >= 0.0
     root = np.sqrt(np.where(feasible, disc, 0.0))
     a = -u * x2 + root
-    feasible &= a >= 0.0
-    a = np.where(feasible, a, 0.0)
+    feasible &= a > steer_floor(x2, root)  # as in steer_durations
+    a = np.where(feasible, np.maximum(a, 0.0), 0.0)
     b = np.where(feasible, root, 0.0)
     for d in (a, b):
         x1, x2, c, vertex = di_arc(x1, x2, u, d)
@@ -440,8 +640,8 @@ def brute_force_oracle(n_switches: int, sign: float, epsilon: float,
     # iterated to convergence inside the one-cell trust region
     _coordinate_descent(_line_kernel(spec, sign, epsilon), theta,
                         _value(_evaluate(x0, sign, theta, spec.equibound), epsilon),
-                        cap=cap, scan=(), half_width=cap / cells,
-                        xtol=1e-12 * (1.0 + cap), rtol=1e-15, passes=8, trace=[])
+                        cap=cap, half_width=cap / cells,
+                        xtol=1e-12 * (1.0 + cap), rtol=1e-15, passes=8)
     res = _evaluate(x0, sign, theta, spec.equibound)
     if res is None:
         raise AllStartsInfeasible(f"sign {sign:+.0f} infeasible")
@@ -462,9 +662,12 @@ class PathPoint:
 class SolutionPath:
     """Per-epsilon solutions of the regularized problem, largest epsilon
     first.  The value function is a pointwise minimum of affine functions of
-    epsilon, hence concave and nondecreasing."""
+    epsilon, hence concave and nondecreasing.  `subproblems` holds the
+    (count, sign, DescentReport) of every subproblem the path solved, in
+    the order it solved them."""
 
     records: tuple[PathPoint, ...]
+    subproblems: tuple = ()
 
     def laws(self, tol: float = 1e-9) -> dict:
         """Monotonicity and concavity checks along the path (epsilon
@@ -512,6 +715,7 @@ def regularization_path(epsilons, spec: ProblemSpec, *, seed: int = 0,
         raise ValueError("epsilons must be sorted descending")
     synth = synth or default_synthesis()
     table = []  # (count, candidate), count ascending, sign -1 before +1
+    reports = []  # (count, sign, DescentReport) of every subproblem
     best_jl = {}
     streak = 0
     infeasible_streak = 0
@@ -523,8 +727,10 @@ def regularization_path(epsilons, spec: ProblemSpec, *, seed: int = 0,
             try:
                 cand = optimize_durations(n, sign, 0.0, spec, synth=synth, seed=seed,
                                           extra_starts=extra)
-            except AllStartsInfeasible:
+            except AllStartsInfeasible as exc:
+                reports.append((n, sign, DescentReport(None, exc.evaluations, 0)))
                 continue
+            reports.append((n, sign, cand.report))
             warm[sign] = cand.durations
             jl_n = min(jl_n, cand.lagrangian)
             table.append((n, cand))
@@ -556,7 +762,7 @@ def regularization_path(epsilons, spec: ProblemSpec, *, seed: int = 0,
         value, n, cand = best
         points.append(PathPoint(epsilon=e, n_switches=n, lagrangian=cand.lagrangian,
                                 tv=cand.tv, value=value, candidate=cand))
-    return SolutionPath(tuple(points))
+    return SolutionPath(tuple(points), tuple(reports))
 
 
 def solve_regularized(epsilon: float, spec: ProblemSpec, *, seed: int = 0,

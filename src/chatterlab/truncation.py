@@ -17,7 +17,6 @@ from .controls import (
     PiecewiseConstantControl,
     ProblemSpec,
     Trajectory,
-    lagrangian_cost,
     motion_gap,
     simulate,
     tv,
@@ -32,6 +31,13 @@ TAIL_TV_BUDGET = 4.0
 #: Hoelder exponent of the truncation lag in the composite rate bound, that
 #: of the minimum time to the origin
 HOLDER_EXPONENT = 0.5
+
+
+def steer_floor(z2, root):
+    """Least admissible first terminal duration d_a: a rounding band below 0,
+    inside which `steer_durations` takes d_a as 0.  Plain arithmetic, so the
+    scalar solve and the solver's numpy grids share it."""
+    return -1e-12 * (abs(z2) + root + 1.0)
 
 
 def steer_durations(state, first_sign: float):
@@ -51,10 +57,9 @@ def steer_durations(state, first_sign: float):
     root = math.sqrt(disc)
     a = -s * z2 + root
     if a < 0.0:
-        if a > -1e-12 * (abs(z2) + root + 1.0):
-            a = 0.0
-        else:
+        if a <= steer_floor(z2, root):
             return None
+        a = 0.0
     return (a, root)
 
 
@@ -176,10 +181,14 @@ def l1_control_distance(u: PiecewiseConstantControl,
 
 
 def truncate(u_star: PiecewiseConstantControl, traj_star: Trajectory,
-             eta: float, spec: ProblemSpec, *, j_star: float | None = None,
-             radius: float = 1.0) -> TruncationResult:
+             eta: float, spec: ProblemSpec, *, radius: float = 1.0) -> TruncationResult:
     """Cut the reference control eta before its final time and close with the
     minimum-time tail, recording cost gap and control/state deviations.
+
+    Both controls agree before the cut, so the cost gap is the tail's cost
+    minus the reference's cost after the cut; neither sum passes through
+    J*, whose rounding would otherwise swamp the gaps of small windows or
+    large states.
 
     The cut state must lie inside the steering neighborhood |x| <= radius,
     otherwise CutTooLarge is raised.  Cuts landing exactly on a switch time
@@ -197,10 +206,9 @@ def truncate(u_star: PiecewiseConstantControl, traj_star: Trajectory,
     prefix = u_star.restrict(t_cut)
     tail, tau = min_time_steer(cut_state)
     control = prefix if tail is None else prefix.concat(tail)
-    if j_star is None:
-        j_star = lagrangian_cost(traj_star)
     traj = simulate(spec, control)
-    gap = lagrangian_cost(traj) - j_star
+    tail_cost = sum(arc.cost_x1sq() for arc in reversed(traj.arcs[prefix.n_arcs:]))
+    gap = tail_cost - traj_star.cost_after(t_cut)
     return TruncationResult(
         eta=eta,
         control=control,
@@ -226,7 +234,7 @@ class TruncationSweep:
 
 
 def truncation_rate_sweep(u_star: PiecewiseConstantControl, traj_star: Trajectory,
-                          etas, spec: ProblemSpec, *, j_star: float | None = None,
+                          etas, spec: ProblemSpec, *,
                           radius: float = 1.0) -> TruncationSweep:
     """Run truncations over a grid of cut windows and fit the cost-gap decay
     as a power of the window.
@@ -242,13 +250,11 @@ def truncation_rate_sweep(u_star: PiecewiseConstantControl, traj_star: Trajector
         raise ValueError("cut windows must be positive")
     if etas[-1] / etas[0] < 99.0:
         raise ValueError("cut windows must span at least two decades")
-    if j_star is None:
-        j_star = lagrangian_cost(traj_star)
     results = []
     records = []
     for eta in etas:
         t0 = time.perf_counter()
-        res = truncate(u_star, traj_star, eta, spec, j_star=j_star, radius=radius)
+        res = truncate(u_star, traj_star, eta, spec, radius=radius)
         wall = (time.perf_counter() - t0) * 1e3
         results.append(res)
         records.append(RateRecord(

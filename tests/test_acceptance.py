@@ -126,7 +126,7 @@ def test_criterion_5_truncation_rate(reference):
     assert eta_max is not None
     eta_hi = 0.9 * eta_max
     etas = [eta_hi * 10.0 ** (-3.0 * k / 8.0) for k in range(9)]
-    sweep = truncation_rate_sweep(u_star, traj_star, etas, spec, j_star=j_star)
+    sweep = truncation_rate_sweep(u_star, traj_star, etas, spec)
     assert sweep.exponent >= 0.4
     for res in sweep.results:
         assert tv(res.control) <= res.prefix_tv + TAIL_TV_BUDGET

@@ -132,6 +132,38 @@ def test_truncation_rate_defaults(tmp_path):
     assert all(res["monotone"].values())
 
 
+def test_truncation_rate_from_a_far_state_measures_its_gaps(tmp_path):
+    # J* is about 7.6e9 from here; gaps taken against it read rounding
+    # (exit 5), the tail's cost minus the reference's cost after the cut
+    # resolves them
+    code = main(["truncation-rate", "--x0=1e4,0", "--out", str(tmp_path)])
+    assert code == 0
+    rows = (tmp_path / "truncation-rate.csv").read_text().splitlines()[1:]
+    gaps = [float(row.split(",")[1]) for row in rows]
+    assert len(gaps) >= 5 and all(g > 0.0 for g in gaps)
+
+
+@pytest.mark.parametrize("experiment", ["tv-path", "corollary-check"])
+def test_path_manifest_certifies_every_subproblem(tmp_path, experiment):
+    # one entry per (count, sign) subproblem, in the order the path solved
+    # them: feasible ones carry a first-order certificate and their work
+    code = main([experiment, "--eps", "1e-1:1e-5:decade", "--out", str(tmp_path)])
+    assert code == 0
+    results = json.loads((tmp_path / f"{experiment}-manifest.json").read_text())["results"]
+    entries = results["subproblems"]
+    assert [(e["n_switches"], e["sign"]) for e in entries] == [
+        (n, s) for n in range(1, entries[-1]["n_switches"] + 1) for s in (-1.0, 1.0)]
+    feasible = [e for e in entries if e["feasible_starts"] > 0]
+    assert len(feasible) >= len(entries) - 2
+    for e in entries:
+        assert e["evaluations"] >= 1
+        if e["feasible_starts"] == 0:
+            assert e["pg_norm"] is None
+        else:
+            # x0 = (1, 0): the gradient scale is J / cap, about 0.1
+            assert 0.0 <= e["pg_norm"] <= 1e-6
+
+
 def test_model_params_reach_the_builder(tmp_path):
     cfg = {"experiment": "zeno-rate", "model": "bouncing-ball",
            "n": [2, 3, 4, 5, 6, 7, 8],
@@ -360,15 +392,15 @@ GOLDEN_CSV_SHA256 = {
     ("fuller-synthesize", "--x0", "1,0", "--tol", "1e-10"):
         "d55e4f6b86dcb4264c3925ad8d4451eab180cc2e1b5387ff2ed6e2d7c319571a",
     ("tv-path", "--x0", "1,0", "--eps", "1e-1:1e-6:decade"):
-        "45f173b17998269b9e602d384815a29a8cbcaa5ad89e09249af402d2bbbe9dcd",
+        "d8e76f258dec29c71cf8001f3157064c7fbc9ced998c93a8b22f66c3ce21d68b",
     ("truncation-rate", "--x0", "1,0"):
-        "94e26a612c4ce6dccb99e4dd6d7e4b9e7410e296ac827929e749adb60c83f678",
+        "335991917c43c8e1b16ee40449d7a031b1b4a6ca470cadf8b1296a89d9c3df8f",
     ("zeno-rate", "--model", "water-tank", "--n", "2:12"):
         "6a7c25c8ef59c8e0bdf0f6f1cf8a3b9900b43d10729befe119b3056ab35ef775",
     ("zeno-rate", "--model", "bouncing-ball", "--n", "2:8"):
         "3843f48eee20fdf8d71a2ee3ddffc2f84e30ea44e75ff7f74751d49b1bc5350c",
     ("corollary-check", "--x0", "1,0", "--eps", "1e-1:1e-6:decade"):
-        "ef13e4703553f7f6210a0c3e8f88c4e3f8b76933202b36c1ff0782d22fa045e8",
+        "58bfa15a76fbc2cfef90aa8177ce6e518e83e7b7105e0c35e913772eb19cbd70",
 }
 
 

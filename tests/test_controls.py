@@ -172,6 +172,21 @@ def test_cost_constant_integrand():
     assert lagrangian_cost(simulate(spec, u)) == pytest.approx(1.0, abs=1e-15)
 
 
+def test_cost_after_a_cut_is_the_tail_cost():
+    # inside an arc, at a breakpoint, at both ends, and cached across cuts:
+    # the cost of [t, end] equals that of the trajectory's re-based tail
+    spec = ProblemSpec(x0=(0.4, -0.2))
+    control = alternating(4, first=-1.0, dur=0.3)
+    traj = simulate(spec, control)
+    total = lagrangian_cost(traj)
+    for t in (0.1, 0.3, 0.75, 1.2, 1.49):
+        _, tail = control.split(t)
+        want = lagrangian_cost(simulate(ProblemSpec(x0=traj.state_at(t)), tail))
+        assert traj.cost_after(t) == pytest.approx(want, rel=1e-14, abs=1e-18)
+    assert traj.cost_after(0.0) == pytest.approx(total, rel=1e-14)
+    assert traj.cost_after(control.duration) == 0.0
+
+
 def test_closed_form_matches_gauss_legendre_on_random_arcs():
     # 3-point Gauss-Legendre integrates the quartic integrand exactly,
     # which makes it an independent oracle for the antiderivative formula

@@ -14,6 +14,8 @@ from chatterlab.solver import (
     _evaluate,
     _grid_argmin,
     _line_kernel,
+    _objective,
+    _projected_gradient_norm,
     _value,
     _vector_eval,
     brute_force_oracle,
@@ -24,6 +26,7 @@ from chatterlab.solver import (
 from chatterlab.truncation import (
     min_time_to_origin,
     steer_durations,
+    steer_floor,
     truncate,
     truncation_lag_for_budget,
 )
@@ -87,6 +90,93 @@ def test_single_switch_is_the_minimum_time_solution(reference, synth):
     # running cost of the two-arc minimum-time solution plus the switch price
     assert cand.lagrangian == pytest.approx(0.76666666666666666, rel=1e-12)
     assert cand.value(eps) == pytest.approx(cand.lagrangian + 2.0 * eps, rel=1e-14)
+
+
+def _gradient_cases():
+    # seeded states on both sides of the switching curve x1 + x2|x2|/2 = 0,
+    # some with a near-zero arc; then free arcs that end next to the
+    # terminal switching curve, where r = sqrt(z2^2/2 - u z1) -> 0
+    rng = np.random.default_rng(31)
+    cases = []
+    while len(cases) < 24:
+        x0 = tuple(float(v) for v in rng.uniform(-1.5, 1.5, 2))
+        sign = float(rng.choice([-1.0, 1.0]))
+        theta = [float(v) for v in rng.uniform(0.05, 0.8, int(rng.integers(1, 5)))]
+        if len(cases) % 3 == 0:
+            theta[int(rng.integers(len(theta)))] = 1e-9
+        if _evaluate(x0, sign, theta, 1e3) is not None:
+            cases.append((x0, sign, theta))
+    assert len({x[0] + 0.5 * x[1] * abs(x[1]) > 0.0 for x, _, _ in cases}) == 2
+    # from (1, 0) and (0.5, 0.5) under -1 the state meets the curve of the
+    # +1 arc at d = 1 and d = (1 + sqrt(2.5)) / 2, where r^2 = d^2 - 1 and
+    # d^2 - d - 0.375 vanish
+    for gap in (1e-2, 1e-4, 1e-6):
+        cases.append(((1.0, 0.0), -1.0, [1.0 + gap]))
+        cases.append(((0.5, 0.5), -1.0, [(1.0 + math.sqrt(2.5)) / 2.0 + gap]))
+    return cases
+
+
+def test_switching_time_gradient_matches_differences():
+    # the adjoint gradient against a one-sided three-point difference (it
+    # never leaves the box, so near-zero arcs are checked too)
+    h = 1e-5
+    near_curve = 0
+    for x0, sign, theta in _gradient_cases():
+        f = _objective(x0, sign, 0.0, 1e3)
+        val, grad = f(theta)
+        assert val == _evaluate(x0, sign, theta, 1e3)[0]
+        near_curve += _evaluate(x0, sign, theta, 1e3)[2][-1] < 2e-2  # r, the last arc
+        for i in range(len(theta)):
+            probe = [f([*theta[:i], theta[i] + k * h, *theta[i + 1:]])[0] for k in (1, 2)]
+            diff = (-3.0 * val + 4.0 * probe[0] - probe[1]) / (2.0 * h)
+            assert grad[i] == pytest.approx(diff, rel=1e-6, abs=1e-8)
+    assert near_curve >= 4
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 1e-4])
+def test_objective_value_matches_evaluate_bit_for_bit(epsilon):
+    for x0, sign, theta in _gradient_cases():
+        assert _objective(x0, sign, epsilon, 1e3)(theta)[0] == \
+            _value(_evaluate(x0, sign, theta, 1e3), epsilon)
+    assert _objective((1.0, 0.0), 1.0, 0.0, 1e3)([]) == (math.inf, None)
+
+
+def test_certificate_is_small_at_interior_optima(synth):
+    # at an optimum whose arcs all stay off zero the projected gradient is
+    # the gradient; scaled by the box it is a small share of the cost
+    rng = np.random.default_rng(5)
+    interior = 0
+    for _ in range(6):
+        r, angle = rng.uniform(0.5, 2.0), rng.uniform(0.0, 2.0 * math.pi)
+        spec = ProblemSpec(x0=(r * math.cos(angle), r * math.sin(angle)))
+        cap = solver.DURATION_CAP_FACTOR * min_time_to_origin(spec.x0)
+        for n in (2, 3, 4):
+            for sign in (-1.0, 1.0):
+                try:
+                    cand = optimize_durations(n, sign, 0.0, spec, synth=synth)
+                except AllStartsInfeasible:
+                    continue
+                report = cand.report
+                assert 1 <= report.feasible_starts <= 8 + 1
+                assert report.evaluations >= report.feasible_starts
+                if min(cand.durations) < 1e-3 * cap:
+                    continue
+                interior += 1
+                theta = list(cand.durations[:n - 1])
+                _, grad = _objective(spec.x0, sign, 0.0, spec.equibound)(theta)
+                assert report.pg_norm == _projected_gradient_norm(theta, grad, cap)
+                assert report.pg_norm * cap <= 1e-5 * cand.lagrangian
+    assert interior >= 10
+
+
+def test_descent_does_not_stop_in_a_flat_valley(synth):
+    # the best start meets a full quasi-Newton step that gains less than
+    # 1e-14 relative while H has not seen the valley's flat direction yet;
+    # stopping on that one step left the value 1.5e-13 above the optimum
+    # that coordinate golden-section descent reaches, 0.12365764852088869
+    spec = ProblemSpec(x0=(0.7169024304723535, -1.3334803224591025))
+    cand = optimize_durations(3, 1.0, 0.0, spec, synth=synth)
+    assert cand.lagrangian <= 0.12365764852088869 * (1.0 + 1e-14)
 
 
 def test_descent_trace_is_monotone(reference, synth):
@@ -254,7 +344,7 @@ def test_solver_beats_truncation_competitor(reference, synth, decade_path):
         if rec.tv < 6.0:
             continue
         lag = truncation_lag_for_budget(u_star, rec.tv - 4.0)
-        res = truncate(u_star, traj_star, lag, spec, j_star=j_star, radius=10.0)
+        res = truncate(u_star, traj_star, lag, spec, radius=10.0)
         competitor_tv = tv(res.control)
         assert competitor_tv <= rec.tv + 1e-12
         lhs = rec.lagrangian + rec.epsilon * rec.tv
@@ -285,6 +375,22 @@ def test_oracle_agreement(reference, synth, n):
     vb = b.value(eps)
     assert abs(va - vb) / vb <= 1e-6
     assert vb >= va - 1e-6 * vb
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("sign", [-1.0, 1.0])
+def test_solver_no_worse_than_oracle(synth, n, sign):
+    # criterion 4 at epsilon = 1e-4 from states on both sides of the
+    # switching curve, each (count, sign) against its own oracle optimum
+    eps = 1e-4
+    for x0 in ((1.0, 0.0), (-0.181, 0.656), (0.3, -0.7)):
+        spec = ProblemSpec(x0=x0)
+        try:
+            orc = brute_force_oracle(n, sign, eps, spec, resolution=2e-3)
+        except AllStartsInfeasible:
+            continue
+        cand = optimize_durations(n, sign, eps, spec, synth=synth)
+        assert cand.value(eps) <= orc.value(eps) * (1.0 + 1e-6)
 
 
 def test_oracle_rejects_many_switches(reference):
@@ -345,6 +451,22 @@ def test_line_kernel_matches_evaluate_bit_for_bit(epsilon, equibound):
                             probes += 1
                             finite += math.isfinite(want)
     assert 0 < finite < probes
+
+
+def test_grid_and_scalar_steering_share_the_rescue_band():
+    # from x0 the last terminal arc alone nearly reaches the origin: the
+    # first terminal duration solves to about -1e-12, inside the rounding
+    # band steer_durations takes as 0, and the grid cell agrees
+    for sign in (-1.0, 1.0):
+        u = -sign  # the control after the one free arc
+        x0 = (-u * 0.32 + u * 1.6e-12, u * 0.8)
+        root = math.sqrt(0.5 * x0[1] ** 2 - u * x0[0])
+        assert steer_floor(x0[1], root) < -u * x0[1] + root < 0.0
+        assert steer_durations(x0, u) == (0.0, root)
+        res = _evaluate(x0, sign, [0.0], 1e3)
+        cost, tv_grid = _vector_eval(x0, sign, [np.zeros(1)], 1e3)
+        assert res is not None
+        assert cost[0] == res[0] and tv_grid[0] == res[1]
 
 
 @pytest.mark.parametrize("equibound", [1e3, 3.0])

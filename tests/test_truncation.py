@@ -93,7 +93,7 @@ def test_cut_state_bound_and_tail_time(reference):
     spec, u_star, traj_star, t_star, j_star = reference
     k_max = max(math.hypot(arc.x0[1], 1.0) for arc in traj_star.arcs)
     for eta in (0.5, 0.1, 0.01):
-        res = truncate(u_star, traj_star, eta, spec, j_star=j_star)
+        res = truncate(u_star, traj_star, eta, spec)
         assert math.hypot(*res.cut_state) <= k_max * eta + 1e-12
         upsilon = min_time_to_origin(res.cut_state)
         assert res.tail_time <= 2.0 * upsilon + 1e-15
@@ -102,13 +102,13 @@ def test_cut_state_bound_and_tail_time(reference):
 def test_truncation_budget_exact(reference):
     spec, u_star, traj_star, _, j_star = reference
     for eta in (0.7, 0.21, 0.033, 0.004):
-        res = truncate(u_star, traj_star, eta, spec, j_star=j_star)
+        res = truncate(u_star, traj_star, eta, spec)
         assert tv(res.control) <= res.prefix_tv + TAIL_TV_BUDGET
 
 
 def test_truncation_terminal_residual(reference):
     spec, u_star, traj_star, _, j_star = reference
-    res = truncate(u_star, traj_star, 0.2, spec, j_star=j_star)
+    res = truncate(u_star, traj_star, 0.2, spec)
     traj = simulate(spec, res.control)
     assert math.hypot(*traj.final_state) <= 1e-10
 
@@ -117,7 +117,7 @@ def test_cut_exactly_at_a_switch_time(reference):
     spec, u_star, traj_star, t_star, j_star = reference
     t_switch = u_star.breakpoints[3]
     eta = t_star - t_switch
-    res = truncate(u_star, traj_star, eta, spec, j_star=j_star)
+    res = truncate(u_star, traj_star, eta, spec)
     assert res.cost_gap >= -1e-12
     assert res.control.breakpoints[0] == 0.0
     assert all(b > a for a, b in
@@ -127,15 +127,15 @@ def test_cut_exactly_at_a_switch_time(reference):
 def test_cut_too_large(reference):
     spec, u_star, traj_star, t_star, j_star = reference
     with pytest.raises(CutTooLarge):
-        truncate(u_star, traj_star, t_star + 0.1, spec, j_star=j_star)
+        truncate(u_star, traj_star, t_star + 0.1, spec)
     with pytest.raises(CutTooLarge):
-        truncate(u_star, traj_star, 0.5, spec, j_star=j_star, radius=0.01)
+        truncate(u_star, traj_star, 0.5, spec, radius=0.01)
 
 
 def test_rate_sweep_columns_and_exponent(reference):
     spec, u_star, traj_star, t_star, j_star = reference
     etas = [1.4 * 10.0 ** (-1.5 * k / 4.0) for k in range(7)]
-    sweep = truncation_rate_sweep(u_star, traj_star, etas, spec, j_star=j_star)
+    sweep = truncation_rate_sweep(u_star, traj_star, etas, spec)
     assert all(sweep.monotone.values()), sweep.monotone
     assert all(r.cost_gap >= -1e-12 for r in sweep.records)
     assert sweep.exponent >= 0.4
@@ -148,7 +148,7 @@ def test_rate_sweep_cost_bound_from_measured_rates(reference):
     # with the rates measured along the competing tails
     spec, u_star, traj_star, t_star, j_star = reference
     for eta in (0.6, 0.2, 0.05):
-        res = truncate(u_star, traj_star, eta, spec, j_star=j_star)
+        res = truncate(u_star, traj_star, eta, spec)
         traj = simulate(spec, res.control)
         t_cut = t_star - eta
         ts = np.linspace(t_cut, traj.duration, 400)
@@ -162,17 +162,15 @@ def test_rate_sweep_floor_detection(reference):
     spec, u_star, traj_star, _, j_star = reference
     tiny = [4e-4 * 10.0 ** (-2.0 * k / 4.0) for k in range(5)]
     with pytest.raises(DegenerateFit):
-        truncation_rate_sweep(u_star, traj_star, tiny, spec, j_star=j_star)
+        truncation_rate_sweep(u_star, traj_star, tiny, spec)
 
 
 def test_rate_sweep_validates_grid(reference):
     spec, u_star, traj_star, _, j_star = reference
     with pytest.raises(ValueError):
-        truncation_rate_sweep(u_star, traj_star, [0.1, 0.2, 0.3], spec,
-                              j_star=j_star)
+        truncation_rate_sweep(u_star, traj_star, [0.1, 0.2, 0.3], spec)
     with pytest.raises(ValueError):
-        truncation_rate_sweep(u_star, traj_star, [0.5, 0.4, 0.3, 0.2, 0.1],
-                              spec, j_star=j_star)
+        truncation_rate_sweep(u_star, traj_star, [0.5, 0.4, 0.3, 0.2, 0.1], spec)
 
 
 def sampled_deviation(traj_a, traj_b, t_from, samples):
@@ -202,7 +200,7 @@ def test_sup_deviation_is_exact(reference, decade_path):
     # samples per piece the metric once took never exceed it either
     spec, u_star, traj_star, t_star, j_star = reference
     pairs = [(simulate(spec, p.candidate.control()), 0.0) for p in decade_path.records]
-    pairs += [(simulate(spec, truncate(u_star, traj_star, eta, spec, j_star=j_star).control),
+    pairs += [(simulate(spec, truncate(u_star, traj_star, eta, spec).control),
                t_star - eta) for eta in (0.7, 0.2, 0.05, 0.01)]
     for traj, t_from in pairs:
         exact = sup_state_deviation(traj, traj_star, t_from=t_from)
