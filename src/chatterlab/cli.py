@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 configuration error, 3 solver infeasibility,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -223,7 +224,10 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, so every `main` call shares it."""
     parser = _Parser(
         prog="chatterlab",
         description="chattering-control regularization experiments")

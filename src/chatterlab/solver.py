@@ -20,15 +20,20 @@ of the eliminated objective from one forward fold and one adjoint pass,
 the switching-time gradient of Egerstedt, Wardi & Axelsson (IEEE TAC 51(1),
 2006) and Xu & Antsaklis (IEEE TAC 49(1), 2004).  Zero-length arcs are
 active bounds of the box.  Infeasible points and the collapsed-TV jump at a
-zero face enter only through value comparisons in the line search.  A start
-the terminal solve rejects is made feasible by one pass of a coordinate
-scan along `_line_kernel`, whose lines fold the arcs before their
-coordinate once; each subproblem reports its projected-gradient norm as a
-first-order certificate (`DescentReport`).
+zero face enter only through value comparisons in the line search, so at
+epsilon > 0 a zero-face step then sets each positive free duration of the
+best point to 0 in turn and descends with it pinned there.  A start the
+terminal solve rejects is made feasible by one pass of a coordinate scan
+along `_line_kernel`, whose lines fold the arcs before their coordinate
+once; each subproblem reports its projected-gradient norm as a first-order
+certificate (`DescentReport`).
 
 `brute_force_oracle` scores a numpy grid and refines by coordinate
 golden-section descent along the same lines, independent of the
-quasi-Newton solver it checks.
+quasi-Newton solver it checks.  The grid's free durations are broadcast
+axes, so each arc is folded once per distinct prefix, and only the cells
+the terminal solve accepts get the terminal arcs, the equibound test and
+the collapsed TV.
 """
 
 from __future__ import annotations
@@ -266,18 +271,20 @@ def _objective(x0, sign: float, epsilon: float, equibound: float):
     return f
 
 
-def _projected_gradient_norm(theta, grad, cap: float) -> float:
+def _projected_gradient_norm(theta, grad, cap: float, pinned) -> float:
     """Infinity norm of theta - P(theta - grad), P the projection onto
-    [0, cap]^m: zero exactly at first-order stationary points of the box."""
-    return max((abs(t - min(max(t - g, 0.0), cap)) for t, g in zip(theta, grad)),
-               default=0.0)
+    [0, cap]^m with the `pinned` coordinates held at 0: zero exactly at
+    first-order stationary points of that face of the box."""
+    return max((0.0 if p else abs(t - min(max(t - g, 0.0), cap))
+                for t, g, p in zip(theta, grad, pinned)), default=0.0)
 
 
 def _projected_bfgs(f, theta: list, val: float, grad: list, cap: float,
-                    trace: list) -> tuple:
+                    trace: list, pinned: list) -> tuple:
     """Projected BFGS on the box [0, cap]^m from the feasible point `theta`
     (updated in place) with value `val` and gradient `grad`; returns the
     final (value, gradient) and appends every accepted value to `trace`.
+    The coordinates flagged in `pinned` stay where they are.
 
     Coordinates at a bound whose gradient points out of the box are held;
     the others move along -H g, H the dense inverse-Hessian estimate (a
@@ -304,7 +311,7 @@ def _projected_bfgs(f, theta: list, val: float, grad: list, cap: float,
     m = len(theta)
     h = None  # inverse-Hessian rows; None stands for gamma times the identity
     gamma = None
-    pinned = [False] * m
+    pinned = list(pinned)
     cut, q_prev = False, math.inf
     walled = small = 0
     for _ in range(_MAX_ITERATIONS):
@@ -492,12 +499,17 @@ def optimize_durations(n_switches: int, sign: float, epsilon: float,
     initial sign, by multistart projected BFGS on the free durations with the
     exact switching-time gradient; the terminal two durations are eliminated
     exactly at every evaluation.  A start the terminal solve rejects is first
-    made feasible by one coordinate scan pass.
+    made feasible by one coordinate scan pass.  At epsilon > 0 a zero-face
+    step follows: from the best point with one positive free duration set
+    to 0, a descent with that duration pinned there replaces the best point
+    when strictly lower, once per such duration.
 
     The candidate's `report` holds the projected-gradient norm at its
-    durations, the objective evaluations and the feasible starts.  Passing a
-    list as `trace` records, per start, the objective after every accepted
-    improvement (one weakly decreasing sublist per feasible start).  Raises
+    durations (a pinned zero counts as an active bound), the objective
+    evaluations, the zero-face step's included, and the feasible starts.
+    Passing a list as `trace` records, per start, the objective after every
+    accepted improvement (one weakly decreasing sublist per feasible start;
+    the zero-face descents are not starts and are not recorded).  Raises
     AllStartsInfeasible, carrying its evaluation count, when no start yields
     a feasible candidate.
     """
@@ -544,7 +556,8 @@ def optimize_durations(n_switches: int, sign: float, epsilon: float,
             val, grad = counted(theta)
         else:
             run_trace.append(val)
-        val, grad = _projected_bfgs(counted, theta, val, grad, cap, run_trace)
+        val, grad = _projected_bfgs(counted, theta, val, grad, cap, run_trace,
+                                    [False] * n_free)
         feasible += 1
         if trace is not None:
             trace.append(run_trace)
@@ -554,42 +567,76 @@ def optimize_durations(n_switches: int, sign: float, epsilon: float,
         raise AllStartsInfeasible(
             f"all starts infeasible for {n_switches} switches, sign {sign:+.0f}",
             evaluations=evaluations)
-    report = DescentReport(_projected_gradient_norm(best_theta, best_grad, cap),
-                           evaluations, feasible)
+    best_pins = [False] * n_free
+    if epsilon > 0.0:
+        # zero faces: dropping an arc lowers the collapsed TV, a jump the
+        # descent sees only when a trial lands on the face exactly
+        start = best_theta
+        for j in range(n_free):
+            if start[j] <= 0.0:
+                continue
+            theta = list(start)
+            theta[j] = 0.0
+            val, grad = counted(theta)
+            if grad is None:
+                continue
+            pins = [k == j for k in range(n_free)]
+            val, grad = _projected_bfgs(counted, theta, val, grad, cap, [], pins)
+            if val < best_val:
+                best_val, best_theta, best_grad, best_pins = val, theta, grad, pins
+    report = DescentReport(
+        _projected_gradient_norm(best_theta, best_grad, cap, best_pins),
+        evaluations, feasible)
     return _candidate(sign, _evaluate(x0, sign, best_theta, spec.equibound), report)
 
 
 def _vector_eval(x0, sign: float, free_grids, equibound: float):
     """Vectorized running cost and collapsed total variation of candidates
-    over a grid of free durations; infeasible entries come back as +inf."""
-    x1 = np.full(free_grids[0].shape, x0[0], dtype=float)
-    x2 = np.full(free_grids[0].shape, x0[1], dtype=float)
-    cost = np.zeros_like(x1)
-    sup = np.maximum(np.abs(x1), np.abs(x2))
-    total = np.zeros_like(x1)
+    over a grid of free durations, the grids broadcasting to the grid's
+    shape.  Infeasible entries come back with cost +inf, and those the
+    terminal solve rejects with TV 0, so cost + epsilon * TV is never NaN.
+
+    Each free arc is folded on the shape its inputs broadcast to, so a
+    duration that varies along one axis only is folded once per value.  The
+    terminal solve runs on the whole grid; the terminal arcs, the equibound
+    test and the collapsed TV only on the cells it accepts.  Every feasible
+    cell gets the floats `_evaluate` gives it, operation for operation.
+    """
+    x1, x2 = x0
+    cost = total = 0.0
+    sup = max(abs(x1), abs(x2))
     u = sign
     for d in free_grids:
         x1, x2, c, vertex = di_arc(x1, x2, u, d)
-        cost += c
+        cost = cost + c
         sup = np.maximum(sup, np.maximum(np.maximum(np.abs(x1), np.abs(x2)), vertex))
-        total += d
+        total = total + d
         u = -u
-    disc = 0.5 * x2 * x2 - u * x1
-    feasible = disc >= 0.0
-    root = np.sqrt(np.where(feasible, disc, 0.0))
+    shape = np.broadcast_shapes(*(np.shape(d) for d in free_grids))
+    root = 0.5 * x2 * x2 - u * x1  # the discriminant until its root is taken
+    feasible = root >= 0.0
+    np.sqrt(np.maximum(root, 0.0, out=root), out=root)
     a = -u * x2 + root
     feasible &= a > steer_floor(x2, root)  # as in steer_durations
-    a = np.where(feasible, np.maximum(a, 0.0), 0.0)
-    b = np.where(feasible, root, 0.0)
-    for d in (a, b):
+    cells = np.flatnonzero(np.broadcast_to(feasible, shape))
+
+    def gather(v):
+        return np.take(np.broadcast_to(v, shape), cells)
+
+    x1, x2, cost, sup, total, a, root = map(gather, (x1, x2, cost, sup, total, a, root))
+    a = np.maximum(a, 0.0)
+    for d in (a, root):
         x1, x2, c, vertex = di_arc(x1, x2, u, d)
         cost += c
         sup = np.maximum(sup, np.maximum(np.maximum(np.abs(x1), np.abs(x2)), vertex))
         u = -u
-    total += a + b
-    feasible &= total + sup <= equibound
-    tv_grid = _collapsed_tv(list(free_grids) + [a, b])
-    return np.where(feasible, cost, np.inf), tv_grid
+    total += a + root
+    tv = _collapsed_tv([gather(d) for d in free_grids] + [a, root])
+    cost_grid = np.full(shape, np.inf)
+    cost_grid.flat[cells] = np.where(total + sup <= equibound, cost, np.inf)
+    tv_grid = np.zeros(shape)
+    tv_grid.flat[cells] = tv
+    return cost_grid, tv_grid
 
 
 def _grid_argmin(x0, sign: float, epsilon: float, axis, n_free: int,
@@ -598,21 +645,26 @@ def _grid_argmin(x0, sign: float, epsilon: float, axis, n_free: int,
     least regularized value, the first in row-major order among equals, or
     None when no cell is feasible.
 
-    The grid is scored in blocks of leading-axis rows of about
-    _ORACLE_BLOCK_CELLS cells, which bounds its memory; a strict < across
-    blocks keeps the first minimum of the whole grid, as np.argmin would.
+    Free duration k is `axis` laid along grid dimension k, so `_vector_eval`
+    folds each arc once per distinct prefix and scores only the cells the
+    terminal solve accepts.  The grid is scored in blocks of leading-axis
+    rows of about _ORACLE_BLOCK_CELLS cells, which bounds its memory; a
+    strict < across blocks keeps the first minimum of the whole grid, as
+    np.argmin would.
     """
     rows = max(1, _ORACLE_BLOCK_CELLS // axis.size ** (n_free - 1))
+    dims = [(1,) * k + (-1,) + (1,) * (n_free - 1 - k) for k in range(n_free)]
+    tail = [axis.reshape(dim) for dim in dims[1:]]
     best, theta = math.inf, None
     for r0 in range(0, axis.size, rows):
-        grids = np.meshgrid(axis[r0:r0 + rows], *([axis] * (n_free - 1)),
-                            indexing="ij")
-        cost, tv_grid = _vector_eval(x0, sign, grids, equibound)
+        lead = axis[r0:r0 + rows]
+        cost, tv_grid = _vector_eval(x0, sign, [lead.reshape(dims[0])] + tail, equibound)
         value = cost + epsilon * tv_grid
         flat = int(np.argmin(value))
         if value.flat[flat] < best:
             best = value.flat[flat]
-            theta = [float(g.flat[flat]) for g in grids]
+            cell = np.unravel_index(flat, value.shape)
+            theta = [float(lead[cell[0]])] + [float(axis[i]) for i in cell[1:]]
     return theta
 
 

@@ -409,3 +409,28 @@ def test_readme_csvs_match_golden_digests(tmp_path, argv):
     assert main(list(argv) + ["--out", str(tmp_path)]) == 0
     digest = hashlib.sha256((tmp_path / f"{argv[0]}.csv").read_bytes()).hexdigest()
     assert digest == GOLDEN_CSV_SHA256[argv]
+
+
+def test_shared_parser_carries_no_state_between_calls(tmp_path, capsys):
+    # main builds its parser once per process: a rejected command line, the
+    # call after it and a call to another experiment exit and write as
+    # they do from a parser of their own
+    calls = [["truncation-rate", "--x0", "1,0", "--bogus"],
+             ["truncation-rate", "--x0", "1,0"],
+             ["fuller-synthesize", "--x0", "1,0", "--tol", "1e-10"]]
+
+    def run_all(fresh):
+        outcomes = []
+        for k, argv in enumerate(calls):
+            if fresh:
+                cli.build_parser.cache_clear()
+            out = tmp_path / f"{fresh}-{k}"
+            code = main(argv + ["--out", str(out)])
+            csv_path = out / f"{argv[0]}.csv"
+            outcomes.append((code, csv_path.read_bytes() if csv_path.exists() else None))
+        return outcomes
+
+    alone = run_all(fresh=True)
+    assert [code for code, _ in alone] == [2, 0, 0]
+    assert run_all(fresh=False) == alone
+    assert cli.build_parser() is cli.build_parser()

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -164,7 +165,8 @@ def test_certificate_is_small_at_interior_optima(synth):
                 interior += 1
                 theta = list(cand.durations[:n - 1])
                 _, grad = _objective(spec.x0, sign, 0.0, spec.equibound)(theta)
-                assert report.pg_norm == _projected_gradient_norm(theta, grad, cap)
+                assert report.pg_norm == _projected_gradient_norm(theta, grad, cap,
+                                                                  [False] * (n - 1))
                 assert report.pg_norm * cap <= 1e-5 * cand.lagrangian
     assert interior >= 10
 
@@ -393,6 +395,37 @@ def test_solver_no_worse_than_oracle(synth, n, sign):
         assert cand.value(eps) <= orc.value(eps) * (1.0 + 1e-6)
 
 
+@pytest.mark.parametrize("x0, interior_value", [
+    ((-0.1705, 0.6118), 0.0038022128959149734),
+    ((-0.8877803281232487, 1.404835155421727), 0.1986794529525422),
+])
+def test_zero_face_step_finds_collapsed_optima(synth, x0, interior_value):
+    # every start descends to an interior optimum (value `interior_value`)
+    # with a first arc of about 0.004; the oracle's optimum drops that arc,
+    # which lowers the TV from 6 to 4, a face the descent never lands on
+    eps = 1e-4
+    spec = ProblemSpec(x0=x0)
+    orc = brute_force_oracle(3, 1.0, eps, spec, resolution=2e-3)
+    cand = optimize_durations(3, 1.0, eps, spec, synth=synth)
+    assert orc.tv == 4.0 and cand.tv == 4.0
+    assert cand.value(eps) <= orc.value(eps) * (1.0 + 1e-6)
+    assert orc.value(eps) < interior_value * (1.0 - 1e-5)
+    assert cand.report.pg_norm * 3.0 * min_time_to_origin(x0) <= 1e-5 * cand.lagrangian
+
+
+@pytest.mark.parametrize("sign", [-1.0, 1.0])
+def test_oracle_memory_stays_blocked(sign):
+    # a dense grid of the 251k cells would need 2 MB per float array
+    for x0 in ((1.0, 0.0), (-0.3, 0.8), (0.2, -1.1)):
+        tracemalloc.start()
+        try:
+            brute_force_oracle(3, sign, 1e-4, ProblemSpec(x0=x0), resolution=2e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3e6
+
+
 def test_oracle_rejects_many_switches(reference):
     with pytest.raises(ValueError):
         brute_force_oracle(4, -1.0, 1e-3, reference[0])
@@ -470,18 +503,25 @@ def test_grid_and_scalar_steering_share_the_rescue_band():
 
 
 @pytest.mark.parametrize("equibound", [1e3, 3.0])
-def test_blocked_oracle_grid_picks_the_full_grid_argmin(equibound):
-    # the oracle's 3-switch grid at resolution 2e-3 spans 16 row blocks; the
-    # first minimum over them is np.argmin's over the whole grid
+def test_blocked_oracle_grid_picks_the_full_grid_argmin(equibound, monkeypatch):
+    # the oracle's 3-switch grid at resolution 2e-3 spans 16 row blocks, and
+    # a 37-point axis under 256-cell blocks of 6 rows ends on a one-row
+    # block; for one and two free durations and at every epsilon, the first
+    # minimum over the blocks is np.argmin's over the whole grid
+    blocks = ((501, solver._ORACLE_BLOCK_CELLS), (37, 256))
     for x0 in ((1.0, 0.0), (-0.3, 0.8), (0.2, -1.1), (0.05, -0.3)):
-        axis = np.linspace(0.0, 3.0 * min_time_to_origin(x0), 501)
-        for sign in (-1.0, 1.0):
-            grids = np.meshgrid(axis, axis, indexing="ij")
-            cost, tv_grid = _vector_eval(x0, sign, grids, equibound)
-            value = cost + 1e-4 * tv_grid
-            flat = int(np.argmin(value))
-            theta = _grid_argmin(x0, sign, 1e-4, axis, 2, equibound)
-            if not np.isfinite(value.flat[flat]):
-                assert theta is None
-                continue
-            assert theta == [float(g.flat[flat]) for g in grids]
+        for size, block in blocks:
+            axis = np.linspace(0.0, 3.0 * min_time_to_origin(x0), size)
+            monkeypatch.setattr(solver, "_ORACLE_BLOCK_CELLS", block)
+            for n_free in (1, 2):
+                grids = np.meshgrid(*([axis] * n_free), indexing="ij")
+                for sign in (-1.0, 1.0):
+                    cost, tv_grid = _vector_eval(x0, sign, grids, equibound)
+                    for eps in (0.0, 1e-4, 1e-1):
+                        value = cost + eps * tv_grid
+                        flat = int(np.argmin(value))
+                        theta = _grid_argmin(x0, sign, eps, axis, n_free, equibound)
+                        if not np.isfinite(value.flat[flat]):
+                            assert theta is None
+                            continue
+                        assert theta == [float(g.flat[flat]) for g in grids]
