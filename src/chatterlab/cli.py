@@ -375,14 +375,26 @@ def run_tv_path(cfg: ExperimentConfig):
 
 
 def _default_eta_grid(u_star, traj_star, decades: int = 3, points: int = 9):
-    """Logarithmic cut-window grid inside the unit steering neighborhood."""
+    """Logarithmic cut-window grid inside the unit steering neighborhood.
+
+    The largest window ends at 0.9 of the time left after the last of the
+    samples t_k = t* (k + 1) / 2001, k < 2000, where the reference lies
+    outside the unit ball.  The samples are scanned backward from the last,
+    stopping at the first one outside; those on an arc whose sup norm times
+    sqrt(2) is below 1 - 1e-9 are skipped, since none of them can be.
+    """
     t_star = u_star.duration
+    arcs = traj_star.arcs
+    inside = [math.sqrt(2.0) * arc.sup_abs() < 1.0 - 1e-9 for arc in arcs]
     hi = None
-    for k in range(2000):
+    i = len(arcs) - 1
+    for k in range(1999, -1, -1):
         t = t_star * (k + 1) / 2001.0
-        x = traj_star.state_at(t)
-        if math.hypot(*x) > 1.0:
+        while i > 0 and t <= arcs[i - 1].t0 + arcs[i - 1].duration:
+            i -= 1  # arcs[i] is the first arc ending at or after t
+        if not inside[i] and math.hypot(*arcs[i].state_at(t - arcs[i].t0)) > 1.0:
             hi = t
+            break
     eta_max = 0.9 * (t_star - hi) if hi is not None else 0.9 * t_star
     return [eta_max * 10.0 ** (-decades * k / (points - 1)) for k in range(points)]
 

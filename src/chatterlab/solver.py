@@ -22,15 +22,15 @@ the switching-time gradient of Egerstedt, Wardi & Axelsson (IEEE TAC 51(1),
 active bounds of the box.  Infeasible points and the collapsed-TV jump at a
 zero face enter only through value comparisons in the line search, so at
 epsilon > 0 a zero-face step then sets each positive free duration of the
-best point to 0 in turn and descends with it pinned there.  A start the
-terminal solve rejects is made feasible by one pass of a coordinate scan
-along `_line_kernel`, whose lines fold the arcs before their coordinate
-once; each subproblem reports its projected-gradient norm as a first-order
-certificate (`DescentReport`).
+best point to 0 in turn and descends with it pinned there.  Only the starts
+the terminal solve accepts are descended from; when it accepts none, each
+start's last free duration is lifted to the least value it accepts, a
+closed form (`_lift_last`).  Each subproblem reports its projected-gradient
+norm as a first-order certificate (`DescentReport`).
 
 `brute_force_oracle` scores a numpy grid and refines by coordinate
-golden-section descent along the same lines, independent of the
-quasi-Newton solver it checks.  The grid's free durations are broadcast
+golden-section descent on `_evaluate`, independent of the quasi-Newton
+solver it checks.  The grid's free durations are broadcast
 axes, so each arc is folded once per distinct prefix, and only the cells
 the terminal solve accepts get the terminal arcs, the equibound test and
 the collapsed TV.
@@ -91,8 +91,9 @@ class DescentReport:
     """What one (count, sign) subproblem of `optimize_durations` did: the
     infinity norm of the projected gradient of the running cost at the
     returned durations (its first-order certificate; None when no start was
-    feasible), the objective evaluations, and the starts that reached a
-    feasible point."""
+    feasible), the objective evaluations (one per start, one per lifted
+    start when no start was feasible, and the descents'), and the starts
+    the terminal solve accepted, which alone are descended from."""
 
     pg_norm: float | None
     evaluations: int
@@ -180,8 +181,7 @@ def _close(state, equibound):
 def _evaluate(x0, sign: float, free, equibound: float):
     """Cost data of the candidate with the given free durations, or None when
     the terminal solve fails, a duration is negative, or the equibound is
-    violated.  Returns (lagrangian, tv, durations, residual, sup, total_t).
-    The from-scratch case of the fold `_line_kernel` probes with."""
+    violated.  Returns (lagrangian, tv, durations, residual, sup, total_t)."""
     head = _fold((x0[0], x0[1], sign, 0.0, 0.0, 0.0), free)
     end = None if head is None else _close(head, equibound)
     if end is None:
@@ -195,37 +195,6 @@ def _evaluate(x0, sign: float, free, equibound: float):
 def _value(res, epsilon: float) -> float:
     """Regularized value of _evaluate data; inf when infeasible."""
     return math.inf if res is None else res[0] + epsilon * res[1]
-
-
-def _line_kernel(spec: ProblemSpec, sign: float, epsilon: float):
-    """Line factory of the feasibility scan and the oracle's coordinate
-    descent: `line(theta, j)` returns the function t -> regularized value of
-    theta with duration j set to t, equal bit for bit to
-    `_value(_evaluate(...))` of that point.
-
-    Arcs 0..j-1 are folded once per line; a probe folds arc j and the later
-    free arcs from there, then the terminal pair.  The collapsed TV is only
-    computed when epsilon > 0 (at 0 it is priced at 0.0 either way).
-    """
-    x0, equibound = spec.x0, spec.equibound
-
-    def line(theta, j):
-        head = _fold((x0[0], x0[1], sign, 0.0, 0.0, 0.0), theta[:j])
-        if head is None:
-            return lambda t: math.inf
-        before, after = tuple(theta[:j]), tuple(theta[j + 1:])
-
-        def probe(t):
-            body = _fold(head, (t,) + after)
-            end = None if body is None else _close(body, equibound)
-            if end is None:
-                return math.inf
-            tv = _collapsed_tv(before + (t,) + after + end[1]) if epsilon > 0.0 else 0.0
-            return end[0] + epsilon * tv
-
-        return probe
-
-    return line
 
 
 def _objective(x0, sign: float, epsilon: float, equibound: float):
@@ -399,46 +368,30 @@ def _golden(fun, lo: float, hi: float, xtol: float):
     return (a, fa) if fa <= fb else (b, fb)
 
 
-def _coordinate_descent(line, theta: list, val: float, *, cap: float,
+def _coordinate_descent(value, theta: list, val: float, *, cap: float,
                         half_width: float, xtol: float, rtol: float,
                         passes: int) -> float:
     """Cyclic coordinate descent on the free durations `theta` (updated in
     place) from objective value `val`; returns the final value.  The
     oracle's local refinement, independent of the quasi-Newton descent.
 
-    Per coordinate j, `line(theta, j)` gives the objective along duration j.
-    A golden-section search of half-width `half_width` around the current
-    duration, clipped to [0, cap], replaces it when strictly better.  Passes
-    stop once one gains less than rtol * (1 + |value|).
+    `value(durations)` is the objective.  Per coordinate, a golden-section
+    search of half-width `half_width` around the current duration, clipped
+    to [0, cap], replaces it when strictly better.  Passes stop once one
+    gains less than rtol * (1 + |value|).
     """
     for _ in range(passes):
         prev = val
         for j in range(len(theta)):
             lo = max(0.0, theta[j] - half_width)
             hi = min(cap, theta[j] + half_width)
-            g_t, g_f = _golden(line(theta, j), lo, hi, xtol)
+            before, after = theta[:j], theta[j + 1:]
+            g_t, g_f = _golden(lambda t: value(before + [t] + after), lo, hi, xtol)
             if g_f < val:
                 theta[j] = g_t
                 val = g_f
         if not val < prev - rtol * (1.0 + abs(prev)):
             break
-    return val
-
-
-def _scan_pass(line, theta: list, val: float, scan, trace: list) -> float:
-    """One pass of the coordinate scan: per free duration j, the best of the
-    `scan` points along `line(theta, j)` replaces it when strictly better,
-    and its value goes to `trace`; returns the value.  This is how an
-    infeasible start is made feasible."""
-    for j in range(len(theta)):
-        along = line(theta, j)
-        improved = False
-        for t in scan:
-            f = along(t)
-            if f < val:
-                theta[j], val, improved = t, f, True
-        if improved:
-            trace.append(val)
     return val
 
 
@@ -491,6 +444,24 @@ def _build_starts(n_free: int, x0, synth: FullerSynthesis, seed: int, cap: float
     return [[float(min(max(d, 0.0), cap)) for d in s] for s in starts]
 
 
+def _lift_last(x0, sign: float, theta: list, cap: float) -> None:
+    """Raise the last free duration of `theta` (in place) to the least value
+    the terminal solve accepts, clipped to `cap`.
+
+    With u the sign of that arc and (x1, x2) the state it starts from, a
+    duration t leaves the terminal discriminant (t + u x2)^2 + c with
+    c = u x1 - x2^2 / 2, and the first terminal duration t + u x2 + its root.
+    So t is accepted for every t when c >= 0, and exactly when
+    t >= t_f = -u x2 + sqrt(-c) otherwise.  The 1e-12 relative margin keeps
+    rounding at t_f from rejecting the lifted point.
+    """
+    x1, x2, u = _fold((x0[0], x0[1], sign, 0.0, 0.0, 0.0), theta[:-1])[:3]
+    c = u * x1 - 0.5 * x2 * x2
+    if c < 0.0:
+        t_f = -u * x2 + math.sqrt(-c)
+        theta[-1] = min(max(theta[-1], t_f + 1e-12 * (1.0 + t_f)), cap)
+
+
 def optimize_durations(n_switches: int, sign: float, epsilon: float,
                        spec: ProblemSpec, *, synth: FullerSynthesis | None = None,
                        seed: int = 0, extra_starts=(),
@@ -498,20 +469,23 @@ def optimize_durations(n_switches: int, sign: float, epsilon: float,
     """Best alternating bang-bang candidate with the given switch count and
     initial sign, by multistart projected BFGS on the free durations with the
     exact switching-time gradient; the terminal two durations are eliminated
-    exactly at every evaluation.  A start the terminal solve rejects is first
-    made feasible by one coordinate scan pass.  At epsilon > 0 a zero-face
-    step follows: from the best point with one positive free duration set
-    to 0, a descent with that duration pinned there replaces the best point
-    when strictly lower, once per such duration.
+    exactly at every evaluation.  Every start is evaluated once, and only
+    those the terminal solve accepts are descended from.  When it accepts
+    none, each start's last free duration is lifted to the least value it
+    accepts (`_lift_last`) and the lifted starts take their place.  At
+    epsilon > 0 a zero-face step follows: from the best point with one
+    positive free duration set to 0, a descent with that duration pinned
+    there replaces the best point when strictly lower, once per such
+    duration.
 
     The candidate's `report` holds the projected-gradient norm at its
     durations (a pinned zero counts as an active bound), the objective
-    evaluations, the zero-face step's included, and the feasible starts.
-    Passing a list as `trace` records, per start, the objective after every
-    accepted improvement (one weakly decreasing sublist per feasible start;
-    the zero-face descents are not starts and are not recorded).  Raises
-    AllStartsInfeasible, carrying its evaluation count, when no start yields
-    a feasible candidate.
+    evaluations (starts, lifted starts, descents and the zero-face step)
+    and the feasible starts.  Passing a list as `trace` records, per
+    feasible start, the objective after every accepted improvement (one
+    weakly decreasing sublist each; the zero-face descents are not starts
+    and are not recorded).  Raises AllStartsInfeasible, carrying its
+    evaluation count, when no start yields a feasible candidate.
     """
     if n_switches < 1:
         raise ValueError("need at least one switch")
@@ -535,8 +509,6 @@ def optimize_durations(n_switches: int, sign: float, epsilon: float,
         return _candidate(sign, res, DescentReport(0.0, 1, 1))
 
     objective = _objective(x0, sign, epsilon, spec.equibound)
-    line = _line_kernel(spec, sign, epsilon)
-    scan = [cap * k / 16.0 for k in range(17)]
     evaluations = feasible = 0
     best_val, best_theta, best_grad = math.inf, None, None
 
@@ -545,17 +517,16 @@ def optimize_durations(n_switches: int, sign: float, epsilon: float,
         evaluations += 1
         return objective(theta)
 
-    for theta in _build_starts(n_free, x0, synth, seed, cap, extra_starts):
-        val, grad = counted(theta)
-        run_trace = []
+    starts = _build_starts(n_free, x0, synth, seed, cap, extra_starts)
+    runs = [(theta, *counted(theta)) for theta in starts]
+    if all(grad is None for _, _, grad in runs):
+        for theta in starts:
+            _lift_last(x0, sign, theta, cap)
+        runs = [(theta, *counted(theta)) for theta in starts]
+    for theta, val, grad in runs:
         if grad is None:
-            val = _scan_pass(line, theta, val, scan, run_trace)
-            evaluations += n_free * len(scan)
-            if val == math.inf:
-                continue
-            val, grad = counted(theta)
-        else:
-            run_trace.append(val)
+            continue
+        run_trace = [val]
         val, grad = _projected_bfgs(counted, theta, val, grad, cap, run_trace,
                                     [False] * n_free)
         feasible += 1
@@ -690,9 +661,10 @@ def brute_force_oracle(n_switches: int, sign: float, epsilon: float,
         raise AllStartsInfeasible(f"no feasible grid cell for sign {sign:+.0f}")
     # local refinement around the best cell: coordinate golden sections,
     # iterated to convergence inside the one-cell trust region
-    _coordinate_descent(_line_kernel(spec, sign, epsilon), theta,
-                        _value(_evaluate(x0, sign, theta, spec.equibound), epsilon),
-                        cap=cap, half_width=cap / cells,
+    def value(free):
+        return _value(_evaluate(x0, sign, free, spec.equibound), epsilon)
+
+    _coordinate_descent(value, theta, value(theta), cap=cap, half_width=cap / cells,
                         xtol=1e-12 * (1.0 + cap), rtol=1e-15, passes=8)
     res = _evaluate(x0, sign, theta, spec.equibound)
     if res is None:

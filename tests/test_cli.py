@@ -3,11 +3,14 @@ import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
 
 from chatterlab import cli
 from chatterlab.cli import main, parse_grid
+from chatterlab.controls import ProblemSpec, simulate
 from chatterlab.errors import ConfigError
+from chatterlab.fuller import default_synthesis, synthesize_chattering
 from chatterlab.hybrid import GEOMETRIC_FIT_TOL, HybridLagrangian, detect_zeno
 
 
@@ -130,6 +133,30 @@ def test_truncation_rate_defaults(tmp_path):
     assert res["fitted_exponent"] >= 0.4
     assert res["tail_tv_budget_ok"]
     assert all(res["monotone"].values())
+
+
+def test_default_eta_grid_equals_the_forward_sample_scan():
+    # the backward scan that skips arcs inside the ball returns the floats
+    # of sampling all 2000 points forward and keeping the last one outside
+    def forward(u_star, traj_star, decades=3, points=9):
+        t_star = u_star.duration
+        hi = None
+        for k in range(2000):
+            t = t_star * (k + 1) / 2001.0
+            if math.hypot(*traj_star.state_at(t)) > 1.0:
+                hi = t
+        eta_max = 0.9 * (t_star - hi) if hi is not None else 0.9 * t_star
+        return [eta_max * 10.0 ** (-decades * k / (points - 1)) for k in range(points)]
+
+    synth = default_synthesis()
+    rng = np.random.default_rng(8)
+    states = [(1.0, 0.0), (0.3, -0.2), (40.0, -3.0)]
+    states += [tuple(float(v) for v in r * rng.uniform(-1.0, 1.0, 2))
+               for r in (0.8, 2.0, 6.0) for _ in range(15)]
+    for x0 in states:
+        u_star, _ = synthesize_chattering(x0, synth)
+        traj_star = simulate(ProblemSpec(x0=x0, equibound=1e6), u_star)
+        assert cli._default_eta_grid(u_star, traj_star) == forward(u_star, traj_star)
 
 
 def test_truncation_rate_from_a_far_state_measures_its_gaps(tmp_path):

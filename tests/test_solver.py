@@ -5,16 +5,18 @@ import numpy as np
 import pytest
 
 from chatterlab import solver
-from chatterlab.controls import ProblemSpec, simulate, tv
+from chatterlab.controls import ProblemSpec, di_arc, simulate, tv
 from chatterlab.errors import AllStartsInfeasible
+from chatterlab.fuller import optimal_cost
 from chatterlab.solver import (
     BangBangCandidate,
     PathPoint,
     SolutionPath,
     _better,
+    _build_starts,
     _evaluate,
     _grid_argmin,
-    _line_kernel,
+    _lift_last,
     _objective,
     _projected_gradient_norm,
     _value,
@@ -201,6 +203,27 @@ def test_cost_approaches_optimum_from_above(reference, synth):
     assert prev - j_star <= 1e-10
 
 
+@pytest.mark.parametrize("x0", [(1.0, 0.0), (0.2, -1.1), (0.7, 0.4), (-1.2, -0.5)])
+def test_gap_falls_by_rho_to_the_fifth_per_switch(x0, synth):
+    # the paper's decay of the error as the total variation grows: Fuller's
+    # self-similarity shrinks each arc by rho, so one more switch divides
+    # J_n - J* by rho^5; from n = 5 on the gaps reach the rounding of J
+    spec = ProblemSpec(x0=x0)
+    j_star = optimal_cost(x0, synth)
+    gap = {}
+    for n in (2, 3, 4):
+        best = math.inf
+        for sign in (-1.0, 1.0):
+            try:
+                cand = optimize_durations(n, sign, 0.0, spec, synth=synth)
+            except AllStartsInfeasible:
+                continue
+            best = min(best, cand.lagrangian)
+        gap[n] = best - j_star
+    for n in (2, 3):
+        assert gap[n + 1] / gap[n] == pytest.approx(synth.rho ** 5, rel=1e-2)
+
+
 def test_candidates_satisfy_terminal_and_equibound(reference, synth):
     spec = reference[0]
     for n in (1, 2, 4):
@@ -218,6 +241,63 @@ def test_all_starts_infeasible_under_tight_equibound(synth):
         optimize_durations(2, -1.0, 1e-3, spec, synth=synth)
     with pytest.raises(AllStartsInfeasible):
         solve_regularized(1e-3, spec, synth=synth)
+
+
+#: two-switch subproblems at epsilon = 1e-4 where the terminal solve rejects
+#: every start, with the value that a coordinate scan of the starts followed
+#: by the same descent reached
+NO_FEASIBLE_START = [
+    ((-0.22056431756610595, 0.6650629100327307), -1.0, 0.006847928397002653),
+    ((1.188638726591423, -1.5440770057864557), 1.0, 0.43503624935047236),
+    ((0.3183199959655618, -0.7979598387621166), 1.0, 0.016567691526458435),
+    ((-0.5728894831772093, 1.0706406516104583), -1.0, 0.07063712084525968),
+]
+
+
+@pytest.mark.parametrize("x0,sign,want", NO_FEASIBLE_START)
+def test_lifted_starts_solve_when_no_start_is_feasible(x0, sign, want, synth):
+    spec = ProblemSpec(x0=x0)
+    cap = solver.DURATION_CAP_FACTOR * min_time_to_origin(x0)
+    starts = _build_starts(1, x0, synth, 0, cap, ())
+    assert all(_evaluate(x0, sign, theta, spec.equibound) is None for theta in starts)
+    cand = optimize_durations(2, sign, 1e-4, spec, synth=synth)
+    assert cand.terminal_residual <= 1e-9
+    assert cand.report.feasible_starts >= 1
+    assert cand.value(1e-4) == pytest.approx(want, rel=1e-12)
+
+
+def test_terminal_solve_accepts_a_last_arc_exactly_from_t_f():
+    # after an arc of sign u and length t from (x1, x2), the terminal
+    # discriminant is (t + u x2)^2 + c, c = u x1 - x2^2 / 2: every t is
+    # accepted when c >= 0, else exactly t >= t_f = -u x2 + sqrt(-c)
+    rng = np.random.default_rng(43)
+    lifted = boundary = 0
+    for _ in range(300):
+        x1, x2 = (float(v) for v in rng.uniform(-2.0, 2.0, 2))
+        u = float(rng.choice([-1.0, 1.0]))
+        c = u * x1 - 0.5 * x2 * x2
+        t_f = -u * x2 + math.sqrt(-c) if c < 0.0 else -math.inf
+        probes = list(rng.uniform(0.0, 4.0, 8))
+        if t_f > 0.0:
+            probes += [t_f + k * h for k in (-1.0, 1.0) for h in (1e-3, 1e-6, 1e-8)]
+        for t in probes:
+            if t < 0.0 or abs(t - t_f) < 1e-9:
+                continue
+            e1, e2, _, _ = di_arc(x1, x2, u, t)
+            assert (steer_durations((e1, e2), -u) is not None) == (t >= t_f)
+            boundary += abs(t - t_f) < 1e-5
+        # the lift from a shorter arc lands on the accepted side, within 1e-9
+        cap = 4.0 + abs(t_f)
+        theta = [0.0]
+        _lift_last((x1, x2), u, theta, cap)
+        if t_f > 0.0:
+            assert t_f < theta[0] <= t_f + 1e-9 * (1.0 + t_f)
+            e1, e2, _, _ = di_arc(x1, x2, u, theta[0])
+            assert steer_durations((e1, e2), -u) is not None
+            lifted += 1
+        else:
+            assert theta == [0.0]
+    assert lifted >= 50 and boundary >= 100
 
 
 # ---------------------------------------------------------------------------
@@ -454,36 +534,6 @@ def test_grid_evaluator_matches_scalar_cell_by_cell(equibound):
                     assert tv_grid[idx] == res[1]
                     cand = BangBangCandidate(sign, res[2], res[0], res[1], res[3])
                     assert tv(cand.control()) == res[1]
-
-
-@pytest.mark.parametrize("epsilon", [0.0, 1e-4])
-@pytest.mark.parametrize("equibound", [1e3, 3.0, 1.2])
-def test_line_kernel_matches_evaluate_bit_for_bit(epsilon, equibound):
-    # every probe of every coordinate line equals the from-scratch value of
-    # the probed point; infeasible and over-equibound probes are inf on
-    # both sides
-    rng = np.random.default_rng(23)
-    probes = finite = 0
-    for x0 in ((1.0, 0.0), (-0.3, 0.8), (0.2, -1.1), (0.05, -0.3)):
-        spec = ProblemSpec(x0=x0, equibound=equibound)
-        for sign in (-1.0, 1.0):
-            line = _line_kernel(spec, sign, epsilon)
-            for n_free in range(1, 6):
-                for _ in range(3):
-                    theta = [float(v) for v in rng.uniform(0.0, 1.5, n_free)]
-                    for k in rng.choice(n_free, size=n_free // 2, replace=False):
-                        theta[k] = 0.0  # zero-length arcs collapse the TV
-                    for j in range(n_free):
-                        along = line(theta, j)
-                        for t in [0.0, -0.5, theta[j], *rng.uniform(0.0, 3.0, 4)]:
-                            probe = list(theta)
-                            probe[j] = float(t)
-                            want = _value(_evaluate(x0, sign, probe, equibound),
-                                          epsilon)
-                            assert along(float(t)) == want
-                            probes += 1
-                            finite += math.isfinite(want)
-    assert 0 < finite < probes
 
 
 def test_grid_and_scalar_steering_share_the_rescue_band():
