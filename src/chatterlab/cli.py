@@ -18,7 +18,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable
 
@@ -336,13 +336,19 @@ def run_fuller_synthesize(cfg: ExperimentConfig):
     return records, manifest
 
 
-def _subproblem_reports(path) -> list:
-    """Manifest entries of a path's (count, sign) subproblems: the
-    projected-gradient norm at the returned durations (first-order
-    certificate), the objective evaluations and the feasible starts."""
-    return [{"n_switches": n, "sign": sign, "pg_norm": r.pg_norm,
+def _sweep_report(path) -> dict:
+    """Manifest entries of a path's (count, sign) subproblems, each with its
+    running cost J_n (None when infeasible), the projected-gradient norm at
+    the returned durations (first-order certificate), the objective
+    evaluations and the feasible starts; and where the count sweep stopped
+    and why."""
+    return {
+        "subproblems": [
+            {"n_switches": n, "sign": sign, "lagrangian": lag, "pg_norm": r.pg_norm,
              "evaluations": r.evaluations, "feasible_starts": r.feasible_starts}
-            for n, sign, r in path.subproblems]
+            for n, sign, lag, r in path.subproblems],
+        "sweep_stop": asdict(path.stop),
+    }
 
 
 def run_tv_path(cfg: ExperimentConfig):
@@ -369,7 +375,7 @@ def run_tv_path(cfg: ExperimentConfig):
              "lagrangian": p.lagrangian, "tv": p.tv, "value": p.value}
             for p in path.records
         ],
-        "subproblems": _subproblem_reports(path),
+        **_sweep_report(path),
     }
     return records, manifest
 
@@ -436,7 +442,7 @@ def run_corollary_check(cfg: ExperimentConfig):
         "m_hat": check.m_hat,
         "bound_holds_everywhere": check.holds,
         "holder_exponent": HOLDER_EXPONENT,
-        "subproblems": _subproblem_reports(path),
+        **_sweep_report(path),
     }
     return records, manifest
 

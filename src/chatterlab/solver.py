@@ -5,7 +5,11 @@ duration per arc.  The last two durations are always eliminated exactly
 through the terminal constraint, so only the leading durations are free.
 Each extra switch adds 2 to the total variation, which prices it at
 2 * epsilon in the regularized objective; the solver sweeps the switch
-count and keeps the cheapest feasible candidate.
+count and keeps the cheapest feasible candidate.  No admissible control
+costs less than J_floor, the running cost of the synthesized chattering
+optimum before its closing two-arc tail, so the sweep stops at the first
+count where some solved count is within 2 * epsilon of J_floor at the
+smallest epsilon: no higher count can win.
 
 For fixed arc count the duration optimum does not depend on epsilon (the
 penalty is an additive constant), so one table of (count, sign) optima
@@ -44,7 +48,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .controls import PiecewiseConstantControl, ProblemSpec, di_arc, di_arc_cost_grad
+from .controls import (PiecewiseConstantControl, ProblemSpec, di_arc, di_arc_cost_grad,
+                       simulate)
 from .errors import AllStartsInfeasible
 from .fuller import FullerSynthesis, default_synthesis, synthesize_chattering
 from .truncation import min_time_to_origin, steer_durations, steer_floor
@@ -79,11 +84,20 @@ def _collapsed_tv(durations):
     return acc
 
 
+def _tie_band(value: float) -> float:
+    """Values closer than this to `value` are ties: 1e-12 relative, and
+    1e-12 absolute below 1, so the band scales with the problem's values."""
+    return 1e-12 * max(1.0, abs(value))
+
+
 def _better(value: float, n: int, best) -> bool:
     """Selection order of (value, switch count, ...) entries: a lower value
-    by more than 1e-12 wins, and within 1e-12 the lower switch count."""
-    return best is None or value < best[0] - 1e-12 \
-        or (abs(value - best[0]) <= 1e-12 and n < best[1])
+    by more than the tie band of best's value wins, and within it the lower
+    switch count."""
+    if best is None:
+        return True
+    band = _tie_band(best[0])
+    return value < best[0] - band or (abs(value - best[0]) <= band and n < best[1])
 
 
 @dataclass(frozen=True)
@@ -400,13 +414,25 @@ def _candidate(sign: float, res, report=None) -> BangBangCandidate:
 
 
 @lru_cache(maxsize=16)
-def _chattering_durations(x0: tuple, synth: FullerSynthesis) -> tuple:
-    """Arc durations of the chattering control synthesized from x0; every
-    (count, sign) subproblem of one state seeds a start with them, so a
-    path synthesizes once."""
+def _chattering_reference(x0: tuple, synth: FullerSynthesis) -> tuple:
+    """(arc durations, J_floor) of the chattering control synthesized from
+    x0.  Every (count, sign) subproblem of one state seeds a start with the
+    durations, and a path bounds its sweep with J_floor, so a path
+    synthesizes once.
+
+    J_floor is the running cost of the arcs before the two-arc tail that
+    closes the control inside the truncation radius.  They follow the
+    optimal feedback and the optimal cost-to-go is nonnegative, so no
+    admissible control costs less.  At the default radius the tail costs
+    far less than one ulp of J* (3e-42 from (1, 0)), so J_floor is the
+    reference's J*; a radius comparable to |x0| leaves J_floor well below
+    J* and the sweep longer.  The reference is simulated without the
+    equibound, which far states' references exceed."""
     control, _ = synthesize_chattering(x0, synth)
     bp = control.breakpoints
-    return tuple(bp[i + 1] - bp[i] for i in range(control.n_arcs))
+    arcs = simulate(ProblemSpec(x0, equibound=math.inf), control).arcs
+    return (tuple(bp[i + 1] - bp[i] for i in range(control.n_arcs)),
+            sum((arc.cost_x1sq() for arc in arcs[:-2]), 0.0))
 
 
 def _build_starts(n_free: int, x0, synth: FullerSynthesis, seed: int, cap: float,
@@ -416,7 +442,7 @@ def _build_starts(n_free: int, x0, synth: FullerSynthesis, seed: int, cap: float
     (vanishing first arc, then the prefix), and seeded jitters."""
     t_min = min_time_to_origin(x0)
     rho = synth.rho
-    fuller = list(_chattering_durations(tuple(x0), synth))
+    fuller = list(_chattering_reference(tuple(x0), synth)[0])
 
     def geometric(first):
         return [first * rho ** k for k in range(n_free)]
@@ -683,31 +709,50 @@ class PathPoint:
 
 
 @dataclass(frozen=True)
+class SweepStop:
+    """Where a path's switch-count sweep stopped and why: the last count it
+    solved, the lower bound J_floor on every admissible cost
+    (`_chattering_reference`), the least J_k - J_floor over the counts it
+    solved, 2 * epsilon_min, and `reason`, "j_star_bound" when that gap
+    fell below 2 * epsilon_min (within 1e-13 * max(1, |J_floor|)) or
+    "max_switches" when the sweep reached MAX_SWITCHES first."""
+
+    n_switches: int
+    j_floor: float
+    min_gap: float
+    two_eps_min: float
+    reason: str
+
+
+@dataclass(frozen=True)
 class SolutionPath:
     """Per-epsilon solutions of the regularized problem, largest epsilon
     first.  The value function is a pointwise minimum of affine functions of
     epsilon, hence concave and nondecreasing.  `subproblems` holds the
-    (count, sign, DescentReport) of every subproblem the path solved, in
-    the order it solved them."""
+    (count, sign, running cost or None when infeasible, DescentReport) of
+    every subproblem the path solved, in the order it solved them, and
+    `stop` the sweep's end."""
 
     records: tuple[PathPoint, ...]
     subproblems: tuple = ()
+    stop: SweepStop | None = None
 
     def laws(self, tol: float = 1e-9) -> dict:
         """Monotonicity and concavity checks along the path (epsilon
         ascending): value nondecreasing, total variation nonincreasing,
         running cost nondecreasing, and the value concave as the lower
         envelope of the points' lines, value_i <= L_j + eps_i * TV_j for all
-        i, j within the selection's 1e-12 tie slack (divided differences of
-        the values read rounding at small epsilon as a breach)."""
+        i, j within the selection's tie band (divided differences of the
+        values read rounding at small epsilon as a breach)."""
         recs = sorted(self.records, key=lambda r: r.epsilon)
         val = [r.value for r in recs]
         tvs = [r.tv for r in recs]
         jls = [r.lagrangian for r in recs]
         return {
             "value_nondecreasing": all(b >= a - tol for a, b in zip(val, val[1:])),
-            "value_concave": all(a.value <= b.lagrangian + a.epsilon * b.tv + 1e-12
-                                 for a in recs for b in recs),
+            "value_concave": all(
+                a.value <= b.lagrangian + a.epsilon * b.tv + _tie_band(a.value)
+                for a in recs for b in recs),
             "tv_nonincreasing": all(b <= a + tol for a, b in zip(tvs, tvs[1:])),
             "lagrangian_nondecreasing": all(b >= a - tol for a, b in zip(jls, jls[1:])),
         }
@@ -722,13 +767,17 @@ def regularization_path(epsilons, spec: ProblemSpec, *, seed: int = 0,
     (count, sign) subproblem minimizes the running cost alone, once, warm
     started from the previous count's optimum of its sign; collapsed-switch
     candidates are already represented by lower counts.  The counts are
-    swept upward once; the sweep stops when, for two consecutive counts,
-    adding two more switches buys less running cost than the 4 * epsilon
-    they charge at the smallest epsilon.  Wherever that test holds at the
-    smallest epsilon it holds at every larger one, so no point would sweep
-    further on its own.  Each point is then the cheapest entry of the one
-    table, ties going to the lower switch count, so the exchange
-    inequalities hold to roundoff.
+    swept upward once, and the sweep stops after count n once some solved
+    count k <= n has J_k - J_floor < 2 * epsilon_min, J_floor the running
+    cost of the synthesized chattering optimum before its closing two-arc
+    tail (J* to rounding at the default truncation radius).  No admissible
+    control costs less than J_floor, so a count m > n that keeps its arcs
+    has value at least J_floor + 2 (n + 1) epsilon, above count k's at every
+    epsilon of the grid; a candidate whose arcs collapse is a lower count.
+    The stop's rounding slack, 1e-13 * max(1, |J_floor|), is below the tie
+    band.  Each point is then the cheapest entry of the one table, ties
+    going to the lower switch count, so the exchange inequalities hold to
+    roundoff.
     """
     eps = [float(e) for e in epsilons]
     if not eps:
@@ -738,44 +787,37 @@ def regularization_path(epsilons, spec: ProblemSpec, *, seed: int = 0,
     if any(b >= a for a, b in zip(eps, eps[1:])):
         raise ValueError("epsilons must be sorted descending")
     synth = synth or default_synthesis()
+    j_floor = _chattering_reference(spec.x0, synth)[1]
+    two_eps_min = 2.0 * eps[-1]
+    slack = 1e-13 * max(1.0, abs(j_floor))
     table = []  # (count, candidate), count ascending, sign -1 before +1
-    reports = []  # (count, sign, DescentReport) of every subproblem
-    best_jl = {}
-    streak = 0
-    infeasible_streak = 0
+    reports = []  # (count, sign, running cost or None, DescentReport)
+    min_gap = math.inf
     warm: dict[float, tuple] = {}
     for n in range(1, MAX_SWITCHES + 1):
-        jl_n = math.inf
         for sign in (-1.0, 1.0):
             extra = (warm[sign],) if sign in warm else ()
             try:
                 cand = optimize_durations(n, sign, 0.0, spec, synth=synth, seed=seed,
                                           extra_starts=extra)
             except AllStartsInfeasible as exc:
-                reports.append((n, sign, DescentReport(None, exc.evaluations, 0)))
+                reports.append((n, sign, None, DescentReport(None, exc.evaluations, 0)))
                 continue
-            reports.append((n, sign, cand.report))
+            reports.append((n, sign, cand.lagrangian, cand.report))
             warm[sign] = cand.durations
-            jl_n = min(jl_n, cand.lagrangian)
+            min_gap = min(min_gap, cand.lagrangian - j_floor)
             table.append((n, cand))
-        if math.isfinite(jl_n):
-            best_jl[n] = jl_n
-            infeasible_streak = 0
-        elif not table:
-            # nothing feasible yet and this count failed too; a few such
-            # counts in a row means the problem itself is inadmissible
-            infeasible_streak += 1
-            if infeasible_streak >= 3:
-                break
-        if n >= 3 and n in best_jl and (n - 2) in best_jl:
-            if best_jl[n - 2] - best_jl[n] < 4.0 * eps[-1]:
-                streak += 1
-            else:
-                streak = 0
-            if streak >= 2:
-                break
-    if not table:
-        raise AllStartsInfeasible("no feasible candidate for any switch count")
+        if not table:
+            # no feasible candidate at counts 1-3: the problem itself is
+            # inadmissible
+            if n >= 3:
+                raise AllStartsInfeasible(
+                    f"no feasible candidate for switch counts 1-{n}")
+        elif min_gap < two_eps_min + slack:
+            stop = SweepStop(n, j_floor, min_gap, two_eps_min, "j_star_bound")
+            break
+    else:
+        stop = SweepStop(MAX_SWITCHES, j_floor, min_gap, two_eps_min, "max_switches")
     points = []
     for e in eps:
         best = None
@@ -786,7 +828,7 @@ def regularization_path(epsilons, spec: ProblemSpec, *, seed: int = 0,
         value, n, cand = best
         points.append(PathPoint(epsilon=e, n_switches=n, lagrangian=cand.lagrangian,
                                 tv=cand.tv, value=value, candidate=cand))
-    return SolutionPath(tuple(points), tuple(reports))
+    return SolutionPath(tuple(points), tuple(reports), stop)
 
 
 def solve_regularized(epsilon: float, spec: ProblemSpec, *, seed: int = 0,

@@ -141,3 +141,37 @@ def test_fuzzed_inputs_end_in_documented_exits(tmp_path, capsys):
         assert code == 0 or 2 <= code <= 7, (args, config, code, err)
         assert len(lines) == 1 and "Traceback" not in err, (args, config, err)
         assert lines[0].startswith("wrote " if code == 0 else "error: "), (args, err)
+
+
+def test_path_manifests_say_where_the_sweep_stopped(tmp_path):
+    # every tv-path and corollary-check case that succeeds lists J_n per
+    # subproblem (None where no start was feasible) and the sweep's stop:
+    # its last count, the lower bound J_floor <= J*, the least J_n - J_floor,
+    # and why the sweep ended there
+    ran = 0
+    for k, (argv, config) in enumerate(CASE_LIST):
+        if argv[0] not in ("tv-path", "corollary-check"):
+            continue
+        args = list(argv)
+        if config:
+            path = tmp_path / f"cfg{k}.json"
+            path.write_text(json.dumps(config))
+            args += ["--config", str(path)]
+        out = tmp_path / f"out{k}"
+        if main(args + ["--out", str(out)]) != 0:
+            continue
+        results = json.loads((out / f"{argv[0]}-manifest.json").read_text())["results"]
+        entries, stop = results["subproblems"], results["sweep_stop"]
+        j_floor = stop["j_floor"]
+        assert all((e["lagrangian"] is None) == (e["feasible_starts"] == 0)
+                   for e in entries), args
+        assert stop["n_switches"] == entries[-1]["n_switches"], args
+        assert j_floor <= results["j_star"], args
+        assert stop["min_gap"] == min(e["lagrangian"] - j_floor for e in entries
+                                      if e["lagrangian"] is not None), args
+        if stop["reason"] == "j_star_bound":
+            assert stop["min_gap"] < stop["two_eps_min"] + 1e-13 * max(1.0, abs(j_floor))
+        else:
+            assert stop["reason"] == "max_switches" and stop["n_switches"] == 40, args
+        ran += 1
+    assert ran >= 10

@@ -36,9 +36,9 @@ def _negated(x, eps):
     return (-x[0], -x[1]), eps, 1.0
 
 
-def _scaled(x, eps):
+def _scaled(x, eps, lam=LAM):
     """(state, penalty weight, cost factor) after the lam-scaling."""
-    return (LAM ** 2 * x[0], LAM * x[1]), LAM ** 5 * eps, LAM ** 5
+    return (lam ** 2 * x[0], lam * x[1]), lam ** 5 * eps, lam ** 5
 
 
 @pytest.mark.parametrize("transform", [_negated, _scaled])
@@ -57,6 +57,23 @@ def test_regularized_value_identities(synth, transform):
     ladder_t = [transform(x, eps)[1] for eps in LADDER]
     base = regularization_path(LADDER, ProblemSpec(x0=x), synth=synth)
     moved = regularization_path(ladder_t, ProblemSpec(x0=x_t), synth=synth)
+    for a, b in zip(base.records, moved.records):
+        assert b.n_switches == a.n_switches
+        value = factor * a.value
+        assert abs(b.value - value) <= REL * value
+
+
+def test_regularized_value_identity_where_values_are_large(synth):
+    # lam = 30 multiplies every value by 2.43e7, where one ulp is far above
+    # an absolute 1e-12: the selection's tie band, the concavity law and the
+    # sweep's stop scale with the values, so the counts still match
+    lam = 30.0
+    (x,) = _states(1)
+    x_t, _, factor = _scaled(x, EPS, lam)
+    base = regularization_path(LADDER, ProblemSpec(x0=x), synth=synth)
+    moved = regularization_path([_scaled(x, eps, lam)[1] for eps in LADDER],
+                                ProblemSpec(x0=x_t, equibound=math.inf), synth=synth)
+    assert all(moved.laws().values())
     for a, b in zip(base.records, moved.records):
         assert b.n_switches == a.n_switches
         value = factor * a.value

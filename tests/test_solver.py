@@ -7,7 +7,7 @@ import pytest
 from chatterlab import solver
 from chatterlab.controls import ProblemSpec, di_arc, simulate, tv
 from chatterlab.errors import AllStartsInfeasible
-from chatterlab.fuller import optimal_cost
+from chatterlab.fuller import default_synthesis, optimal_cost
 from chatterlab.solver import (
     BangBangCandidate,
     PathPoint,
@@ -19,6 +19,7 @@ from chatterlab.solver import (
     _lift_last,
     _objective,
     _projected_gradient_norm,
+    _tie_band,
     _value,
     _vector_eval,
     brute_force_oracle,
@@ -330,8 +331,9 @@ def test_path_synthesizes_the_chattering_reference_once(monkeypatch, synth):
         original = getattr(solver, name)
         monkeypatch.setattr(solver, name, lambda *a, _f=original, _c=calls, **kw:
                             _c.append(a) or _f(*a, **kw))
-    solver._chattering_durations.cache_clear()
-    regularization_path([1e-1, 1e-2, 1e-3], ProblemSpec(x0=(0.3, -0.7)), synth=synth)
+    solver._chattering_reference.cache_clear()
+    regularization_path([10.0 ** -k for k in range(1, 9)], ProblemSpec(x0=(0.3, -0.7)),
+                        synth=synth)
     assert len([a for a in seeded if a[0] > 1]) > 2 and len(synthesized) == 1
 
 
@@ -350,6 +352,83 @@ def test_path_sweeps_each_subproblem_of_its_smallest_epsilon_once(monkeypatch, s
     assert path_calls == calls
     assert sorted(path_calls) == [(n, s) for n in range(1, path_calls[-1][0] + 1)
                                   for s in (-1.0, 1.0)]
+
+
+#: the bench ladder, 1e-1 down to 1e-8
+LADDER_8 = [10.0 ** -k for k in range(1, 9)]
+
+#: path values from (1e4, 0) under equibound 1e9 on LADDER_8 of a sweep
+#: that ran on to count 13; J is about 7.6e9 there, so epsilon <= 1e-6 is
+#: below one ulp of it and the counts it picked above 5 were rounding
+FAR_VALUES = (7640175478.071579, 7640175477.351579, 7640175477.266344,
+              7640175477.257344, 7640175477.256444, 7640175477.256344,
+              7640175477.256331, 7640175477.25633)
+
+
+def test_no_count_past_the_stop_beats_the_path(synth):
+    # the sweep stops once a solved count is within 2 eps_min of J_floor (J*
+    # at the default radius); every count above costs at least
+    # J_floor + 2 (n + 1) eps, so the next two counts,
+    # solved directly at eps = 0 and at eps_min, beat no point of the path
+    # by more than the tie band
+    rng = np.random.default_rng(14)
+    checked = 0
+    for _ in range(8):
+        radius, angle = rng.uniform(0.5, 2.0), rng.uniform(0.0, 2.0 * math.pi)
+        spec = ProblemSpec(x0=(radius * math.cos(angle), radius * math.sin(angle)))
+        path = regularization_path(LADDER_8, spec, synth=synth)
+        stop = path.stop
+        assert stop.reason == "j_star_bound" and stop.two_eps_min == 2.0 * LADDER_8[-1]
+        assert stop.n_switches == path.subproblems[-1][0]
+        assert stop.min_gap < stop.two_eps_min
+        for n in (stop.n_switches + 1, stop.n_switches + 2):
+            for sign in (-1.0, 1.0):
+                for weight in (0.0, LADDER_8[-1]):
+                    try:
+                        cand = optimize_durations(n, sign, weight, spec, synth=synth)
+                    except AllStartsInfeasible:
+                        continue
+                    checked += 1
+                    for point in path.records:
+                        assert cand.value(point.epsilon) >= \
+                            point.value - _tie_band(point.value)
+    assert checked >= 48
+
+
+def test_far_state_sweep_stops_on_j_star(synth):
+    # at J = 7.6e9 the stop's slack and the tie band scale with J: the
+    # sweep ends by count 6 and keeps every value to 1e-14 relative
+    path = regularization_path(LADDER_8, ProblemSpec(x0=(1e4, 0.0), equibound=1e9),
+                               synth=synth)
+    assert path.stop.reason == "j_star_bound" and path.stop.n_switches <= 6
+    assert path.subproblems[-1][0] <= 6
+    for point, want in zip(path.records, FAR_VALUES):
+        assert abs(point.value - want) <= 1e-14 * want
+    assert all(path.laws().values())
+
+
+def test_coarse_truncation_radius_keeps_the_stop_sound(synth):
+    # with a truncation radius above |x0| the whole reference is its two-arc
+    # tail, which costs more than the 3-switch optimum: only the cost before
+    # the tail (here none) bounds every admissible cost, so the sweep runs
+    # to MAX_SWITCHES and still finds the fine reference's counts
+    spec = ProblemSpec(x0=(1.0, 0.0))
+    coarse = regularization_path(LADDER_8, spec, synth=default_synthesis(3.0))
+    fine = regularization_path(LADDER_8, spec, synth=synth)
+    assert coarse.stop.j_floor == 0.0 and coarse.stop.reason == "max_switches"
+    assert fine.stop.j_floor == pytest.approx(optimal_cost((1.0, 0.0), synth), rel=1e-15)
+    for a, b in zip(coarse.records, fine.records):
+        assert a.n_switches == b.n_switches
+        assert abs(a.value - b.value) <= 1e-12 * b.value
+
+
+def test_tie_band_scales_with_the_value():
+    # one ulp of 7.6e9 is 9.5e-7, so an absolute 1e-12 band would be none
+    best = (7.6e9, 5, None)
+    assert _tie_band(7.6e9) == 7.6e-3 and _tie_band(0.5) == 1e-12
+    assert _better(7.6e9 - 5e-3, 4, best)
+    assert not _better(7.6e9 - 5e-3, 6, best)
+    assert _better(7.6e9 - 1e-2, 6, best)
 
 
 def test_exchange_inequalities_along_path(decade_path):
