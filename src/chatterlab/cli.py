@@ -37,7 +37,7 @@ from .errors import (
     NoRootBracket,
     TolTooSmall,
 )
-from .fuller import default_synthesis, synthesize_chattering
+from .fuller import chattering_reference, default_synthesis
 from .hybrid import (
     bouncing_ball,
     bouncing_ball_lagrangian,
@@ -104,7 +104,6 @@ class ExperimentConfig:
     n: list = field(default_factory=list)
     model: str = "water-tank"
     model_params: dict = field(default_factory=dict)
-    seed: int = 0
     tol: float = 1e-10
     out: str = "runs"
 
@@ -130,8 +129,6 @@ class ExperimentConfig:
                 raise ConfigError("x0 must differ from the origin")
         if not (isinstance(self.out, str) and self.out):
             raise ConfigError(f"out must be a nonempty path, got {self.out!r}")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
-            raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if not isinstance(self.model_params, dict):
             raise ConfigError(f"model_params must be an object, got {self.model_params!r}")
         (self.tol,) = _finite_numbers("tol", [self.tol])
@@ -163,7 +160,6 @@ class ExperimentConfig:
             "n": self.n,
             "model": self.model,
             "model_params": self.model_params,
-            "seed": self.seed,
             "tol": self.tol,
         }
 
@@ -240,7 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--eta", default=None, help="cut-window grid")
         p.add_argument("--n", default=None, help="event-depth grid, e.g. 2:12")
         p.add_argument("--model", default=None, choices=sorted(_MODELS))
-        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--tol", type=float, default=None)
         p.add_argument("--out", default=None, help="output directory")
     return parser
@@ -255,8 +250,14 @@ def load_config(args) -> ExperimentConfig:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from None
         if not isinstance(data, dict):
             raise ConfigError("config file must hold a JSON object")
+    keys = ("x0", "eps", "eta", "n", "model", "model_params", "tol", "out")
+    # the subcommand names the experiment; a config-file "experiment" is
+    # accepted and ignored
+    unknown = sorted(set(data) - {"experiment", *keys})
+    if unknown:
+        raise ConfigError(f"unknown config key {', '.join(map(repr, unknown))}")
     cfg = ExperimentConfig(experiment=args.experiment)
-    for key in ("x0", "eps", "eta", "n", "model", "model_params", "seed", "tol", "out"):
+    for key in keys:
         if key in data:
             setattr(cfg, key, data[key])
     # command-line flags override the config file
@@ -270,8 +271,6 @@ def load_config(args) -> ExperimentConfig:
         cfg.n = parse_grid(args.n)
     if args.model is not None:
         cfg.model = args.model
-    if args.seed is not None:
-        cfg.seed = args.seed
     if args.tol is not None:
         cfg.tol = args.tol
     if args.out is not None:
@@ -292,8 +291,7 @@ def _reference_solution(cfg: ExperimentConfig):
     held to: its equibound is 1e3, or ten times the reference's own
     t* + sup|x*| when that is larger, so the reference is admissible."""
     synth = default_synthesis(truncation_tol=cfg.tol)
-    u_star, t_star = synthesize_chattering(cfg.x0, synth)
-    traj_star = simulate(ProblemSpec(x0=cfg.x0, equibound=math.inf), u_star)
+    u_star, t_star, traj_star = chattering_reference(cfg.x0, synth)
     spec = ProblemSpec(x0=cfg.x0,
                        equibound=max(1e3, 10.0 * (t_star + traj_star.sup_abs())))
     j_star = lagrangian_cost(traj_star)
@@ -353,7 +351,7 @@ def _sweep_report(path) -> dict:
 
 def run_tv_path(cfg: ExperimentConfig):
     synth, spec, u_star, t_star, traj_star, j_star = _reference_solution(cfg)
-    path = regularization_path(cfg.eps, spec, seed=cfg.seed, synth=synth)
+    path = regularization_path(cfg.eps, spec, synth=synth)
     records = []
     for point in path.records:
         t0 = time.perf_counter()
@@ -425,7 +423,7 @@ def run_truncation_rate(cfg: ExperimentConfig):
 
 def run_corollary_check(cfg: ExperimentConfig):
     synth, spec, u_star, t_star, traj_star, j_star = _reference_solution(cfg)
-    path = regularization_path(cfg.eps, spec, seed=cfg.seed, synth=synth)
+    path = regularization_path(cfg.eps, spec, synth=synth)
     check = composite_rate_bound(path.records, u_star, j_star)
     records = []
     for (eps, gap, lag, bound), point in zip(check.rows, path.records):

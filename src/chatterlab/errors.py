@@ -22,7 +22,7 @@ class TolTooSmall(ChatterlabError):
 
 
 class AllStartsInfeasible(ChatterlabError):
-    """Every multistart of the duration optimizer was infeasible;
+    """Every start of the duration optimizer was infeasible;
     `evaluations` counts the objective evaluations spent finding out."""
 
     def __init__(self, message: str = "", evaluations: int = 0):

@@ -256,10 +256,20 @@ def synthesize_chattering(x0, synth: FullerSynthesis):
     return control, control.duration
 
 
+@lru_cache(maxsize=16)
+def chattering_reference(x0: tuple, synth: FullerSynthesis) -> tuple:
+    """(control, final time, trajectory) of the chattering control
+    synthesized from x0, the trajectory simulated without an equibound,
+    which far states' references exceed.  A CLI run holds its candidates to
+    this reference and a regularization path builds its starts and bounds
+    its sweep with it, so one run synthesizes once."""
+    control, t_star = synthesize_chattering(x0, synth)
+    return control, t_star, simulate(ProblemSpec(x0, equibound=math.inf), control)
+
+
 def optimal_cost(x0, synth: FullerSynthesis) -> float:
     """Running cost of the synthesized solution from x0; obeys the scaling
     law J(lam^2 x1, lam x2) = lam^5 J(x1, x2).  Zero at the origin."""
     if float(x0[0]) == 0.0 and float(x0[1]) == 0.0:
         return 0.0
-    control, _ = synthesize_chattering(x0, synth)
-    return lagrangian_cost(simulate(ProblemSpec(x0=tuple(x0)), control))
+    return lagrangian_cost(chattering_reference(tuple(x0), synth)[2])

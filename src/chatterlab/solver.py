@@ -17,12 +17,15 @@ serves every epsilon; `regularization_path` builds it in one sweep and
 selects each point from it, which makes the monotonicity and concavity of
 the value function exact to roundoff.
 
-The free durations are found by multistart projected BFGS on the box
-[0, cap]^m.  Arcs are polynomial (`di_arc`) and the terminal pair is
-algebraic (`steer_durations`), so `_objective` returns the exact gradient
-of the eliminated objective from one forward fold and one adjoint pass,
-the switching-time gradient of Egerstedt, Wardi & Axelsson (IEEE TAC 51(1),
-2006) and Xu & Antsaklis (IEEE TAC 49(1), 2004).  Zero-length arcs are
+The free durations are found by projected BFGS on the box [0, cap]^m from
+three kinds of deterministic start: the synthesized chattering prefix, the
+same prefix behind a vanishing first arc (the sign flip), and the optimum
+of the previous switch count (`_build_starts`).  Arcs are polynomial
+(`di_arc`) and the terminal pair is algebraic (`steer_durations`), so
+`_objective` returns the exact gradient of the eliminated objective from
+one forward fold and one adjoint pass, the switching-time gradient of
+Egerstedt, Wardi & Axelsson (IEEE TAC 51(1), 2006) and Xu & Antsaklis
+(IEEE TAC 49(1), 2004).  Zero-length arcs are
 active bounds of the box.  Infeasible points and the collapsed-TV jump at a
 zero face enter only through value comparisons in the line search, so at
 epsilon > 0 a zero-face step then sets each positive free duration of the
@@ -44,14 +47,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
-from .controls import (PiecewiseConstantControl, ProblemSpec, di_arc, di_arc_cost_grad,
-                       simulate)
+from .controls import PiecewiseConstantControl, ProblemSpec, di_arc, di_arc_cost_grad
 from .errors import AllStartsInfeasible
-from .fuller import FullerSynthesis, default_synthesis, synthesize_chattering
+from .fuller import FullerSynthesis, chattering_reference, default_synthesis
 from .truncation import min_time_to_origin, steer_durations, steer_floor
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -63,7 +64,7 @@ DURATION_CAP_FACTOR = 3.0
 #: grid cells the oracle scores per numpy pass
 _ORACLE_BLOCK_CELLS = 1 << 14
 
-#: quasi-Newton steps per multistart of `optimize_durations`
+#: quasi-Newton steps per start of `optimize_durations`
 _MAX_ITERATIONS = 60
 
 #: largest switch count a regularization path sweeps
@@ -413,59 +414,23 @@ def _candidate(sign: float, res, report=None) -> BangBangCandidate:
     return BangBangCandidate(sign, res[2], res[0], res[1], res[3], report)
 
 
-@lru_cache(maxsize=16)
-def _chattering_reference(x0: tuple, synth: FullerSynthesis) -> tuple:
-    """(arc durations, J_floor) of the chattering control synthesized from
-    x0.  Every (count, sign) subproblem of one state seeds a start with the
-    durations, and a path bounds its sweep with J_floor, so a path
-    synthesizes once.
-
-    J_floor is the running cost of the arcs before the two-arc tail that
-    closes the control inside the truncation radius.  They follow the
-    optimal feedback and the optimal cost-to-go is nonnegative, so no
-    admissible control costs less.  At the default radius the tail costs
-    far less than one ulp of J* (3e-42 from (1, 0)), so J_floor is the
-    reference's J*; a radius comparable to |x0| leaves J_floor well below
-    J* and the sweep longer.  The reference is simulated without the
-    equibound, which far states' references exceed."""
-    control, _ = synthesize_chattering(x0, synth)
-    bp = control.breakpoints
-    arcs = simulate(ProblemSpec(x0, equibound=math.inf), control).arcs
-    return (tuple(bp[i + 1] - bp[i] for i in range(control.n_arcs)),
-            sum((arc.cost_x1sq() for arc in arcs[:-2]), 0.0))
-
-
-def _build_starts(n_free: int, x0, synth: FullerSynthesis, seed: int, cap: float,
-                  extra_starts):
-    """Eight multistarts: the chattering prefix, a uniform split, two
-    geometric ladders at the synthesis contraction ratio, a sign-flip seed
-    (vanishing first arc, then the prefix), and seeded jitters."""
-    t_min = min_time_to_origin(x0)
-    rho = synth.rho
-    fuller = list(_chattering_reference(tuple(x0), synth)[0])
-
-    def geometric(first):
-        return [first * rho ** k for k in range(n_free)]
+def _build_starts(n_free: int, x0, synth: FullerSynthesis, cap: float, extra_starts):
+    """Three kinds of start, each padded to n_free durations by a geometric
+    tail at the synthesis contraction ratio and clipped to [0, cap]: the
+    prefix of the chattering control synthesized from x0; the sign flip, a
+    vanishing first arc and then that prefix, which reaches the chattering
+    optimum from the other initial sign; and the warm starts."""
+    bp = chattering_reference(tuple(x0), synth)[0].breakpoints
+    fuller = [b - a for a, b in zip(bp, bp[1:])]
 
     def pad(base):
         out = list(base[:n_free])
         while len(out) < n_free:
-            out.append((out[-1] if out else t_min / (n_free + 2)) * rho)
+            out.append(out[-1] * synth.rho)
         return out
 
-    ladder_scale = t_min * (1.0 - rho) / (1.0 - rho ** (n_free + 2))
-    starts = [
-        pad(fuller),
-        [t_min / (n_free + 2)] * n_free,
-        geometric(ladder_scale),
-        pad([1e-9 * t_min] + fuller),
-    ]
-    rng = np.random.default_rng(seed)
-    for base in list(starts):
-        jitter = np.exp(0.35 * rng.standard_normal(n_free))
-        starts.append([d * j for d, j in zip(base, jitter)])
-    for warm in extra_starts:
-        starts.append(pad(list(warm)))
+    starts = [pad(fuller), pad([1e-9 * min_time_to_origin(x0)] + fuller)]
+    starts += [pad(list(warm)) for warm in extra_starts]
     # plain floats: numpy scalars would slow every evaluation several-fold
     return [[float(min(max(d, 0.0), cap)) for d in s] for s in starts]
 
@@ -490,12 +455,13 @@ def _lift_last(x0, sign: float, theta: list, cap: float) -> None:
 
 def optimize_durations(n_switches: int, sign: float, epsilon: float,
                        spec: ProblemSpec, *, synth: FullerSynthesis | None = None,
-                       seed: int = 0, extra_starts=(),
-                       trace: list | None = None) -> BangBangCandidate:
+                       extra_starts=(), trace: list | None = None) -> BangBangCandidate:
     """Best alternating bang-bang candidate with the given switch count and
-    initial sign, by multistart projected BFGS on the free durations with the
-    exact switching-time gradient; the terminal two durations are eliminated
-    exactly at every evaluation.  Every start is evaluated once, and only
+    initial sign, by projected BFGS on the free durations with the exact
+    switching-time gradient; the terminal two durations are eliminated
+    exactly at every evaluation.  The starts are the chattering prefix, the
+    sign flip and `extra_starts` (`_build_starts`; a path passes the previous
+    count's optimum of the same sign).  Every start is evaluated once, and only
     those the terminal solve accepts are descended from.  When it accepts
     none, each start's last free duration is lifted to the least value it
     accepts (`_lift_last`) and the lifted starts take their place.  At
@@ -543,7 +509,7 @@ def optimize_durations(n_switches: int, sign: float, epsilon: float,
         evaluations += 1
         return objective(theta)
 
-    starts = _build_starts(n_free, x0, synth, seed, cap, extra_starts)
+    starts = _build_starts(n_free, x0, synth, cap, extra_starts)
     runs = [(theta, *counted(theta)) for theta in starts]
     if all(grad is None for _, _, grad in runs):
         for theta in starts:
@@ -712,7 +678,7 @@ class PathPoint:
 class SweepStop:
     """Where a path's switch-count sweep stopped and why: the last count it
     solved, the lower bound J_floor on every admissible cost
-    (`_chattering_reference`), the least J_k - J_floor over the counts it
+    (`regularization_path`), the least J_k - J_floor over the counts it
     solved, 2 * epsilon_min, and `reason`, "j_star_bound" when that gap
     fell below 2 * epsilon_min (within 1e-13 * max(1, |J_floor|)) or
     "max_switches" when the sweep reached MAX_SWITCHES first."""
@@ -758,7 +724,7 @@ class SolutionPath:
         }
 
 
-def regularization_path(epsilons, spec: ProblemSpec, *, seed: int = 0,
+def regularization_path(epsilons, spec: ProblemSpec, *,
                         synth: FullerSynthesis | None = None) -> SolutionPath:
     """Minimize running cost + epsilon * TV over switch counts and both
     initial signs, for each of a descending grid of penalty weights.
@@ -770,10 +736,13 @@ def regularization_path(epsilons, spec: ProblemSpec, *, seed: int = 0,
     swept upward once, and the sweep stops after count n once some solved
     count k <= n has J_k - J_floor < 2 * epsilon_min, J_floor the running
     cost of the synthesized chattering optimum before its closing two-arc
-    tail (J* to rounding at the default truncation radius).  No admissible
-    control costs less than J_floor, so a count m > n that keeps its arcs
-    has value at least J_floor + 2 (n + 1) epsilon, above count k's at every
-    epsilon of the grid; a candidate whose arcs collapse is a lower count.
+    tail (J* to rounding at the default truncation radius).  Those arcs
+    follow the optimal feedback and the optimal cost-to-go is nonnegative,
+    so no admissible control costs less than J_floor; a radius comparable
+    to |x0| leaves J_floor well below J* and the sweep longer.  A count
+    m > n that keeps its arcs has value at least J_floor + 2 (n + 1)
+    epsilon, above count k's at every epsilon of the grid; a candidate whose
+    arcs collapse is a lower count.
     The stop's rounding slack, 1e-13 * max(1, |J_floor|), is below the tie
     band.  Each point is then the cheapest entry of the one table, ties
     going to the lower switch count, so the exchange inequalities hold to
@@ -787,7 +756,8 @@ def regularization_path(epsilons, spec: ProblemSpec, *, seed: int = 0,
     if any(b >= a for a, b in zip(eps, eps[1:])):
         raise ValueError("epsilons must be sorted descending")
     synth = synth or default_synthesis()
-    j_floor = _chattering_reference(spec.x0, synth)[1]
+    arcs = chattering_reference(spec.x0, synth)[2].arcs
+    j_floor = sum((arc.cost_x1sq() for arc in arcs[:-2]), 0.0)
     two_eps_min = 2.0 * eps[-1]
     slack = 1e-13 * max(1.0, abs(j_floor))
     table = []  # (count, candidate), count ascending, sign -1 before +1
@@ -798,7 +768,7 @@ def regularization_path(epsilons, spec: ProblemSpec, *, seed: int = 0,
         for sign in (-1.0, 1.0):
             extra = (warm[sign],) if sign in warm else ()
             try:
-                cand = optimize_durations(n, sign, 0.0, spec, synth=synth, seed=seed,
+                cand = optimize_durations(n, sign, 0.0, spec, synth=synth,
                                           extra_starts=extra)
             except AllStartsInfeasible as exc:
                 reports.append((n, sign, None, DescentReport(None, exc.evaluations, 0)))
@@ -831,8 +801,8 @@ def regularization_path(epsilons, spec: ProblemSpec, *, seed: int = 0,
     return SolutionPath(tuple(points), tuple(reports), stop)
 
 
-def solve_regularized(epsilon: float, spec: ProblemSpec, *, seed: int = 0,
+def solve_regularized(epsilon: float, spec: ProblemSpec, *,
                       synth: FullerSynthesis | None = None) -> BangBangCandidate:
     """Candidate minimizing running cost + epsilon * TV: the one point of a
     one-weight regularization path."""
-    return regularization_path([epsilon], spec, seed=seed, synth=synth).records[0].candidate
+    return regularization_path([epsilon], spec, synth=synth).records[0].candidate

@@ -179,13 +179,13 @@ def test_criterion_9_determinism(tmp_path):
 
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
-    args = ["tv-path", "--eps", "1e-1:1e-4:decade", "--seed", "3"]
+    args = ["tv-path", "--eps", "1e-1:1e-4:decade"]
     assert main(args + ["--out", str(out_a)]) == 0
     assert main(args + ["--out", str(out_b)]) == 0
     csv_a = (out_a / "tv-path.csv").read_bytes()
     csv_b = (out_b / "tv-path.csv").read_bytes()
     assert csv_a == csv_b
-    args = ["zeno-rate", "--model", "bouncing-ball", "--n", "2:8", "--seed", "3"]
+    args = ["zeno-rate", "--model", "bouncing-ball", "--n", "2:8"]
     assert main(args + ["--out", str(out_a)]) == 0
     assert main(args + ["--out", str(out_b)]) == 0
     assert (out_a / "zeno-rate.csv").read_bytes() == \

@@ -1,12 +1,15 @@
+import argparse
 import dataclasses
 import hashlib
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from chatterlab import cli
+from chatterlab import cli, fuller
 from chatterlab.cli import main, parse_grid
 from chatterlab.controls import ProblemSpec, simulate
 from chatterlab.errors import ConfigError
@@ -234,6 +237,7 @@ def _config_file(tmp_path, data):
     ["fuller-synthesize", "--tol", "nan"],
     ["fuller-synthesize", "--tol", "inf"],
     ["tv-path", "--config", {"seed": "abc", "eps": [0.1, 0.01]}],
+    ["tv-path", "--config", {"eps": [0.1, 0.01], "esp": 1}],
     ["zeno-rate", "--config", {"model_params": 5, "n": [2, 3, 4, 5, 6]}],
     ["zeno-rate", "--n", "2:12", "--config", {"model_params": {"horizon": "x"}}],
     ["zeno-rate", "--n", "2:12", "--config", {"model_params": {"horizon": -1.0}}],
@@ -414,12 +418,14 @@ def test_water_tank_gaps_at_floor_fail_the_rate(tmp_path, monkeypatch):
 #: SHA-256 of each CSV of the README commands, recorded before the arc
 #: mathematics was collapsed into one kernel; a refactor must keep them.
 #: The zeno-rate pair was re-pinned when the hybrid arcs became closed
-#: forms, which moved their columns at rounding level (see CHANGES.md)
+#: forms, and the tv-path and corollary-check pair when the solver kept
+#: three deterministic starts; each moved columns at rounding level only
+#: (see CHANGES.md)
 GOLDEN_CSV_SHA256 = {
     ("fuller-synthesize", "--x0", "1,0", "--tol", "1e-10"):
         "d55e4f6b86dcb4264c3925ad8d4451eab180cc2e1b5387ff2ed6e2d7c319571a",
     ("tv-path", "--x0", "1,0", "--eps", "1e-1:1e-6:decade"):
-        "d8e76f258dec29c71cf8001f3157064c7fbc9ced998c93a8b22f66c3ce21d68b",
+        "2cab4bf80923ca9ec513a2a7fda36417ea63b40ac95af8d0768c54f0bbdd266b",
     ("truncation-rate", "--x0", "1,0"):
         "335991917c43c8e1b16ee40449d7a031b1b4a6ca470cadf8b1296a89d9c3df8f",
     ("zeno-rate", "--model", "water-tank", "--n", "2:12"):
@@ -427,7 +433,7 @@ GOLDEN_CSV_SHA256 = {
     ("zeno-rate", "--model", "bouncing-ball", "--n", "2:8"):
         "3843f48eee20fdf8d71a2ee3ddffc2f84e30ea44e75ff7f74751d49b1bc5350c",
     ("corollary-check", "--x0", "1,0", "--eps", "1e-1:1e-6:decade"):
-        "58bfa15a76fbc2cfef90aa8177ce6e518e83e7b7105e0c35e913772eb19cbd70",
+        "57c8f88867723a6b1ef6c285a9ec4d14e4a94e970903b073f8ed4bca74754d3d",
 }
 
 
@@ -436,6 +442,32 @@ def test_readme_csvs_match_golden_digests(tmp_path, argv):
     assert main(list(argv) + ["--out", str(tmp_path)]) == 0
     digest = hashlib.sha256((tmp_path / f"{argv[0]}.csv").read_bytes()).hexdigest()
     assert digest == GOLDEN_CSV_SHA256[argv]
+
+
+def test_path_run_synthesizes_its_reference_once(tmp_path, monkeypatch):
+    # the run's J* and the path's starts and J_floor come from one cached
+    # synthesis of the reference
+    calls = []
+    original = fuller.synthesize_chattering
+    monkeypatch.setattr(fuller, "synthesize_chattering",
+                        lambda *a, **kw: calls.append(a) or original(*a, **kw))
+    fuller.chattering_reference.cache_clear()
+    assert main(["tv-path", "--x0=0.83,-0.41", "--eps", "1e-1:1e-4:decade",
+                 "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
+
+
+def test_readme_flag_list_names_every_option():
+    # the README's "Flags:" sentence lists the options every subcommand takes
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    sentence = readme.split("Flags:", 1)[1].split("(flags override", 1)[0]
+    listed = set(re.findall(r"`(--[a-z0-9-]+)", sentence))
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    for name, sub in subparsers.choices.items():
+        options = {o for a in sub._actions for o in a.option_strings
+                   if o.startswith("--") and o != "--help"}
+        assert options == listed, name
 
 
 def test_shared_parser_carries_no_state_between_calls(tmp_path, capsys):
