@@ -22,8 +22,6 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable
 
-import numpy as np
-
 from . import __version__
 from .controls import ProblemSpec, lagrangian_cost, simulate, tv
 from .errors import (
@@ -115,7 +113,7 @@ class ExperimentConfig:
         if self.experiment == "zeno-rate":
             if not self.n:
                 raise ConfigError("truncation-depth grid must be nonempty")
-            if self.model not in _MODELS:
+            if not isinstance(self.model, str) or self.model not in _MODELS:
                 raise ConfigError(f"unknown model {self.model!r}")
             if self.x0 is not None:
                 raise ConfigError("zeno-rate takes its initial state from "
@@ -260,28 +258,20 @@ def load_config(args) -> ExperimentConfig:
     for key in keys:
         if key in data:
             setattr(cfg, key, data[key])
-    # command-line flags override the config file
-    if args.x0 is not None:
-        cfg.x0 = _parse_x0(args.x0)
-    if args.eps is not None:
-        cfg.eps = parse_grid(args.eps)
-    if args.eta is not None:
-        cfg.eta = parse_grid(args.eta)
-    if args.n is not None:
-        cfg.n = parse_grid(args.n)
-    if args.model is not None:
-        cfg.model = args.model
-    if args.tol is not None:
-        cfg.tol = args.tol
-    if args.out is not None:
-        cfg.out = args.out
+    # command-line flags override the config file; the state and the grids
+    # are parsed, the rest taken as given
+    flags = {"x0": _parse_x0, "eps": parse_grid, "eta": parse_grid, "n": parse_grid,
+             "model": None, "tol": None, "out": None}
+    for key, parse in flags.items():
+        value = getattr(args, key)
+        if value is not None:
+            setattr(cfg, key, value if parse is None else parse(value))
     return cfg.validate()
 
 
 def _versions() -> dict:
     return {
         "chatterlab": __version__,
-        "numpy": np.__version__,
         "python": ".".join(str(v) for v in sys.version_info[:3]),
     }
 

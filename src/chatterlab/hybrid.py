@@ -13,7 +13,8 @@ analysis: detect_zeno fits the stored arc durations, and the fit's
 accumulation time sets where truncate_zeno ends its frozen arc.
 
 Resets receive the state as a pair of floats and may return any pair of
-numbers.  Each arc stores its duration as computed and its two end states.
+numbers.  Each arc stores its duration as computed, its two end times and
+its two end states, all plain floats.
 """
 
 from __future__ import annotations
@@ -23,12 +24,10 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from .controls import di_arc, motion_gap
 from .errors import Inconclusive
 from .fuller import _quad_roots
-from .ratefit import GAP_FLOOR, fit_power_law
+from .ratefit import GAP_FLOOR, fit_line, fit_power_law
 from .records import RateRecord
 
 #: relative residual above which the geometric interval fit is inconclusive
@@ -105,21 +104,21 @@ class HybridArc:
     t0: float
     duration: float
     #: the arc's start and end times
-    times: np.ndarray
-    #: the arc's start and end states
-    states: np.ndarray
+    times: tuple[float, float]
+    #: the arc's start and end states, each a pair of floats
+    states: tuple[tuple[float, float], tuple[float, float]]
 
     @property
-    def x0(self) -> np.ndarray:
+    def x0(self) -> tuple[float, float]:
         return self.states[0]
 
     @property
-    def end_state(self) -> np.ndarray:
+    def end_state(self) -> tuple[float, float]:
         return self.states[-1]
 
 
 def _arc(q: str, t0: float, d: float, x, end) -> HybridArc:
-    return HybridArc(q, t0, d, np.array([t0, t0 + d]), np.array([x, end]))
+    return HybridArc(q, t0, d, (t0, t0 + d), (x, end))
 
 
 @dataclass(frozen=True)
@@ -130,7 +129,7 @@ class HybridTrajectory:
 
     event_times: list[float]
     arcs: list[HybridArc]
-    final_state: np.ndarray
+    final_state: tuple[float, float]
     horizon: float
     hit_max_events: bool
     guard_residuals: list[float]
@@ -184,11 +183,9 @@ def execute(system: HybridSystem, q0: str, x0, horizon: float,
         if t + d >= horizon:
             end = system.flow(q, x, horizon - t)
             arcs.append(_arc(q, t, horizon - t, x, end))
-            return HybridTrajectory(event_times, arcs, np.array(end), horizon, False,
-                                    residuals)
+            return HybridTrajectory(event_times, arcs, end, horizon, False, residuals)
         if t + d == t:
-            return HybridTrajectory(event_times, arcs, np.array(x), horizon, True,
-                                    residuals)
+            return HybridTrajectory(event_times, arcs, x, horizon, True, residuals)
         end = system.flow(q, x, d)
         arcs.append(_arc(q, t, d, x, end))
         w1, w2, theta = system.guards[edge]
@@ -199,8 +196,7 @@ def execute(system: HybridSystem, q0: str, x0, horizon: float,
         x = end if reset is None else _floats(reset(end), 2, "reset state")
         q = edge[1]
         if len(event_times) >= max_events:
-            return HybridTrajectory(event_times, arcs, np.array(x), horizon, True,
-                                    residuals)
+            return HybridTrajectory(event_times, arcs, x, horizon, True, residuals)
 
 
 @dataclass(frozen=True)
@@ -230,20 +226,18 @@ def detect_zeno(traj: HybridTrajectory) -> ZenoFit:
     """
     if traj.n_events < ZENO_WINDOW + 2:
         raise ValueError(f"need at least {ZENO_WINDOW + 2} events, got {traj.n_events}")
-    intervals = np.array(traj.intervals[-ZENO_WINDOW:])
-    idx = np.arange(ZENO_WINDOW, dtype=float)
-    design = np.column_stack([np.ones(ZENO_WINDOW), idx])
-    (intercept, slope), *_ = np.linalg.lstsq(design, np.log(intervals), rcond=None)
+    intervals = traj.intervals[-ZENO_WINDOW:]
+    intercept, slope = fit_line(range(ZENO_WINDOW), [math.log(d) for d in intervals])
     ratio = math.exp(slope)
-    predicted = np.exp(intercept + slope * idx)
-    residual = float(np.max(np.abs(predicted - intervals) / intervals))
+    residual = max(abs(math.exp(intercept + slope * i) - d) / d
+                   for i, d in enumerate(intervals))
     if residual > GEOMETRIC_FIT_TOL:
         raise Inconclusive(
             f"interval fit residual {residual:.3g} exceeds {GEOMETRIC_FIT_TOL}")
     fit = ZenoFit(ratio, math.inf, residual)
     if not fit.is_zeno:
         return fit
-    tail = float(intervals[-1] * ratio / (1.0 - ratio))
+    tail = intervals[-1] * ratio / (1.0 - ratio)
     return ZenoFit(ratio, traj.event_times[-1] + tail, residual, tail)
 
 
@@ -255,11 +249,10 @@ def truncate_zeno(traj_star: HybridTrajectory, n: int, system: HybridSystem,
     if not 0 <= n < traj_star.n_events:
         raise ValueError(f"n must lie in [0, {traj_star.n_events})")
     src = traj_star.arcs[n]
-    x = tuple(src.x0.tolist())
     duration = tau_inf - src.t0
-    end = system.flow(src.mode, x, duration)
-    arcs = list(traj_star.arcs[:n]) + [_arc(src.mode, src.t0, duration, x, end)]
-    return HybridTrajectory(list(traj_star.event_times[:n]), arcs, np.array(end),
+    end = system.flow(src.mode, src.x0, duration)
+    arcs = list(traj_star.arcs[:n]) + [_arc(src.mode, src.t0, duration, src.x0, end)]
+    return HybridTrajectory(list(traj_star.event_times[:n]), arcs, end,
                             tau_inf, False, list(traj_star.guard_residuals[:n]))
 
 
@@ -329,14 +322,14 @@ def _frozen_deviation(traj_star: HybridTrajectory, n: int, system: HybridSystem,
     trajectories agree up to event n, so only the frozen arc is compared,
     one recorded arc at a time."""
     q = traj_star.arcs[n].mode
-    x = tuple(traj_star.arcs[n].x0.tolist())
+    x = traj_star.arcs[n].x0
     worst = 0.0
     s = 0.0
     for arc in traj_star.arcs[n:]:
         if s >= duration:
             break
         worst = max(worst, motion_gap(system.motion(q, system.flow(q, x, s)),
-                                      system.motion(arc.mode, arc.x0.tolist()),
+                                      system.motion(arc.mode, arc.x0),
                                       min(arc.duration, duration - s)))
         s += arc.duration
     return worst

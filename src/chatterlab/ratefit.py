@@ -5,8 +5,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DegenerateFit
 
 #: cost gaps at or below this are indistinguishable from closed-form roundoff
@@ -19,6 +17,17 @@ class PowerLawFit:
     constant: float
     max_rel_residual: float
     n_points: int
+
+
+def fit_line(xs, ys) -> tuple[float, float]:
+    """Least-squares line y = intercept + slope * x through the pairs of xs
+    and ys, in closed form from sums about the means (`math.fsum`)."""
+    xs, ys = list(xs), list(ys)
+    x_mean, y_mean = math.fsum(xs) / len(xs), math.fsum(ys) / len(ys)
+    dx = [x - x_mean for x in xs]
+    slope = (math.fsum(d * (y - y_mean) for d, y in zip(dx, ys))
+             / math.fsum(d * d for d in dx))
+    return y_mean - slope * x_mean, slope
 
 
 def fit_power_law(points) -> PowerLawFit:
@@ -34,11 +43,9 @@ def fit_power_law(points) -> PowerLawFit:
             pts.append((float(xv), float(yv)))
     if len(pts) < 3:
         raise DegenerateFit(f"need >= 3 usable points, got {len(pts)}")
-    lx = np.log([p[0] for p in pts])
-    ly = np.log([p[1] for p in pts])
-    design = np.column_stack([np.ones_like(lx), lx])
-    (intercept, slope), *_ = np.linalg.lstsq(design, ly, rcond=None)
+    intercept, slope = fit_line([math.log(p[0]) for p in pts],
+                                [math.log(p[1]) for p in pts])
     constant = math.exp(intercept)
     resid = max(abs(constant * xv ** slope - yv) / yv for xv, yv in pts)
-    return PowerLawFit(exponent=float(slope), constant=constant,
-                       max_rel_residual=float(resid), n_points=len(pts))
+    return PowerLawFit(exponent=slope, constant=constant,
+                       max_rel_residual=resid, n_points=len(pts))

@@ -35,7 +35,8 @@ start's last free duration is lifted to the least value it accepts, a
 closed form (`_lift_last`).  Each subproblem reports its projected-gradient
 norm as a first-order certificate (`DescentReport`).
 
-`brute_force_oracle` scores a numpy grid and refines by coordinate
+`brute_force_oracle` scores a numpy grid (numpy is imported by the three
+oracle functions only, so no other caller loads it) and refines by coordinate
 golden-section descent on `_evaluate`, independent of the quasi-Newton
 solver it checks.  The grid's free durations are broadcast
 axes, so each arc is folded once per distinct prefix, and only the cells
@@ -47,8 +48,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .controls import PiecewiseConstantControl, ProblemSpec, di_arc, di_arc_cost_grad
 from .errors import AllStartsInfeasible
@@ -565,6 +564,8 @@ def _vector_eval(x0, sign: float, free_grids, equibound: float):
     test and the collapsed TV only on the cells it accepts.  Every feasible
     cell gets the floats `_evaluate` gives it, operation for operation.
     """
+    import numpy as np
+
     x1, x2 = x0
     cost = total = 0.0
     sup = max(abs(x1), abs(x2))
@@ -615,6 +616,8 @@ def _grid_argmin(x0, sign: float, epsilon: float, axis, n_free: int,
     strict < across blocks keeps the first minimum of the whole grid, as
     np.argmin would.
     """
+    import numpy as np
+
     rows = max(1, _ORACLE_BLOCK_CELLS // axis.size ** (n_free - 1))
     dims = [(1,) * k + (-1,) + (1,) * (n_free - 1 - k) for k in range(n_free)]
     tail = [axis.reshape(dim) for dim in dims[1:]]
@@ -637,6 +640,8 @@ def brute_force_oracle(n_switches: int, sign: float, epsilon: float,
     terminal arcs eliminated exactly, then one local refinement pass around
     the best cell.  Serves as the independent optimality oracle.
     """
+    import numpy as np
+
     if n_switches > 3:
         raise ValueError("the oracle covers at most 3 switches")
     if n_switches < 1:

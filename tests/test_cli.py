@@ -3,7 +3,10 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -249,6 +252,7 @@ def _config_file(tmp_path, data):
     ["zeno-rate", "--n", "2:12", "--config", {"model_params": {"x0": [0.5, math.nan]}}],
     ["zeno-rate", "--n", "2:12", "--config", {"model_params": {"q0": "flight"}}],
     ["zeno-rate", "--n", "2:12", "--config", {"model_params": {"inflow": "x"}}],
+    ["zeno-rate", "--n", "2:12", "--config", {"model": ["a"]}],
     ["tv-path", "--config", {"eps": [10 ** 400, 0.1]}],
     ["zeno-rate", "--model", "bouncing-ball", "--n", "2:8",
      "--config", {"model_params": {"restitution": math.nan}}],
@@ -442,6 +446,32 @@ def test_readme_csvs_match_golden_digests(tmp_path, argv):
     assert main(list(argv) + ["--out", str(tmp_path)]) == 0
     digest = hashlib.sha256((tmp_path / f"{argv[0]}.csv").read_bytes()).hexdigest()
     assert digest == GOLDEN_CSV_SHA256[argv]
+
+
+#: README runs with short grids, one per experiment
+_SHORT_RUNS = (
+    ["fuller-synthesize", "--x0", "1,0"],
+    ["tv-path", "--x0", "1,0", "--eps", "1e-1:1e-2:decade"],
+    ["truncation-rate", "--x0", "1,0"],
+    ["zeno-rate", "--model", "water-tank", "--n", "2:6"],
+    ["corollary-check", "--x0", "1,0", "--eps", "1e-1:1e-2:decade"],
+)
+
+
+def test_cli_runs_never_load_numpy(tmp_path):
+    # only the solver's grid oracle imports numpy, and no experiment reaches
+    # it; a fresh interpreter shows what the runs themselves load
+    script = ("import json, sys\n"
+              "from chatterlab.cli import main\n"
+              "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+              "print(json.dumps([codes, 'numpy' in sys.modules]))\n")
+    runs = [argv + ["--out", str(tmp_path / argv[0])] for argv in _SHORT_RUNS]
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    done = subprocess.run([sys.executable, "-c", script, json.dumps(runs)],
+                          capture_output=True, text=True, env=env, check=True)
+    codes, numpy_loaded = json.loads(done.stdout.splitlines()[-1])
+    assert codes == [0] * len(runs)
+    assert not numpy_loaded
 
 
 def test_path_run_synthesizes_its_reference_once(tmp_path, monkeypatch):

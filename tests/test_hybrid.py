@@ -169,6 +169,17 @@ def test_polynomially_shrinking_intervals_are_inconclusive():
         detect_zeno(traj)
 
 
+def test_tank_ratio_fit_is_within_rounding_of_the_exact_ratio():
+    # equal drains d: the intervals contract by exactly (inflow - d) / d
+    rng = np.random.default_rng(0)
+    for ratio in rng.uniform(0.2, 0.8, 300):
+        inflow = 0.5 * (1.0 + float(ratio))
+        traj = execute(water_tank(inflow, drain=(0.5, 0.5)), "fill-1", (0.5, 0.5),
+                       horizon=100.0, max_events=30)
+        exact = (inflow - 0.5) / 0.5
+        assert abs(detect_zeno(traj).ratio - exact) <= 2e-15 * exact, inflow
+
+
 def test_detect_zeno_needs_enough_events(tank_run):
     system, _ = tank_run
     short = execute(system, "fill-1", (0.5, 0.5), horizon=5.0, max_events=4)
@@ -241,7 +252,7 @@ def test_truncate_zeno_at_last_event_matches_to_tolerance(tank_run):
     # the kept prefix is exact, the frozen window is geometrically small
     for arc_a, arc_b in zip(zn.arcs[:-1], traj.arcs[:n]):
         assert arc_a.mode == arc_b.mode
-        assert np.max(np.abs(arc_a.end_state - arc_b.end_state)) <= 1e-12
+        assert max(abs(a - b) for a, b in zip(arc_a.end_state, arc_b.end_state)) <= 1e-12
     assert _frozen_deviation(traj, n, system, zn.arcs[-1].duration) <= 1e-9
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from chatterlab.errors import DegenerateFit
-from chatterlab.ratefit import fit_power_law
+from chatterlab.ratefit import fit_line, fit_power_law
 from chatterlab.records import RateRecord
 
 
@@ -48,3 +48,14 @@ def test_nonpositive_points_are_dropped():
 def test_all_points_filtered_is_degenerate():
     with pytest.raises(DegenerateFit):
         fit_power_law([(1.0, 0.0), (2.0, -1.0), (3.0, 0.0)])
+
+
+def test_fit_line_matches_lstsq_on_seeded_lines():
+    rng = np.random.default_rng(31)
+    for _ in range(50):
+        n = int(rng.integers(3, 13))
+        xs = rng.uniform(-5.0, 5.0, n)
+        ys = rng.uniform(-3.0, 3.0) + rng.uniform(-2.0, 2.0) * xs + rng.normal(0.0, 0.1, n)
+        design = np.column_stack([np.ones(n), xs])
+        expected, *_ = np.linalg.lstsq(design, ys, rcond=None)
+        assert fit_line(xs.tolist(), ys.tolist()) == pytest.approx(expected, rel=1e-12)
