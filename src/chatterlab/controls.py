@@ -57,9 +57,13 @@ def motion_gap(a, b, d: float) -> float:
     The first component of the difference is one double-integrator arc with
     control ua - ub, so `di_arc` gives its end and vertex; the second is
     linear and peaks at an end.  A double-integrator arc from (x1, x2) under
-    u is the motion (x1, x2, u, x2, u).
+    u is the motion (x1, x2, u, x2, u).  The two tuples are unpacked and
+    subtracted field by field: this is the inner step of every exact
+    deviation metric, so it builds no intermediate sequence.
     """
-    x1, v, u, x2, w = (p - q for p, q in zip(a, b))
+    a1, av, au, a2, aw = a
+    b1, bv, bu, b2, bw = b
+    x1, v, u, x2, w = a1 - b1, av - bv, au - bu, a2 - b2, aw - bw
     e1, _, _, vertex = di_arc(x1, v, u, d)
     return max(abs(x1), abs(e1), vertex, abs(x2), abs(x2 + w * d))
 

@@ -132,25 +132,48 @@ class TruncationResult:
     prefix_tv: float
 
 
-def _motion(traj: Trajectory, lo: float, hi: float):
-    """motion_gap's (x1, v, u, x2, w) of traj on the piece [lo, hi], which
-    lies inside one arc or past the horizon, where the state rests at the
-    final state (admissible controls end at the origin, an equilibrium)."""
-    if lo >= traj.duration:
-        x1, x2 = traj.final_state
-        return (x1, 0.0, 0.0, x2, 0.0)
-    x1, x2 = traj.state_at(lo)
-    mid = 0.5 * (lo + hi)
-    u = next(arc.u for arc in traj.arcs if mid < arc.t0 + arc.duration)
-    return (x1, x2, u, x2, u)
+def _motions(traj: Trajectory, cuts):
+    """motion_gap's (x1, v, u, x2, w) of traj on each piece [lo, hi] between
+    consecutive cuts, which lies inside one arc or past the horizon, where
+    the state rests at the final state (admissible controls end at the
+    origin, an equilibrium).
+
+    One forward walk over the arcs: the state at lo comes from the first
+    arc ending at or after lo, the control from the first arc ending after
+    the piece's midpoint, or from the last arc when the midpoint rounds
+    onto the horizon.  Both indices only grow with lo, so each arc is
+    passed once.
+    """
+    arcs = traj.arcs
+    ends = [arc.t0 + arc.duration for arc in arcs]
+    last = len(arcs) - 1
+    i = j = 0
+    for lo, hi in zip(cuts, cuts[1:]):
+        if lo >= traj.duration:
+            x1, x2 = traj.final_state
+            yield (x1, 0.0, 0.0, x2, 0.0)
+            continue
+        while lo > ends[i]:
+            i += 1
+        x1, x2 = arcs[i].state_at(lo - arcs[i].t0)
+        mid = 0.5 * (lo + hi)
+        while j < last and not mid < ends[j]:
+            j += 1
+        u = arcs[j].u
+        yield (x1, x2, u, x2, u)
 
 
 def sup_state_deviation(traj_a: Trajectory, traj_b: Trajectory,
                         t_from: float = 0.0) -> float:
     """Exact sup-norm distance between two trajectories on [t_from, T], T the
-    larger horizon, extending each by its terminal equilibrium: on each
-    piece between the arc ends of both the difference is one polynomial
-    motion, whose sup motion_gap gives from its ends and vertex."""
+    larger horizon, extending each by its terminal equilibrium.
+
+    The cuts are t_from, T and every arc end of either trajectory between
+    them.  On each piece between two cuts the difference is one polynomial
+    motion, whose sup motion_gap gives from its ends and vertex; `_motions`
+    reads both trajectories' pieces in one forward pass, so the cost is
+    linear in the arcs.
+    """
     horizon = max(traj_a.duration, traj_b.duration)
     cuts = {t_from, horizon}
     for traj in (traj_a, traj_b):
@@ -159,23 +182,36 @@ def sup_state_deviation(traj_a: Trajectory, traj_b: Trajectory,
                 if t_from <= t <= horizon:
                     cuts.add(t)
     cuts = sorted(cuts)
-    return max((motion_gap(_motion(traj_a, lo, hi), _motion(traj_b, lo, hi), hi - lo)
-                for lo, hi in zip(cuts, cuts[1:])), default=0.0)
+    return max(map(motion_gap, _motions(traj_a, cuts), _motions(traj_b, cuts),
+                   [hi - lo for lo, hi in zip(cuts, cuts[1:])]), default=0.0)
+
+
+def _values(control: PiecewiseConstantControl, cuts):
+    """The control's value on each piece between consecutive cuts, 0 past
+    its horizon: the value of the first arc whose right breakpoint lies
+    after the piece's midpoint, found by one forward walk."""
+    bp, values = control.breakpoints, control.values
+    i = 0
+    for lo, hi in zip(cuts, cuts[1:]):
+        mid = 0.5 * (lo + hi)
+        if not mid < bp[-1]:
+            yield 0.0
+            continue
+        while not mid < bp[i + 1]:
+            i += 1
+        yield values[i]
 
 
 def l1_control_distance(u: PiecewiseConstantControl,
                         v: PiecewiseConstantControl) -> float:
     """Exact integral of |u(t) - v(t)| on [0, max horizon], the shorter
-    control extended by zero."""
+    control extended by zero: both controls are constant between
+    consecutive breakpoints of either, and `_values` reads each control's
+    pieces in one forward pass."""
     horizon = max(u.duration, v.duration)
     cuts = sorted(set(u.breakpoints) | set(v.breakpoints) | {horizon})
     total = 0.0
-    for lo, hi in zip(cuts, cuts[1:]):
-        if hi <= lo:
-            continue
-        mid = 0.5 * (lo + hi)
-        a = u.value_at(mid) if mid < u.duration else 0.0
-        b = v.value_at(mid) if mid < v.duration else 0.0
+    for lo, hi, a, b in zip(cuts, cuts[1:], _values(u, cuts), _values(v, cuts)):
         total += abs(a - b) * (hi - lo)
     return total
 

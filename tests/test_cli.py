@@ -14,7 +14,7 @@ import pytest
 
 from chatterlab import cli, fuller
 from chatterlab.cli import main, parse_grid
-from chatterlab.controls import ProblemSpec, simulate
+from chatterlab.controls import Arc, ProblemSpec, simulate
 from chatterlab.errors import ConfigError
 from chatterlab.fuller import default_synthesis, synthesize_chattering
 from chatterlab.hybrid import GEOMETRIC_FIT_TOL, HybridLagrangian, detect_zeno
@@ -163,6 +163,54 @@ def test_default_eta_grid_equals_the_forward_sample_scan():
         u_star, _ = synthesize_chattering(x0, synth)
         traj_star = simulate(ProblemSpec(x0=x0, equibound=1e6), u_star)
         assert cli._default_eta_grid(u_star, traj_star) == forward(u_star, traj_star)
+
+
+def forward_eta_grid(u_star, traj_star, decades=3, points=9):
+    """The automatic grid from all 2000 samples, scanned forward, keeping the
+    last one outside the unit ball."""
+    t_star = u_star.duration
+    hi = None
+    for k in range(2000):
+        t = t_star * (k + 1) / 2001.0
+        if math.hypot(*traj_star.state_at(t)) > 1.0:
+            hi = t
+    eta_max = 0.9 * (t_star - hi) if hi is not None else 0.9 * t_star
+    return [eta_max * 10.0 ** (-decades * k / (points - 1)) for k in range(points)]
+
+
+def test_default_eta_grid_skips_exactly_from_far_states():
+    # from radii 6-40 the reference's long first arcs pass near the unit
+    # ball, where the scan's skips are shortest
+    synth = default_synthesis()
+    rng = np.random.default_rng(29)
+    for _ in range(16):
+        r, a = rng.uniform(6.0, 40.0), rng.uniform(0.0, 2.0 * math.pi)
+        x0 = (r * math.cos(a), r * math.sin(a))
+        u_star, _ = synthesize_chattering(x0, synth)
+        traj_star = simulate(ProblemSpec(x0=x0, equibound=1e6), u_star)
+        assert cli._default_eta_grid(u_star, traj_star) == forward_eta_grid(u_star, traj_star)
+
+
+def test_default_eta_grid_evaluates_few_states(monkeypatch):
+    # the scan skips the samples its bound keeps inside the ball: a few
+    # dozen states at most, where a scan of every sample takes up to 2000
+    evaluated = []
+    state_at = Arc.state_at
+
+    def counted(arc, s):
+        evaluated.append(s)
+        return state_at(arc, s)
+
+    synth = default_synthesis()
+    for x0 in ((1.0, 0.0), (40.0, -3.0), (1e4, 0.0)):
+        u_star, _ = synthesize_chattering(x0, synth)
+        traj_star = simulate(ProblemSpec(x0=x0, equibound=1e6), u_star)
+        evaluated.clear()
+        monkeypatch.setattr(Arc, "state_at", counted)
+        grid = cli._default_eta_grid(u_star, traj_star)
+        monkeypatch.undo()
+        assert len(evaluated) <= 50, x0
+        assert grid == forward_eta_grid(u_star, traj_star)
 
 
 def test_truncation_rate_from_a_far_state_measures_its_gaps(tmp_path):

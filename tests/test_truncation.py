@@ -3,8 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from chatterlab.controls import ProblemSpec, di_arc, simulate, tv
+from chatterlab.cli import _default_eta_grid
+from chatterlab.controls import (
+    PiecewiseConstantControl,
+    ProblemSpec,
+    di_arc,
+    motion_gap,
+    simulate,
+    tv,
+)
 from chatterlab.errors import CutTooLarge, DegenerateFit
+from chatterlab.fuller import synthesize_chattering
+from chatterlab.solver import regularization_path
 from chatterlab.truncation import (
     TAIL_TV_BUDGET,
     composite_rate_bound,
@@ -211,8 +221,6 @@ def test_sup_deviation_is_exact(reference, decade_path):
 
 
 def test_l1_distance_between_shifted_controls():
-    from chatterlab.controls import PiecewiseConstantControl
-
     u = PiecewiseConstantControl((0.0, 1.0, 2.0), (1.0, -1.0))
     v = PiecewiseConstantControl((0.0, 1.5, 2.0), (1.0, -1.0))
     # differ by 2 on [1, 1.5)
@@ -220,6 +228,139 @@ def test_l1_distance_between_shifted_controls():
     w = PiecewiseConstantControl((0.0, 3.0), (1.0,))
     # differ by 2 on [1, 2) and by 1 on [2, 3)
     assert l1_control_distance(u, w) == pytest.approx(3.0, abs=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# the one-pass metrics against per-piece scans from the first arc
+# ---------------------------------------------------------------------------
+
+def scanned_sup_deviation(traj_a, traj_b, t_from=0.0):
+    """sup_state_deviation with every piece's state from Trajectory.state_at
+    and its control from a scan for the first arc ending after the piece's
+    midpoint, both from arc 0."""
+    def motion(traj, lo, hi):
+        if lo >= traj.duration:
+            x1, x2 = traj.final_state
+            return (x1, 0.0, 0.0, x2, 0.0)
+        x1, x2 = traj.state_at(lo)
+        mid = 0.5 * (lo + hi)
+        u = next(arc.u for arc in traj.arcs if mid < arc.t0 + arc.duration)
+        return (x1, x2, u, x2, u)
+
+    horizon = max(traj_a.duration, traj_b.duration)
+    cuts = {t_from, horizon}
+    for traj in (traj_a, traj_b):
+        for arc in traj.arcs:
+            for t in (arc.t0, arc.t0 + arc.duration):
+                if t_from <= t <= horizon:
+                    cuts.add(t)
+    cuts = sorted(cuts)
+    return max((motion_gap(motion(traj_a, lo, hi), motion(traj_b, lo, hi), hi - lo)
+                for lo, hi in zip(cuts, cuts[1:])), default=0.0)
+
+
+def scanned_l1_distance(u, v):
+    """l1_control_distance with each piece's values from value_at."""
+    horizon = max(u.duration, v.duration)
+    cuts = sorted(set(u.breakpoints) | set(v.breakpoints) | {horizon})
+    total = 0.0
+    for lo, hi in zip(cuts, cuts[1:]):
+        if hi <= lo:
+            continue
+        mid = 0.5 * (lo + hi)
+        a = u.value_at(mid) if mid < u.duration else 0.0
+        b = v.value_at(mid) if mid < v.duration else 0.0
+        total += abs(a - b) * (hi - lo)
+    return total
+
+
+def seeded_references(synth, seed, radii, count):
+    """(spec, control, trajectory) of the references from `count` seeded
+    states with radius uniform in `radii`."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        r, a = rng.uniform(*radii), rng.uniform(0.0, 2.0 * math.pi)
+        spec = ProblemSpec(x0=(r * math.cos(a), r * math.sin(a)))
+        u_star, _ = synthesize_chattering(spec.x0, synth)
+        out.append((spec, u_star, simulate(spec, u_star)))
+    return out
+
+
+def assert_same_metrics(traj_a, traj_b, t_from=0.0):
+    for a, b in ((traj_a, traj_b), (traj_b, traj_a)):
+        assert sup_state_deviation(a, b, t_from) == scanned_sup_deviation(a, b, t_from)
+
+
+def assert_same_l1(u, v):
+    assert l1_control_distance(u, v) == scanned_l1_distance(u, v)
+    assert l1_control_distance(v, u) == scanned_l1_distance(v, u)
+
+
+def test_one_pass_metrics_equal_the_scans_on_solver_candidates(synth):
+    for spec, u_star, traj_star in seeded_references(synth, 17, (0.5, 2.0), 4):
+        path = regularization_path([1e-1, 1e-2, 1e-3, 1e-4], spec, synth=synth)
+        for point in path.records:
+            control = point.candidate.control()
+            assert_same_metrics(simulate(spec, control), traj_star)
+            assert_same_l1(control, u_star)
+
+
+def test_one_pass_metrics_equal_the_scans_on_every_truncation_of_a_sweep(synth):
+    # the cut windows of truncation-rate's automatic grid
+    for spec, u_star, traj_star in seeded_references(synth, 23, (0.5, 2.0), 4):
+        t_star = u_star.duration
+        for eta in _default_eta_grid(u_star, traj_star):
+            res = truncate(u_star, traj_star, eta, spec)
+            traj, t_cut = simulate(spec, res.control), t_star - eta
+            assert res.sup_dev == scanned_sup_deviation(traj, traj_star, t_cut)
+            assert res.l1_dev == scanned_l1_distance(res.control, u_star)
+            assert_same_metrics(traj, traj_star)
+            assert_same_l1(res.control, u_star)
+
+
+def test_one_pass_metrics_equal_the_scans_at_cuts_on_breakpoints(reference):
+    spec, u_star, traj_star, t_star, _ = reference
+    for t_cut in u_star.breakpoints[1:-1]:
+        res = truncate(u_star, traj_star, t_star - t_cut, spec, radius=1e3)
+        traj = simulate(spec, res.control)
+        for t_from in (0.0, t_cut, t_star - res.eta):
+            assert_same_metrics(traj, traj_star, t_from)
+        assert res.l1_dev == scanned_l1_distance(res.control, u_star)
+
+
+def test_one_pass_metrics_equal_the_scans_across_horizons(synth, reference):
+    # candidates of one path end at different times, and a truncation ends
+    # before or after its reference; t_from also falls inside arcs and
+    # past the shorter horizon
+    spec, u_star, traj_star, t_star, _ = reference
+    path = regularization_path([1e-1, 1e-3, 1e-5], spec, synth=synth)
+    controls = [p.candidate.control() for p in path.records]
+    controls += [truncate(u_star, traj_star, eta, spec).control for eta in (0.5, 0.05)]
+    controls.append(u_star)
+    trajs = [simulate(spec, c) for c in controls]
+    for c, ta in zip(controls, trajs):
+        for d, tb in zip(controls, trajs):
+            short = min(ta.duration, tb.duration)
+            for t_from in (0.0, 0.37 * short, short, 0.5 * (ta.duration + tb.duration)):
+                assert sup_state_deviation(ta, tb, t_from) == scanned_sup_deviation(
+                    ta, tb, t_from)
+            assert l1_control_distance(c, d) == scanned_l1_distance(c, d)
+
+
+def test_sup_deviation_of_horizons_one_ulp_apart():
+    # the last piece is one ulp long, and its midpoint rounds onto the
+    # longer horizon; the piece lies inside the longer trajectory's last
+    # arc, whose control it takes
+    spec = ProblemSpec(x0=(0.3, 0.1))
+    for k in range(40):
+        horizon = 0.6 + 0.05 * k
+        a = simulate(spec, PiecewiseConstantControl((0.0, 0.5, horizon), (-1.0, 1.0)))
+        b = simulate(spec, PiecewiseConstantControl(
+            (0.0, 0.5, math.nextafter(horizon, 0.0)), (-1.0, 1.0)))
+        dev = sup_state_deviation(a, b)
+        assert dev == sup_state_deviation(b, a)
+        assert 0.0 <= dev <= 1e-15
 
 
 # ---------------------------------------------------------------------------
