@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Callable
 
 from . import __version__
-from .controls import ProblemSpec, lagrangian_cost, simulate, tv
+from .controls import ProblemSpec, simulate, tv
 from .errors import (
     AllStartsInfeasible,
     ChatterlabError,
@@ -35,7 +35,7 @@ from .errors import (
     NoRootBracket,
     TolTooSmall,
 )
-from .fuller import chattering_reference, default_synthesis
+from .fuller import chattering_reference, default_synthesis, optimal_cost
 from .hybrid import (
     bouncing_ball,
     bouncing_ball_lagrangian,
@@ -284,24 +284,26 @@ def _reference_solution(cfg: ExperimentConfig):
     u_star, t_star, traj_star = chattering_reference(cfg.x0, synth)
     spec = ProblemSpec(x0=cfg.x0,
                        equibound=max(1e3, 10.0 * (t_star + traj_star.sup_abs())))
-    j_star = lagrangian_cost(traj_star)
+    j_star = optimal_cost(cfg.x0, synth)
     return synth, spec, u_star, t_star, traj_star, j_star
 
 
 def run_fuller_synthesize(cfg: ExperimentConfig):
     synth, spec, u_star, t_star, traj_star, j_star = _reference_solution(cfg)
     records = []
-    running_cost = 0.0
     acc_tv = 0.0
     for k, arc in enumerate(traj_star.arcs[:-1]):
         t_k = u_star.breakpoints[k + 1]
-        running_cost += arc.cost_x1sq()
         if k > 0:
             acc_tv += abs(u_star.values[k] - u_star.values[k - 1])
         x_k = arc.end_state
+        # an arc that starts outside the truncation radius follows the
+        # feedback to a switch state, where the optimal cost is K|x2|^5
+        feedback = math.hypot(*arc.x0) >= synth.truncation_tol
         records.append(RateRecord(
             param=t_k,
-            cost_gap=max(j_star - running_cost, 0.0),
+            cost_gap=(synth.value_constant * abs(x_k[1]) ** 5 if feedback
+                      else optimal_cost(x_k, synth)),
             sup_dev=math.hypot(*x_k),
             l1_dev=t_star - t_k,
             tv=acc_tv + (abs(u_star.values[k + 1] - u_star.values[k])),

@@ -14,19 +14,20 @@ found by bisection and never hard-coded.
 The synthesized control switches infinitely often in finite time; it is cut
 at a small radius around the origin and closed with the exact two-arc
 minimum-time tail, whose cost contribution scales like radius^(5/2).
+The optimal cost needs no cut: by the same self-similarity it has a closed
+form (`optimal_cost`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .controls import (
     PiecewiseConstantControl,
     ProblemSpec,
     di_arc,
-    lagrangian_cost,
     simulate,
 )
 from .errors import NoRootBracket, TolTooSmall
@@ -199,6 +200,14 @@ class FullerSynthesis:
         if self.truncation_tol <= 0.0:
             raise ValueError("truncation_tol must be positive")
 
+    @cached_property
+    def value_constant(self) -> float:
+        """K = C / (1 - rho^5), C the cost of the unit arc from (-zeta, 1)
+        under u = -1 up to its next crossing: the optimal cost from a switch
+        state of velocity s is K|s|^5."""
+        d = first_crossing((-self.zeta, 1.0), -1.0, self.zeta)
+        return di_arc(-self.zeta, 1.0, -1.0, d)[2] / (1.0 - self.rho ** 5)
+
 
 @lru_cache(maxsize=1)
 def _cached_constant() -> tuple[float, float]:
@@ -261,15 +270,33 @@ def chattering_reference(x0: tuple, synth: FullerSynthesis) -> tuple:
     """(control, final time, trajectory) of the chattering control
     synthesized from x0, the trajectory simulated without an equibound,
     which far states' references exceed.  A CLI run holds its candidates to
-    this reference and a regularization path builds its starts and bounds
-    its sweep with it, so one run synthesizes once."""
+    this reference and a regularization path builds its starts from it, so
+    one run synthesizes once."""
     control, t_star = synthesize_chattering(x0, synth)
     return control, t_star, simulate(ProblemSpec(x0, equibound=math.inf), control)
 
 
 def optimal_cost(x0, synth: FullerSynthesis) -> float:
-    """Running cost of the synthesized solution from x0; obeys the scaling
-    law J(lam^2 x1, lam x2) = lam^5 J(x1, x2).  Zero at the origin."""
-    if float(x0[0]) == 0.0 and float(x0[1]) == 0.0:
+    """Optimal running cost V(x0), exact and independent of the truncation
+    radius; zero at the origin.  Fuller's synthesis is self-similar (Zelikin
+    & Borisov, Theory of Chattering Control, Birkhauser 1994): an optimal arc
+    maps a switch state of velocity s to one of velocity -rho s, at rho^5
+    times the cost, so V = K|s|^5 at a switch state with K = C / (1 - rho^5)
+    (`FullerSynthesis.value_constant`).  From x0, V is the first feedback
+    arc's cost plus K|s|^5 at its crossing.  x0 is first scaled exactly onto
+    unit size by a power of two lam, as V(lam^2 x1, lam x2) = lam^5 V(x), so
+    the feedback's tie band is relative.  Raises TolTooSmall when V overflows.
+    """
+    x1, x2 = float(x0[0]), float(x0[1])
+    if x1 == 0.0 and x2 == 0.0:
         return 0.0
-    return lagrangian_cost(chattering_reference(tuple(x0), synth)[2])
+    if not math.isfinite(x1 + x2):
+        raise TolTooSmall(f"the optimal cost from x0 = {(x1, x2)} overflows")
+    e = math.frexp(max(math.sqrt(abs(x1)), abs(x2)))[1]
+    x = (math.ldexp(x1, -2 * e), math.ldexp(x2, -e))
+    u = feedback_sign(x, synth.zeta)
+    _, s, cost, _ = di_arc(x[0], x[1], u, first_crossing(x, u, synth.zeta))
+    try:
+        return math.ldexp(cost + synth.value_constant * abs(s) ** 5, 5 * e)
+    except OverflowError:
+        raise TolTooSmall(f"the optimal cost from x0 = {(x1, x2)} overflows") from None

@@ -6,10 +6,9 @@ through the terminal constraint, so only the leading durations are free.
 Each extra switch adds 2 to the total variation, which prices it at
 2 * epsilon in the regularized objective; the solver sweeps the switch
 count and keeps the cheapest feasible candidate.  No admissible control
-costs less than J_floor, the running cost of the synthesized chattering
-optimum before its closing two-arc tail, so the sweep stops at the first
-count where some solved count is within 2 * epsilon of J_floor at the
-smallest epsilon: no higher count can win.
+costs less than the optimal cost J* = `fuller.optimal_cost`, so the sweep
+stops at the first count where some solved count is within 2 * epsilon of
+J* at the smallest epsilon: no higher count can win.
 
 For fixed arc count the duration optimum does not depend on epsilon (the
 penalty is an additive constant), so one table of (count, sign) optima
@@ -51,7 +50,7 @@ from dataclasses import dataclass, field
 
 from .controls import PiecewiseConstantControl, ProblemSpec, di_arc, di_arc_cost_grad
 from .errors import AllStartsInfeasible
-from .fuller import FullerSynthesis, chattering_reference, default_synthesis
+from .fuller import FullerSynthesis, chattering_reference, default_synthesis, optimal_cost
 from .truncation import min_time_to_origin, steer_durations, steer_floor
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -66,7 +65,7 @@ _ORACLE_BLOCK_CELLS = 1 << 14
 #: quasi-Newton steps per start of `optimize_durations`
 _MAX_ITERATIONS = 60
 
-#: largest switch count a regularization path sweeps
+#: largest switch count a regularization path sweeps (a guard: paths stop on J*)
 MAX_SWITCHES = 40
 
 
@@ -682,11 +681,11 @@ class PathPoint:
 @dataclass(frozen=True)
 class SweepStop:
     """Where a path's switch-count sweep stopped and why: the last count it
-    solved, the lower bound J_floor on every admissible cost
-    (`regularization_path`), the least J_k - J_floor over the counts it
-    solved, 2 * epsilon_min, and `reason`, "j_star_bound" when that gap
-    fell below 2 * epsilon_min (within 1e-13 * max(1, |J_floor|)) or
-    "max_switches" when the sweep reached MAX_SWITCHES first."""
+    solved, J_floor = J* (`fuller.optimal_cost`), the least J_k - J_floor
+    over the counts it solved, 2 * epsilon_min, and `reason`, "j_star_bound"
+    when that gap fell below 2 * epsilon_min (within 1e-13 * max(1,
+    |J_floor|)) or "max_switches" when the sweep reached MAX_SWITCHES first,
+    which only subproblems the solver fails to solve can cause."""
 
     n_switches: int
     j_floor: float
@@ -739,19 +738,15 @@ def regularization_path(epsilons, spec: ProblemSpec, *,
     started from the previous count's optimum of its sign; collapsed-switch
     candidates are already represented by lower counts.  The counts are
     swept upward once, and the sweep stops after count n once some solved
-    count k <= n has J_k - J_floor < 2 * epsilon_min, J_floor the running
-    cost of the synthesized chattering optimum before its closing two-arc
-    tail (J* to rounding at the default truncation radius).  Those arcs
-    follow the optimal feedback and the optimal cost-to-go is nonnegative,
-    so no admissible control costs less than J_floor; a radius comparable
-    to |x0| leaves J_floor well below J* and the sweep longer.  A count
-    m > n that keeps its arcs has value at least J_floor + 2 (n + 1)
-    epsilon, above count k's at every epsilon of the grid; a candidate whose
-    arcs collapse is a lower count.
-    The stop's rounding slack, 1e-13 * max(1, |J_floor|), is below the tie
-    band.  Each point is then the cheapest entry of the one table, ties
-    going to the lower switch count, so the exchange inequalities hold to
-    roundoff.
+    count k <= n has J_k - J_floor < 2 * epsilon_min, J_floor = J* the
+    closed-form optimal cost (`fuller.optimal_cost`), which no admissible
+    control undercuts at any truncation radius.  A count m > n that keeps
+    its arcs has value at least J_floor + 2 (n + 1) epsilon, above count
+    k's at every epsilon of the grid; a candidate whose arcs collapse is a
+    lower count.  The stop's rounding slack, 1e-13 * max(1, |J_floor|), is
+    below the tie band.  Each point is then the cheapest entry of the one
+    table, ties going to the lower switch count, so the exchange
+    inequalities hold to roundoff.
     """
     eps = [float(e) for e in epsilons]
     if not eps:
@@ -761,8 +756,7 @@ def regularization_path(epsilons, spec: ProblemSpec, *,
     if any(b >= a for a, b in zip(eps, eps[1:])):
         raise ValueError("epsilons must be sorted descending")
     synth = synth or default_synthesis()
-    arcs = chattering_reference(spec.x0, synth)[2].arcs
-    j_floor = sum((arc.cost_x1sq() for arc in arcs[:-2]), 0.0)
+    j_floor = optimal_cost(spec.x0, synth)
     two_eps_min = 2.0 * eps[-1]
     slack = 1e-13 * max(1.0, abs(j_floor))
     table = []  # (count, candidate), count ascending, sign -1 before +1

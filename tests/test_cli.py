@@ -84,6 +84,25 @@ def test_tv_path_monotone_columns(tmp_path):
     assert all(manifest["results"]["laws"].values())
 
 
+def test_coarse_truncation_radius_keeps_j_star(tmp_path):
+    # J* is the closed-form optimum, so a truncation radius comparable to
+    # |x0| changes neither it nor the sign of any gap, and the sweep still
+    # stops on it
+    results = {}
+    for tol in (None, "0.5", "3"):
+        out = tmp_path / str(tol)
+        argv = ["tv-path", "--x0=1,0", "--eps", "1e-1:1e-6:decade", "--out", str(out)]
+        assert main(argv + (["--tol", tol] if tol else [])) == 0
+        rows = (out / "tv-path.csv").read_text().splitlines()[1:]
+        assert all(float(row.split(",")[1]) >= 0.0 for row in rows), tol
+        results[tol] = json.loads((out / "tv-path-manifest.json").read_text())["results"]
+        stop = results[tol]["sweep_stop"]
+        assert stop["reason"] == "j_star_bound" and stop["n_switches"] <= 4, tol
+        assert stop["j_floor"] == results[tol]["j_star"]
+    assert results["0.5"]["j_star"] == results["3"]["j_star"] == results[None]["j_star"]
+    assert results[None]["j_star"] == 0.7640175477256331
+
+
 def test_config_file_with_flag_override(tmp_path):
     cfg = {"experiment": "tv-path", "x0": [1.0, 0.0],
            "eps": [1e-1, 1e-2], "out": str(tmp_path / "ignored")}
@@ -472,10 +491,11 @@ def test_water_tank_gaps_at_floor_fail_the_rate(tmp_path, monkeypatch):
 #: The zeno-rate pair was re-pinned when the hybrid arcs became closed
 #: forms, and the tv-path and corollary-check pair when the solver kept
 #: three deterministic starts; each moved columns at rounding level only
-#: (see CHANGES.md)
+#: (see CHANGES.md).  The fuller-synthesize digest was re-pinned when its
+#: cost_gap column became the closed-form optimal cost at each switch
 GOLDEN_CSV_SHA256 = {
     ("fuller-synthesize", "--x0", "1,0", "--tol", "1e-10"):
-        "d55e4f6b86dcb4264c3925ad8d4451eab180cc2e1b5387ff2ed6e2d7c319571a",
+        "e9aa7444942a7069c218cb0aec6e5eebf097a318bfe47038d4df3f870989dcf3",
     ("tv-path", "--x0", "1,0", "--eps", "1e-1:1e-6:decade"):
         "2cab4bf80923ca9ec513a2a7fda36417ea63b40ac95af8d0768c54f0bbdd266b",
     ("truncation-rate", "--x0", "1,0"):

@@ -1,14 +1,16 @@
 import math
+import random
 
 import numpy as np
 import pytest
 
-from chatterlab.controls import di_arc, tv
+from chatterlab.controls import di_arc, lagrangian_cost, tv
 from chatterlab.errors import NoRootBracket, TolTooSmall
 from chatterlab.fuller import (
     FullerSynthesis,
     ZETA_BRACKET,
     _adjoint_switch_residual,
+    chattering_reference,
     compute_fuller_constant,
     contraction_ratio,
     curve_residual,
@@ -129,18 +131,76 @@ def test_optimal_cost_scaling_law(synth):
     lam = 0.5
     j1 = optimal_cost((1.0, 0.0), synth)
     j2 = optimal_cost((lam * lam, 0.0), synth)
-    assert abs(j2 - lam ** 5 * j1) / j1 <= 1e-8
+    assert abs(j2 - lam ** 5 * j1) / j1 <= 1e-14
     # generic scaling point with a velocity component
     j3 = optimal_cost((0.7, -0.4), synth)
     j4 = optimal_cost((lam * lam * 0.7, -lam * 0.4), synth)
-    assert abs(j4 - lam ** 5 * j3) / j3 <= 1e-8
+    assert abs(j4 - lam ** 5 * j3) / j3 <= 1e-14
 
 
 def test_optimal_cost_independent_of_truncation_radius():
-    costs = [optimal_cost((1.0, 0.0), default_synthesis(truncation_tol=tol))
-             for tol in (1e-6, 1e-8, 1e-10)]
-    spread = (max(costs) - min(costs)) / costs[0]
-    assert spread <= 1e-6
+    costs = {optimal_cost((1.0, 0.0), default_synthesis(truncation_tol=tol))
+             for tol in (1e-6, 1e-8, 1e-10, 0.5, 3.0)}
+    assert costs == {0.7640175477256331}
+
+
+def _value_states(count, seed=18):
+    """Seeded states at radii 0.05-40: generic ones, every fifth on the
+    switching curve and every fifth on the axis x2 = 0."""
+    rng = random.Random(seed)
+    zeta = default_synthesis().zeta
+    for k in range(count):
+        radius = 0.05 * 800.0 ** rng.random()
+        angle = rng.uniform(0.0, 2.0 * math.pi)
+        x = (radius * math.cos(angle), radius * math.sin(angle))
+        if k % 5 == 1:
+            x = (-zeta * x[1] * abs(x[1]), x[1])
+        elif k % 5 == 2:
+            x = (x[0], 0.0)
+        yield x
+
+
+def test_optimal_cost_matches_the_summed_reference(synth):
+    # the oracle sums the ~35 arcs of the reference synthesized to the
+    # default radius; the closed form never synthesizes
+    for x in _value_states(240):
+        summed = lagrangian_cost(chattering_reference(x, synth)[2])
+        assert abs(optimal_cost(x, synth) - summed) <= 1e-14 * summed, x
+
+
+def test_optimal_cost_exact_laws(synth):
+    # V(9 x1, 3 x2) = 3^5 V(x1, x2) and V(-x) = V(x)
+    for x in _value_states(240, seed=19):
+        v = optimal_cost(x, synth)
+        scaled = optimal_cost((9.0 * x[0], 3.0 * x[1]), synth)
+        assert abs(scaled - 243.0 * v) <= 2e-14 * 243.0 * v, x
+        assert abs(optimal_cost((-x[0], -x[1]), synth) - v) <= 2e-14 * v, x
+
+
+def test_optimal_cost_at_the_edges(synth):
+    j1 = optimal_cost((1.0, 0.0), synth)
+    # far states the synthesis cannot reach follow the scaling law
+    assert optimal_cost((1e12, 0.0), synth) == pytest.approx(1e30 * j1, rel=1e-14)
+    with pytest.raises(TolTooSmall):
+        synthesize_chattering((1e12, 0.0), synth)
+    # states below the feedback's absolute tie band keep the law too
+    for x in ((1e-15, 0.0), (-1e-20, 3e-11), (5e-324, 0.0)):
+        lam = math.sqrt(abs(x[0])) + abs(x[1])
+        want = lam ** 5 * optimal_cost((x[0] / lam ** 2, x[1] / lam), synth)
+        assert optimal_cost(x, synth) == pytest.approx(want, rel=1e-13, abs=1e-320)
+    # an optimal cost beyond the largest float is a radius failure
+    for x in ((1e200, 0.0), (0.0, 1e100), (-1e308, 1e154), (math.inf, 0.0)):
+        with pytest.raises(TolTooSmall):
+            optimal_cost(x, synth)
+
+
+def test_value_constant_is_derived_not_set(synth):
+    with pytest.raises(AttributeError):
+        synth.value_constant = 1.0
+    s = 1.7
+    start = (-synth.zeta * s * s, s)
+    summed = lagrangian_cost(chattering_reference(start, synth)[2])
+    assert synth.value_constant * s ** 5 == pytest.approx(summed, rel=1e-14)
 
 
 def test_truncation_radius_floor(synth):
