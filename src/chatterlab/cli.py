@@ -396,7 +396,8 @@ def _default_eta_grid(u_star, traj_star, decades: int = 3, points: int = 9):
     A skip ends at the previous arc, where another motion takes over, and
     keeps only samples more than 1e-9 of a spacing above its limits, far
     beyond the rounding of t_k, so the scan stops at the sample, and
-    returns the floats, that a scan of all 2000 samples does.
+    returns the floats, that a scan of all 2000 samples does.  Raises
+    DegenerateFit when the smallest window is below the normal floats.
     """
     t_star = u_star.duration
     arcs = traj_star.arcs
@@ -421,7 +422,10 @@ def _default_eta_grid(u_star, traj_star, decades: int = 3, points: int = 9):
             floor = max(floor, t - 2.0 * gap / (b + math.sqrt(b * b + 2.0 * gap)))
         k = min(k - 1, math.floor(floor * 2001.0 / t_star + 1e-9) - 1)
     eta_max = 0.9 * (t_star - hi) if hi is not None else 0.9 * t_star
-    return [eta_max * 10.0 ** (-decades * k / (points - 1)) for k in range(points)]
+    etas = [eta_max * 10.0 ** (-decades * k / (points - 1)) for k in range(points)]
+    if not etas[-1] >= sys.float_info.min:
+        raise DegenerateFit(f"the cut windows below t* = {t_star:.3g} underflow")
+    return etas
 
 
 def run_truncation_rate(cfg: ExperimentConfig):

@@ -9,6 +9,7 @@ immutable inputs, so values can be shared freely across threads and sweeps.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -83,8 +84,8 @@ class PiecewiseConstantControl:
     values: tuple[float, ...]
 
     def __post_init__(self):
-        bp = tuple(float(t) for t in self.breakpoints)
-        vals = tuple(float(v) for v in self.values)
+        bp = tuple(map(float, self.breakpoints))
+        vals = tuple(map(float, self.values))
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "values", vals)
         if len(bp) < 2:
@@ -105,54 +106,40 @@ class PiecewiseConstantControl:
     def n_arcs(self) -> int:
         return len(self.values)
 
-    def value_at(self, t: float) -> float:
-        """Control value at time t; arcs are half open, the last one closed."""
-        bp = self.breakpoints
-        if t < bp[0] or t > bp[-1]:
-            raise ValueError(f"t={t} outside [0, {bp[-1]}]")
-        for i in range(len(self.values)):
-            if t < bp[i + 1]:
-                return self.values[i]
-        return self.values[-1]
+    @classmethod
+    def from_ends(cls, ends, values) -> "PiecewiseConstantControl | None":
+        """Control from absolute arc ends and one value per arc, the first arc
+        starting at 0.  An arc whose end does not pass the previous one is
+        dropped; None when no arc is left."""
+        bp, vals = [0.0], []
+        for t, v in zip(ends, values):
+            if t > bp[-1]:
+                bp.append(t)
+                vals.append(v)
+        return cls(bp, vals) if vals else None
 
     def restrict(self, t_end: float) -> "PiecewiseConstantControl":
         """Restriction to [0, t_end]; a cut exactly at a breakpoint keeps the
         arc ending there and drops the zero-length remainder."""
         if not 0.0 < t_end <= self.duration:
             raise ValueError("t_end must lie in (0, duration]")
-        bp = [0.0]
-        vals = []
-        for i, v in enumerate(self.values):
-            right = self.breakpoints[i + 1]
-            if right < t_end:
-                bp.append(right)
-                vals.append(v)
-            else:
-                bp.append(t_end)
-                vals.append(v)
-                break
-        return PiecewiseConstantControl(tuple(bp), tuple(vals))
+        k = bisect_left(self.breakpoints, t_end)  # first breakpoint at or past t_end
+        return self.from_ends(self.breakpoints[1:k] + (t_end,), self.values[:k])
 
     def split(self, t: float) -> tuple["PiecewiseConstantControl", "PiecewiseConstantControl"]:
         """Head on [0, t] and tail re-based to start at 0."""
         head = self.restrict(t)
-        bp = [0.0]
-        vals = []
-        for i, v in enumerate(self.values):
-            right = self.breakpoints[i + 1]
-            if right <= t:
-                continue
-            bp.append(right - t)
-            vals.append(v)
-        if not vals:
+        tail = self.from_ends([right - t for right in self.breakpoints[1:]], self.values)
+        if tail is None:
             raise ValueError("split point at or beyond the final time")
-        return head, PiecewiseConstantControl(tuple(bp), tuple(vals))
+        return head, tail
 
     def concat(self, other: "PiecewiseConstantControl") -> "PiecewiseConstantControl":
-        """Concatenation u (+) v: v shifted to start where u ends."""
+        """Concatenation u (+) v: v shifted to start where u ends; an arc of v
+        too short to advance u's clock is dropped."""
         t0 = self.duration
-        bp = self.breakpoints + tuple(t0 + t for t in other.breakpoints[1:])
-        return PiecewiseConstantControl(bp, self.values + other.values)
+        ends = self.breakpoints[1:] + tuple(t0 + t for t in other.breakpoints[1:])
+        return self.from_ends(ends, self.values + other.values)
 
 
 def constant_control(value: float, duration: float) -> PiecewiseConstantControl:

@@ -19,7 +19,8 @@ class NoRootBracket(ChatterlabError):
 
 class TolTooSmall(ChatterlabError):
     """Requested truncation radius would underflow arc durations, or x0 lies
-    so far out that its arcs stop advancing the clock or its cost overflows."""
+    so far out that its arcs overflow or stop advancing the clock, or its
+    cost overflows."""
 
 
 class AllStartsInfeasible(ChatterlabError):

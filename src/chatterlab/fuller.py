@@ -54,10 +54,11 @@ def contraction_ratio(zeta: float) -> float:
 
 
 def feedback_sign(x, zeta: float) -> float:
-    """Feedback value: -1 above the curve, +1 below; on the curve the
-    post-switch sign that continues the spiral."""
+    """Feedback value: -1 above the curve, +1 below; on the curve, within
+    CURVE_TIE_BAND * (|x1| + x2^2), the post-switch sign that continues the
+    spiral."""
     sigma = curve_residual(x, zeta)
-    scale = max(1.0, abs(x[0]) + x[1] * x[1])
+    scale = abs(x[0]) + x[1] * x[1]
     if sigma > CURVE_TIE_BAND * scale:
         return -1.0
     if sigma < -CURVE_TIE_BAND * scale:
@@ -84,11 +85,12 @@ def first_crossing(x, u: float, zeta: float) -> float:
 
     On each side of x2 = 0 the curve residual along the flow is a quadratic
     polynomial in time, so the crossing is a filtered quadratic root.  Roots
-    below a tiny fraction of the arc's characteristic time are skipped: they
-    are the start point itself when the arc begins on the curve.
+    below 1e-12 of the characteristic time |x2| + sqrt|x1|, which scales
+    with the state as the feedback's tie band does, are skipped: they are
+    the start point itself when the arc begins on the curve.
     """
     z1, z2 = x
-    t_scale = abs(z2) + math.sqrt(abs(z1)) + math.sqrt(abs(z2))
+    t_scale = abs(z2) + math.sqrt(abs(z1))
     skip = 1e-12 * max(t_scale, 1e-280)
     pieces = []
     if z2 * u < 0.0:
@@ -222,10 +224,13 @@ def default_synthesis(truncation_tol: float = 1e-10) -> FullerSynthesis:
 def synthesize_chattering(x0, synth: FullerSynthesis):
     """Generate the optimal control from x0 by the switching-curve feedback.
 
-    Each curve crossing is found by the closed-form quadratic solve of the
-    arc polynomial; once the state enters the truncation radius the exact
-    two-arc minimum-time steering closes the control at the origin.  Returns
-    (control, final time).  Raises TolTooSmall when x2^2 overflows or an
+    The feedback decides the first sign at x0; every later arc starts on
+    the curve, where the feedback reverses the sign, so each crossing simply
+    flips it.  Each curve crossing is found by the closed-form quadratic
+    solve of the arc polynomial; once the state enters the truncation radius
+    the exact two-arc minimum-time steering closes the control at the
+    origin.  Returns (control, final time).  Raises TolTooSmall when the
+    crossing solve would overflow at x0 or at a state an arc reaches, or an
     arc no longer advances the clock, which a state far outside the
     truncation radius reaches before the radius.
     """
@@ -235,8 +240,6 @@ def synthesize_chattering(x0, synth: FullerSynthesis):
     if synth.truncation_tol < 1e-13:
         raise TolTooSmall(
             f"truncation radius {synth.truncation_tol} underflows arc durations")
-    if not math.isfinite(abs(x[0]) + x[1] * x[1]):
-        raise TolTooSmall(f"x0 = {x} overflows the switching-curve residual")
     breakpoints = [0.0]
     values: list[float] = []
 
@@ -248,11 +251,18 @@ def synthesize_chattering(x0, synth: FullerSynthesis):
         breakpoints.append(breakpoints[-1] + d)
         values.append(u)
 
-    while math.hypot(*x) >= synth.truncation_tol:
-        u = feedback_sign(x, synth.zeta)
+    u = feedback_sign(x, synth.zeta)
+    while True:
+        # 8 (|x1| + x2^2) bounds every term of the crossing's quadratic
+        if not math.isfinite(8.0 * (abs(x[0]) + x[1] * x[1])):
+            raise TolTooSmall(f"the switching-curve residual at {x} overflows: "
+                              f"x0 = {tuple(x0)} is too large")
+        if math.hypot(*x) < synth.truncation_tol:
+            break
         d = first_crossing(x, u, synth.zeta)
         append(u, d)
         x = di_arc(x[0], x[1], u, d)[:2]
+        u = -u
         if len(values) > _MAX_ARCS:
             raise ArithmeticError("switching cascade failed to contract")
     tail, _ = min_time_steer(x)
@@ -285,7 +295,8 @@ def optimal_cost(x0, synth: FullerSynthesis) -> float:
     (`FullerSynthesis.value_constant`).  From x0, V is the first feedback
     arc's cost plus K|s|^5 at its crossing.  x0 is first scaled exactly onto
     unit size by a power of two lam, as V(lam^2 x1, lam x2) = lam^5 V(x), so
-    the feedback's tie band is relative.  Raises TolTooSmall when V overflows.
+    |s|^5 neither underflows nor overflows before V itself does.  Raises
+    TolTooSmall when V overflows.
     """
     x1, x2 = float(x0[0]), float(x0[1])
     if x1 == 0.0 and x2 == 0.0:

@@ -285,8 +285,10 @@ def _geometric_tail(traj: HybridTrajectory, c_prev: float, c_last: float):
 
 
 def zeno_tail_cost(traj: HybridTrajectory, lagrangian: HybridLagrangian):
-    """Cost beyond the last resolved event, extrapolated with the fitted
-    geometric interval model; returns (tail, error bound).
+    """Cost beyond the last resolved event, extrapolated geometrically at the
+    ratio of the last two recorded intervals, d[-1] / d[-2] (the time tail,
+    `ZenoFit.tail`, uses the fitted ratio instead); returns (tail, error
+    bound).
 
     Future arcs alternate parity with the recorded ones, so same-parity arc
     costs contract by the squared interval ratio; summing both parities from
@@ -348,9 +350,7 @@ class ZenoSweep:
     records: tuple[RateRecord, ...]
     dev_slope: float
     gap_slope: float | None
-    dev_constant: float
     gap_constant: float | None
-    sup_rate_constant: float
     rate_bound_constant: float
     bound_ok: bool
 
@@ -408,14 +408,11 @@ def zeno_rate_sweep(traj_star: HybridTrajectory, ns, lagrangian: HybridLagrangia
     dev_fit = fit_power_law([(r.param, r.sup_dev) for r in records])
     gaps = [(r.param, abs(r.cost_gap)) for r in records if abs(r.cost_gap) > GAP_FLOOR]
     gap_fit = fit_power_law(gaps) if len(gaps) >= 3 else None
-    sup_rate = max(r.sup_dev / r.param for r in records)
     return ZenoSweep(
         records=tuple(records),
         dev_slope=dev_fit.exponent,
         gap_slope=gap_fit.exponent if gap_fit else None,
-        dev_constant=dev_fit.constant,
         gap_constant=gap_fit.constant if gap_fit else None,
-        sup_rate_constant=sup_rate,
         rate_bound_constant=c_sup - c_inf,
         bound_ok=bound_ok,
     )

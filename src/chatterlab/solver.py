@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate, cycle
 
 from .controls import PiecewiseConstantControl, ProblemSpec, di_arc, di_arc_cost_grad
 from .errors import AllStartsInfeasible
@@ -134,17 +135,12 @@ class BangBangCandidate:
         return self.lagrangian + epsilon * self.tv
 
     def control(self) -> PiecewiseConstantControl:
-        bp = [0.0]
-        vals = []
         u = self.initial_sign
-        for d in self.durations:
-            if d > 0.0:
-                bp.append(bp[-1] + d)
-                vals.append(u)
-            u = -u
-        if not vals:
+        control = PiecewiseConstantControl.from_ends(accumulate(self.durations),
+                                                     cycle((u, -u)))
+        if control is None:
             raise ValueError("candidate has no positive-duration arc")
-        return PiecewiseConstantControl(tuple(bp), tuple(vals))
+        return control
 
 
 def _fold(state, durations, arcs=None):
@@ -168,24 +164,18 @@ def _fold(state, durations, arcs=None):
     return x1, x2, u, cost, sup, total
 
 
-def _close(state, equibound):
+def _close(state, equibound, arcs=None):
     """Append the terminal pair to a fold: (cost, pair, end x1, end x2, sup,
     total), or None when the terminal solve fails or the equibound is
-    violated."""
-    x1, x2, u, cost, sup, total = state
+    violated.  A list `arcs` receives the pair's two `_fold` records."""
+    x1, x2, u = state[:3]
     if x1 == 0.0 and x2 == 0.0:
         pair = (0.0, 0.0)
     else:
         pair = steer_durations((x1, x2), u)
         if pair is None:
             return None
-    for d in pair:
-        e1, e2, c, vertex = di_arc(x1, x2, u, d)
-        cost += c
-        sup = max(sup, abs(x1), abs(x2), abs(e1), abs(e2), vertex)
-        x1, x2 = e1, e2
-        u = -u
-    total += pair[0] + pair[1]
+    x1, x2, _, cost, sup, total = _fold(state, pair, arcs)
     if total + sup > equibound:
         return None
     return cost, pair, x1, x2, sup, total
@@ -215,25 +205,22 @@ def _objective(x0, sign: float, epsilon: float, equibound: float):
     regularized value of the free durations `theta` (none negative) and the
     exact gradient of their running cost, or (inf, None) when infeasible.
 
-    One fold through `di_arc` records the arcs.  The terminal pair's cost is
-    differentiated in the state z it starts from through the closed form of
-    `steer_durations` (a = -u z2 + r, b = r, r = sqrt(z2^2/2 - u z1)), and
-    one adjoint pass carries that gradient back through the free arcs, the
-    switching-time gradient.  The collapsed TV is piecewise constant, so it
-    enters the value only.  The value equals `_value(_evaluate(...))` bit for
+    One fold through `di_arc` records the arcs, the terminal pair's too.  The
+    pair's cost is differentiated in the state z it starts from through the
+    closed form of `steer_durations` (a = -u z2 + r, b = r, r = sqrt(z2^2/2 -
+    u z1)), and one adjoint pass carries that gradient back through the free
+    arcs, the switching-time gradient.  The collapsed TV is piecewise
+    constant, so it enters the value only.  The value equals `_value(_evaluate(...))` bit for
     bit.
     """
     start = (x0[0], x0[1], sign, 0.0, 0.0, 0.0)
 
     def f(theta):
         arcs = []
-        head = _fold(start, theta, arcs)
-        end = _close(head, equibound)
+        end = _close(_fold(start, theta, arcs), equibound, arcs)
         if end is None:
             return math.inf, None
-        cost, (a, b), w1 = end[0], end[1], end[2]
-        z1, z2, u = head[0], head[1], head[2]
-        y1, y2, _, _ = di_arc(z1, z2, u, a)
+        (z1, z2, u, a, y1, y2), (_, _, _, b, w1, _) = arcs[-2:]
         l1, l2 = di_arc_cost_grad(y1, y2, -u, b)
         cost_a = y1 * y1 + l1 * y2 + l2 * u  # pair cost's derivative in a
         c1, c2 = di_arc_cost_grad(z1, z2, u, a)
@@ -241,14 +228,14 @@ def _objective(x0, sign: float, epsilon: float, equibound: float):
         if b > 0.0:  # dr/dz = (-u, z2) / 2r; its terms vanish as r -> 0
             k = (cost_a + w1 * w1) / (2.0 * b)
             l1, l2 = l1 - u * k, l2 + z2 * k
-        grad = [0.0] * len(arcs)
-        for i in range(len(arcs) - 1, -1, -1):
+        grad = [0.0] * len(theta)
+        for i in range(len(theta) - 1, -1, -1):
             x1, x2, u, d, e1, e2 = arcs[i]
             grad[i] = e1 * e1 + l1 * e2 + l2 * u
             c1, c2 = di_arc_cost_grad(x1, x2, u, d)
             l1, l2 = c1 + l1, c2 + d * l1 + l2
         tv = _collapsed_tv(list(theta) + [a, b]) if epsilon > 0.0 else 0.0
-        return cost + epsilon * tv, grad
+        return end[0] + epsilon * tv, grad
 
     return f
 
@@ -592,8 +579,8 @@ def _vector_eval(x0, sign: float, free_grids, equibound: float):
         x1, x2, c, vertex = di_arc(x1, x2, u, d)
         cost += c
         sup = np.maximum(sup, np.maximum(np.maximum(np.abs(x1), np.abs(x2)), vertex))
+        total += d
         u = -u
-    total += a + root
     tv = _collapsed_tv([gather(d) for d in free_grids] + [a, root])
     cost_grid = np.full(shape, np.inf)
     cost_grid.flat[cells] = np.where(total + sup <= equibound, cost, np.inf)

@@ -102,17 +102,8 @@ def min_time_steer(y):
         if pair is None:
             raise ArithmeticError(f"two-arc steering failed at {y}")
     a, b = pair
-    bp = [0.0]
-    vals = []
-    if a > 0.0:
-        bp.append(a)
-        vals.append(s)
-    if b > 0.0:
-        bp.append(bp[-1] + b)
-        vals.append(-s)
-    if not vals:
-        return None, 0.0
-    return PiecewiseConstantControl(tuple(bp), tuple(vals)), a + b
+    control = PiecewiseConstantControl.from_ends((a, a + b), (s, -s))
+    return (None, 0.0) if control is None else (control, a + b)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,10 @@ time and broken now and then, so runs reach every layer.  Every exit code
 must be 0 or one of 2-7 with exactly one stderr line ("wrote ..." or
 "error: ..."; a zeno-rate run may add its documented dropped-depth warning)
 and no traceback.  Successful runs stay small: no penalty below 1e-2 and no
-event budget above 200.
+event budget above 200.  Edge cases of the double-integrator experiments
+follow the drawn ones: states on or within 1e-14 of the switching curve
+below unit scale, small states at a truncation radius comparable to |x0|,
+states near overflow and subnormal states.
 """
 
 import json
@@ -15,6 +18,7 @@ import math
 import random
 
 from chatterlab.cli import main
+from chatterlab.fuller import default_synthesis
 
 SEED = 20261018
 CASES = 180
@@ -119,17 +123,57 @@ def _case(rng):
 
 
 #: inputs that once ended in a traceback, run ahead of the drawn cases:
-#: integer ranges with a non-integer end, and states so far outside the
-#: truncation radius that the switch intervals stop advancing the clock
+#: integer ranges with a non-integer end; states so far outside the
+#: truncation radius that the switch intervals stop advancing the clock or
+#: the first arc overflows; states within 1e-14 of the curve but far from it
+#: at their own scale; a cut on the closing tail's switching curve; and a
+#: subnormal state whose cut windows underflow
 KNOWN = [
     (["zeno-rate", "--n=2:x"], {}),
     (["zeno-rate", "--n=2.5:8"], {}),
     (["fuller-synthesize", "--x0=1e12,0"], {}),
     (["fuller-synthesize", "--x0=1e200,0"], {}),
     (["truncation-rate", "--x0=1e12,0"], {}),
+    (["fuller-synthesize", "--x0=-5e-15,1.5e-10"], {}),
+    (["tv-path", "--x0=-1e-14,1e-7", "--eps=1e-1"], {}),
+    (["truncation-rate", "--x0=0.2,0", "--tol", "0.5"], {}),
+    (["corollary-check", "--x0=1e154,1e154", "--eps=1e-1,1e-2"], {}),
+    (["truncation-rate", "--x0=0,5e-324"], {}),
 ]
 
-CASE_LIST = KNOWN + [_case(random.Random(SEED + k)) for k in range(CASES)]
+
+def _edge_case(rng, kind):
+    """A double-integrator run from one of the four edge classes."""
+    experiment = "truncation-rate" if kind == 1 else rng.choice(
+        ["fuller-synthesize", "truncation-rate", "tv-path", "corollary-check"])
+    sign = rng.choice([1.0, -1.0])
+    if kind == 0:  # on the curve, or within 1e-14 of it
+        x2 = sign * rng.uniform(1.0, 9.9) * 10.0 ** rng.randint(-12, -1)
+        x1 = -default_synthesis().zeta * x2 * abs(x2)
+        if abs(x2) < 1e-5:
+            x1 += rng.uniform(-1e-14, 1e-14)
+    elif kind == 1:  # the reference is mostly its closing tail
+        r, a = rng.uniform(0.1, 2.0), rng.uniform(0.0, 2.0 * math.pi)
+        x1, x2 = r * math.cos(a), r * math.sin(a)
+    elif kind == 2:  # near overflow, x2^2 finite or not
+        x1 = rng.choice([1.0, -1.0]) * 10.0 ** rng.uniform(0.0, 308.0)
+        x2 = sign * 10.0 ** rng.uniform(153.5, 154.5)
+    else:  # subnormal components
+        x1, x2 = (rng.choice([0.0, sign]) * rng.randint(1, 10 ** 6) * 5e-324
+                  for _ in range(2))
+        x2 = x2 or 5e-324
+    argv = [experiment, f"--x0={x1!r},{x2!r}"]
+    if experiment in ("tv-path", "corollary-check"):
+        argv.append("--eps=1e-1:1e-2:decade")
+    if kind == 1:
+        argv += ["--tol", rng.choice(["0.5", "3"])]
+    return argv, {}
+
+
+EDGE_CASES = 40
+
+CASE_LIST = KNOWN + [_case(random.Random(SEED + k)) for k in range(CASES)] + [
+    _edge_case(random.Random(SEED + CASES + k), k % 4) for k in range(EDGE_CASES)]
 
 
 def test_fuzzed_inputs_end_in_documented_exits(tmp_path, capsys):

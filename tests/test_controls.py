@@ -55,6 +55,25 @@ def test_tv_additive_under_concatenation():
         assert tv(u.concat(v)) == pytest.approx(tv(u) + tv(v) + junction, abs=1e-14)
 
 
+def test_from_ends_drops_arcs_that_do_not_advance():
+    u = PiecewiseConstantControl.from_ends((0.0, 0.5, 0.5, 1.0, 0.75),
+                                           (1.0, -1.0, 1.0, -1.0, 1.0))
+    assert u.breakpoints == (0.0, 0.5, 1.0)
+    assert u.values == (-1.0, -1.0)
+    assert PiecewiseConstantControl.from_ends((0.0, -1.0), (1.0, -1.0)) is None
+    assert PiecewiseConstantControl.from_ends((), ()) is None
+
+
+def test_concat_drops_a_tail_arc_that_does_not_advance_the_clock():
+    # a closing tail whose first arc is below the rounding of the cut time
+    u = PiecewiseConstantControl((0.0, 0.555), (1.0,))
+    v = PiecewiseConstantControl((0.0, 5.55e-17, 0.3), (-1.0, 1.0))
+    w = u.concat(v)
+    assert w.breakpoints == (0.0, 0.555, 0.555 + 0.3)
+    assert w.values == (1.0, 1.0)
+    assert tv(w) == 0.0
+
+
 # ---------------------------------------------------------------------------
 # control validation
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from chatterlab.controls import di_arc, lagrangian_cost, tv
+from chatterlab.controls import ProblemSpec, di_arc, lagrangian_cost, simulate, tv
 from chatterlab.errors import NoRootBracket, TolTooSmall
 from chatterlab.fuller import (
     FullerSynthesis,
@@ -15,6 +15,7 @@ from chatterlab.fuller import (
     contraction_ratio,
     curve_residual,
     default_synthesis,
+    feedback_sign,
     first_crossing,
     optimal_cost,
     synthesize_chattering,
@@ -92,6 +93,57 @@ def test_first_arc_sign_on_curve(synth):
     lower = (synth.zeta * 4.0, -2.0)
     control, _ = synthesize_chattering(lower, synth)
     assert control.values[0] == 1.0
+
+
+def test_feedback_arcs_alternate_at_every_scale(synth):
+    # the feedback decides the first arc from any state, on the curve or
+    # off it; every later arc starts on the curve, where the feedback
+    # reverses the sign, and the switch velocities contract at rho
+    rng = random.Random(19)
+    for k in range(-15, 7):
+        for trial in range(8):
+            r, a = 10.0 ** (k + rng.random()), rng.uniform(0.0, 2.0 * math.pi)
+            x = (r * math.cos(a), r * math.sin(a))
+            if trial % 4 == 0:
+                x = (-synth.zeta * x[1] * abs(x[1]), x[1])
+            u = feedback_sign(x, synth.zeta)
+            speeds = []
+            for _ in range(6):
+                d = first_crossing(x, u, synth.zeta)
+                assert d > 0.0, (k, x)
+                x = di_arc(x[0], x[1], u, d)[:2]
+                u = -u
+                assert feedback_sign(x, synth.zeta) == u, (k, x)
+                speeds.append(abs(x[1]))
+            ratios = [b / a for a, b in zip(speeds, speeds[1:])]
+            assert max(abs(q - synth.rho) for q in ratios) <= 1e-9 * synth.rho, (k, x)
+
+
+def test_synthesis_decides_the_feedback_once(synth, monkeypatch):
+    calls = []
+    real = fuller_mod.feedback_sign
+    monkeypatch.setattr(fuller_mod, "feedback_sign",
+                        lambda x, zeta: calls.append(x) or real(x, zeta))
+    control, _ = synthesize_chattering((1.0, 0.0), synth)
+    assert calls == [(1.0, 0.0)]
+    assert control.n_arcs > 10
+
+
+def test_far_states_below_unit_scale_reach_the_origin(synth):
+    # states within 1e-14 of the curve but far from it at their own scale
+    for x in ((-5e-15, 1.5e-10), (-1e-14, 1e-7), (5e-15, -1.5e-10)):
+        control, _ = synthesize_chattering(x, synth)
+        final = simulate(ProblemSpec(x0=x), control).final_state
+        assert math.hypot(*final) <= synth.truncation_tol
+        v = optimal_cost(x, synth)
+        assert 0.0 < v == pytest.approx(lagrangian_cost(chattering_reference(x, synth)[2]),
+                                        rel=1e-9)
+
+
+def test_overflowing_first_arc_is_a_radius_failure(synth):
+    for x in ((1e154, 1e154), (-2.841949468283626e+97, 1.3093127639590509e+154)):
+        with pytest.raises(TolTooSmall):
+            synthesize_chattering(x, synth)
 
 
 def test_switch_times_scale_self_similarly(reference, synth):
@@ -183,7 +235,7 @@ def test_optimal_cost_at_the_edges(synth):
     assert optimal_cost((1e12, 0.0), synth) == pytest.approx(1e30 * j1, rel=1e-14)
     with pytest.raises(TolTooSmall):
         synthesize_chattering((1e12, 0.0), synth)
-    # states below the feedback's absolute tie band keep the law too
+    # states far below unit scale keep the law too
     for x in ((1e-15, 0.0), (-1e-20, 3e-11), (5e-324, 0.0)):
         lam = math.sqrt(abs(x[0])) + abs(x[1])
         want = lam ** 5 * optimal_cost((x[0] / lam ** 2, x[1] / lam), synth)

@@ -13,7 +13,7 @@ from chatterlab.controls import (
     tv,
 )
 from chatterlab.errors import CutTooLarge, DegenerateFit
-from chatterlab.fuller import synthesize_chattering
+from chatterlab.fuller import FullerSynthesis, default_synthesis, synthesize_chattering
 from chatterlab.solver import regularization_path
 from chatterlab.truncation import (
     TAIL_TV_BUDGET,
@@ -132,6 +132,31 @@ def test_cut_exactly_at_a_switch_time(reference):
     assert res.control.breakpoints[0] == 0.0
     assert all(b > a for a, b in
                zip(res.control.breakpoints, res.control.breakpoints[1:]))
+
+
+def test_cut_on_the_closing_tails_switching_curve(synth):
+    # from inside a coarse truncation radius the reference is all closing
+    # tail, so a cut in its second arc lies on the tail's switching curve
+    # and the new tail's first arc does not advance the clock
+    coarse = FullerSynthesis(zeta=synth.zeta, rho=synth.rho, truncation_tol=0.5)
+    spec = ProblemSpec(x0=(0.2, 0.0))
+    u_star, t_star = synthesize_chattering(spec.x0, coarse)
+    traj_star = simulate(spec, u_star)
+    for eta in _default_eta_grid(u_star, traj_star):
+        res = truncate(u_star, traj_star, eta, spec)
+        assert res.control.values[-1] == u_star.values[-1]
+        # the new tail's switch time is a square root of the cut state's
+        # rounding, so it lands near the reference's, not on it
+        assert abs(res.t_final - t_star) <= 1e-12
+        assert abs(res.cost_gap) <= 1e-15
+        assert res.sup_dev <= 1e-12
+
+
+def test_default_eta_grid_rejects_subnormal_windows():
+    spec = ProblemSpec(x0=(0.0, 5e-324))
+    u_star, _ = synthesize_chattering(spec.x0, default_synthesis())
+    with pytest.raises(DegenerateFit):
+        _default_eta_grid(u_star, simulate(spec, u_star))
 
 
 def test_cut_too_large(reference):
@@ -260,7 +285,14 @@ def scanned_sup_deviation(traj_a, traj_b, t_from=0.0):
 
 
 def scanned_l1_distance(u, v):
-    """l1_control_distance with each piece's values from value_at."""
+    """l1_control_distance with each piece's values looked up from scratch."""
+
+    def value_at(control, t):  # the first arc ending after t; 0 past the horizon
+        for right, value in zip(control.breakpoints[1:], control.values):
+            if t < right:
+                return value
+        return 0.0
+
     horizon = max(u.duration, v.duration)
     cuts = sorted(set(u.breakpoints) | set(v.breakpoints) | {horizon})
     total = 0.0
@@ -268,9 +300,7 @@ def scanned_l1_distance(u, v):
         if hi <= lo:
             continue
         mid = 0.5 * (lo + hi)
-        a = u.value_at(mid) if mid < u.duration else 0.0
-        b = v.value_at(mid) if mid < v.duration else 0.0
-        total += abs(a - b) * (hi - lo)
+        total += abs(value_at(u, mid) - value_at(v, mid)) * (hi - lo)
     return total
 
 
