@@ -53,17 +53,18 @@ def contraction_ratio(zeta: float) -> float:
     return math.sqrt((1.0 - 2.0 * zeta) / (1.0 + 2.0 * zeta))
 
 
+def _on_curve(x, zeta: float) -> bool:
+    """Whether x lies on the switching curve, within the tie band
+    CURVE_TIE_BAND * (|x1| + x2^2)."""
+    return abs(curve_residual(x, zeta)) <= CURVE_TIE_BAND * (abs(x[0]) + x[1] * x[1])
+
+
 def feedback_sign(x, zeta: float) -> float:
-    """Feedback value: -1 above the curve, +1 below; on the curve, within
-    CURVE_TIE_BAND * (|x1| + x2^2), the post-switch sign that continues the
-    spiral."""
-    sigma = curve_residual(x, zeta)
-    scale = abs(x[0]) + x[1] * x[1]
-    if sigma > CURVE_TIE_BAND * scale:
-        return -1.0
-    if sigma < -CURVE_TIE_BAND * scale:
-        return 1.0
-    return -1.0 if x[1] > 0.0 else 1.0
+    """Feedback value: -1 above the curve, +1 below; on the curve
+    (`_on_curve`), the post-switch sign that continues the spiral."""
+    if _on_curve(x, zeta):
+        return -1.0 if x[1] > 0.0 else 1.0
+    return -1.0 if curve_residual(x, zeta) > 0.0 else 1.0
 
 
 def _quad_roots(a: float, b: float, c: float):
@@ -84,14 +85,12 @@ def first_crossing(x, u: float, zeta: float) -> float:
     """Time of the next switching-curve crossing along a constant-control arc.
 
     On each side of x2 = 0 the curve residual along the flow is a quadratic
-    polynomial in time, so the crossing is a filtered quadratic root.  Roots
-    below 1e-12 of the characteristic time |x2| + sqrt|x1|, which scales
-    with the state as the feedback's tie band does, are skipped: they are
-    the start point itself when the arc begins on the curve.
+    polynomial in time, so the crossing is a filtered quadratic root: the
+    least positive one, however small.  An arc that starts on the curve
+    (`_on_curve`) starts at a root: its first piece's constant term is set
+    to exactly 0, so that root is 0 and drops out.
     """
     z1, z2 = x
-    t_scale = abs(z2) + math.sqrt(abs(z1))
-    skip = 1e-12 * max(t_scale, 1e-280)
     pieces = []
     if z2 * u < 0.0:
         t_zero = -z2 / u
@@ -101,11 +100,11 @@ def first_crossing(x, u: float, zeta: float) -> float:
     else:
         sgn = math.copysign(1.0, z2) if z2 != 0.0 else math.copysign(1.0, u)
         pieces.append((0.0, math.inf, sgn))
+    on_curve = _on_curve(x, zeta)
     for lo, hi, eps in pieces:
         a = 0.5 * u + zeta * eps
         b = z2 * (1.0 + 2.0 * zeta * eps * u)
-        c = z1 + zeta * eps * z2 * z2
-        lo_eff = max(lo, skip)
+        c = 0.0 if on_curve and lo == 0.0 else z1 + zeta * eps * z2 * z2
         hi_eff = hi if hi is math.inf else hi * (1.0 + 1e-15) + 1e-300
         degenerate = (abs(a) < 1e-15
                       and abs(b) <= 1e-14 * (abs(z2) + 1.0)
@@ -114,7 +113,7 @@ def first_crossing(x, u: float, zeta: float) -> float:
             # the arc rides the curve (coefficient exactly 1/2): the
             # crossing degenerates to the vertex of the parabola
             return hi
-        hits = [t for t in _quad_roots(a, b, c) if lo_eff < t <= hi_eff]
+        hits = [t for t in _quad_roots(a, b, c) if lo < t <= hi_eff]
         if hits:
             return min(hits)
     raise ArithmeticError(f"no curve crossing from {x} with u={u}")

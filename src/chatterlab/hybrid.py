@@ -9,8 +9,11 @@ k b2, its second is linear, and a guard along it is a quadratic in time whose
 first downward root is the next event.  Executions that exhaust their event
 budget, or whose next arc no longer advances the clock, return the partial
 run with hit_max_events set, which is the normal entry point for Zeno
-analysis: detect_zeno fits the stored arc durations, and the fit's
-accumulation time sets where truncate_zeno ends its frozen arc.
+analysis: detect_zeno fits the stored arc durations, the fit's
+accumulation time sets where truncate_zeno ends its frozen arc, and its
+tail, split between the modes of the last two event arcs, is the one
+continuation of the run past its last event that costs and the rate sweep
+read.
 
 Resets receive the state as a pair of floats and may return any pair of
 numbers.  Each arc stores its duration as computed, its two end times and
@@ -271,46 +274,42 @@ class HybridLagrangian:
         return self.per_mode[arc.mode] * arc.duration
 
 
-def _geometric_tail(traj: HybridTrajectory, c_prev: float, c_last: float):
-    """zeno_tail_cost from the costs of the last two recorded arcs; the
-    trajectory must fit as Zeno."""
-    if not detect_zeno(traj).is_zeno:
+def _zeno_tail(traj: HybridTrajectory) -> tuple[ZenoFit, dict[str, float]]:
+    """The run's one continuation past its last event: its fit, and the
+    fitted tail `ZenoFit.tail` split by mode.
+
+    The continuation alternates between the modes of the last two event
+    arcs (period 2), its intervals contracting by the fitted ratio, so the
+    last arc's mode gets ratio / (1 + ratio) of the tail and the mode before
+    the rest; a single mode gets all of it.  Raises Inconclusive unless the
+    run fits as Zeno.
+    """
+    fit = detect_zeno(traj)
+    if not fit.is_zeno:
         raise Inconclusive("tail extrapolation needs a Zeno trajectory")
-    d = traj.intervals
-    ratio = d[-1] / d[-2]
-    r2 = ratio * ratio
-    tail = (c_prev + c_last) * r2 / (1.0 - r2)
-    bound = abs(tail) * max(10.0 * GEOMETRIC_FIT_TOL, 1e-12)
-    return tail, bound
+    before, last = (arc.mode for arc in traj.arcs[traj.n_events - 2:traj.n_events])
+    if before == last:
+        return fit, {last: fit.tail}
+    share = fit.tail * fit.ratio / (1.0 + fit.ratio)
+    return fit, {before: fit.tail - share, last: share}
 
 
 def zeno_tail_cost(traj: HybridTrajectory, lagrangian: HybridLagrangian):
-    """Cost beyond the last resolved event, extrapolated geometrically at the
-    ratio of the last two recorded intervals, d[-1] / d[-2] (the time tail,
-    `ZenoFit.tail`, uses the fitted ratio instead); returns (tail, error
-    bound).
-
-    Future arcs alternate parity with the recorded ones, so same-parity arc
-    costs contract by the squared interval ratio; summing both parities from
-    the last two arcs gives the tail in closed form.
-    """
-    return _geometric_tail(traj, lagrangian.arc_cost(traj.arcs[-2]),
-                           lagrangian.arc_cost(traj.arcs[-1]))
-
-
-def _tail_cost(traj: HybridTrajectory, arc_costs: list) -> float:
-    """The geometric tail of a run cut short, 0 for one that reached its
-    horizon."""
-    if not traj.hit_max_events:
-        return 0.0
-    return _geometric_tail(traj, arc_costs[-2], arc_costs[-1])[0]
+    """Cost of the run's fitted continuation from its last event to the
+    accumulation time: the sum over modes of rate times the mode's share
+    of the tail (`_zeno_tail`).  Returns (tail cost, error bound
+    10 * GEOMETRIC_FIT_TOL * |tail cost|)."""
+    _, tail = _zeno_tail(traj)
+    cost = sum(lagrangian.per_mode[q] * t for q, t in tail.items())
+    return cost, 10.0 * GEOMETRIC_FIT_TOL * abs(cost)
 
 
 def hybrid_cost(traj: HybridTrajectory, lagrangian: HybridLagrangian) -> float:
-    """Sum of the arc costs; executions cut short get the geometric tail
-    estimate added so the value covers [0, tau_inf]."""
-    arc_costs = [lagrangian.arc_cost(arc) for arc in traj.arcs]
-    return sum(arc_costs) + _tail_cost(traj, arc_costs)
+    """Sum of the arc costs; executions cut short get the tail cost of
+    their fitted continuation added (`zeno_tail_cost`), so the value
+    covers [0, tau_inf]."""
+    cost = sum(lagrangian.arc_cost(arc) for arc in traj.arcs)
+    return cost + zeno_tail_cost(traj, lagrangian)[0] if traj.hit_max_events else cost
 
 
 # ---------------------------------------------------------------------------
@@ -337,14 +336,6 @@ def _frozen_deviation(traj_star: HybridTrajectory, n: int, system: HybridSystem,
     return worst
 
 
-def _mode_mismatch_time(traj_star: HybridTrajectory, n: int, frozen_mode: str) -> float:
-    total = 0.0
-    for arc in traj_star.arcs[n:]:
-        if arc.mode != frozen_mode:
-            total += arc.duration
-    return total
-
-
 @dataclass(frozen=True)
 class ZenoSweep:
     records: tuple[RateRecord, ...]
@@ -360,10 +351,13 @@ def zeno_rate_sweep(traj_star: HybridTrajectory, ns, lagrangian: HybridLagrangia
     """Truncate the Zeno execution after each requested event count and
     record deviations against the accumulation-time scale tau_inf - tau_n.
 
-    tau_inf - tau_n is the suffix sum of the stored durations from arc n on
-    plus the fitted tail, and the cost gap is the frozen arc's cost less the
-    suffix sum of the arc costs and the tail cost, so neither loses digits
-    to a difference of absolute times near the accumulation.
+    The run is its event arcs continued by its fitted tail (`_zeno_tail`).
+    One backward pass over the event arcs, smallest terms first, gives at
+    each depth n the time from tau_n to tau_inf (param) and the time each
+    mode takes of it, so nothing loses digits to a difference of absolute
+    times near the accumulation.  The cost gap is the sum over modes of
+    (frozen rate - mode rate) * mode time, and l1_dev is the time spent
+    outside the frozen mode; sup_dev compares over the recorded support.
     Log-log slopes are fitted for the sup-norm deviation and for the
     magnitude of the cost gap (the gap's sign alternates with the frozen
     mode's parity when the per-mode cost rates differ at the Zeno point).
@@ -377,30 +371,31 @@ def zeno_rate_sweep(traj_star: HybridTrajectory, ns, lagrangian: HybridLagrangia
         raise ValueError("need at least 5 truncation depths")
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("truncation depths must be strictly increasing")
-    fit = detect_zeno(traj_star)
-    if not fit.is_zeno:
-        raise Inconclusive("rate sweep needs a Zeno trajectory")
-    arcs = traj_star.arcs
-    arc_costs = [lagrangian.arc_cost(arc) for arc in arcs]
-    # suffix sums, smallest terms first: remaining time and remaining cost
-    remaining = [fit.tail] * (len(arcs) + 1)
-    remaining_cost = [_tail_cost(traj_star, arc_costs)] * (len(arcs) + 1)
-    for k in range(len(arcs) - 1, -1, -1):
-        in_run = k < traj_star.n_events
-        remaining[k] = remaining[k + 1] + (arcs[k].duration if in_run else 0.0)
-        remaining_cost[k] = remaining_cost[k + 1] + arc_costs[k]
-    rates = [lagrangian.per_mode[arc.mode] for arc in arcs]
+    if ns[0] < 0 or ns[-1] >= traj_star.n_events:
+        raise ValueError(f"truncation depths must lie in [0, {traj_star.n_events})")
+    fit, mode_times = _zeno_tail(traj_star)
+    arcs = traj_star.arcs[:traj_star.n_events]
+    param = fit.tail
+    at_depth = {}
+    for k in range(len(arcs) - 1, ns[0] - 1, -1):
+        q, d = arcs[k].mode, arcs[k].duration
+        param += d
+        mode_times[q] = mode_times.get(q, 0.0) + d
+        if k in ns:
+            at_depth[k] = (param, dict(mode_times))
+    rate = lagrangian.per_mode
+    rates = [rate[arc.mode] for arc in arcs]
     c_inf, c_sup = min(rates), max(rates)
     records = []
     for n in ns:
         t0 = time.perf_counter()
-        param = remaining[n]
-        mode = arcs[n].mode
+        param, mode_times = at_depth[n]
+        frozen = arcs[n].mode
         records.append(RateRecord(
             param=param,
-            cost_gap=lagrangian.per_mode[mode] * param - remaining_cost[n],
+            cost_gap=sum(((rate[frozen] - rate[q]) * t for q, t in mode_times.items()), 0.0),
             sup_dev=_frozen_deviation(traj_star, n, system, param),
-            l1_dev=_mode_mismatch_time(traj_star, n, mode),
+            l1_dev=sum((t for q, t in mode_times.items() if q != frozen), 0.0),
             tv=float(n),
             wall_ms=(time.perf_counter() - t0) * 1e3,
         ))

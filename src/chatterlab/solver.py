@@ -167,13 +167,16 @@ def _fold(state, durations, arcs=None):
 def _close(state, equibound, arcs=None):
     """Append the terminal pair to a fold: (cost, pair, end x1, end x2, sup,
     total), or None when the terminal solve fails or the equibound is
-    violated.  A list `arcs` receives the pair's two `_fold` records."""
+    violated.  A pair of zeros away from the origin fails: it is the
+    solve's rounding band taking a wrong-sign steer of a state below 1e-12,
+    which it leaves where it is.  A list `arcs` receives the pair's two
+    `_fold` records."""
     x1, x2, u = state[:3]
     if x1 == 0.0 and x2 == 0.0:
         pair = (0.0, 0.0)
     else:
         pair = steer_durations((x1, x2), u)
-        if pair is None:
+        if pair is None or pair == (0.0, 0.0):
             return None
     x1, x2, _, cost, sup, total = _fold(state, pair, arcs)
     if total + sup > equibound:

@@ -476,6 +476,24 @@ def test_zeno_rate_horizon_before_enough_events_is_hybrid_failure(tmp_path, caps
     assert not out.exists()
 
 
+def test_zeno_rate_horizon_before_tau_inf_keeps_the_gaps(tmp_path):
+    # a horizon between the ninth event and tau_inf = 4 ends the run on a
+    # partial arc; past its last event the run is continued by its fitted
+    # tail either way, so every gap and l1_dev equals the default run's
+    rows = {}
+    for run, params in (("default", {}), ("short", {"horizon": 3.99})):
+        cfg = _config_file(tmp_path, {"model_params": params})
+        assert main(["zeno-rate", "--model", "water-tank", "--n", "2:8", "--config",
+                     str(cfg), "--out", str(tmp_path / run)]) == 0
+        lines = (tmp_path / run / "zeno-rate.csv").read_text().splitlines()[1:]
+        rows[run] = [[float(v) for v in line.split(",")] for line in lines]
+    assert len(rows["short"]) == len(rows["default"]) == 7
+    for short, default in zip(rows["short"], rows["default"]):
+        assert short[4] == default[4]
+        for col in (0, 1, 3):  # param, cost_gap, l1_dev
+            assert short[col] == pytest.approx(default[col], rel=1e-15, abs=0.0)
+
+
 def test_water_tank_gaps_at_floor_fail_the_rate(tmp_path, monkeypatch):
     # equal mode rates make every gap rounding: the asserted linear rate
     # cannot be fitted
@@ -492,7 +510,10 @@ def test_water_tank_gaps_at_floor_fail_the_rate(tmp_path, monkeypatch):
 #: forms, and the tv-path and corollary-check pair when the solver kept
 #: three deterministic starts; each moved columns at rounding level only
 #: (see CHANGES.md).  The fuller-synthesize digest was re-pinned when its
-#: cost_gap column became the closed-form optimal cost at each switch
+#: cost_gap column became the closed-form optimal cost at each switch, and
+#: the zeno-rate pair again when the time, cost and mode-mismatch tails all
+#: came from the one fitted continuation: the tank's l1_dev gained its tail
+#: and the ball's rounding-level gaps became exact zeros
 GOLDEN_CSV_SHA256 = {
     ("fuller-synthesize", "--x0", "1,0", "--tol", "1e-10"):
         "e9aa7444942a7069c218cb0aec6e5eebf097a318bfe47038d4df3f870989dcf3",
@@ -501,9 +522,9 @@ GOLDEN_CSV_SHA256 = {
     ("truncation-rate", "--x0", "1,0"):
         "335991917c43c8e1b16ee40449d7a031b1b4a6ca470cadf8b1296a89d9c3df8f",
     ("zeno-rate", "--model", "water-tank", "--n", "2:12"):
-        "6a7c25c8ef59c8e0bdf0f6f1cf8a3b9900b43d10729befe119b3056ab35ef775",
+        "a6714038d6fd70b941e18ae1edcc69badbdee5cfcc81ce14a83be00bd50c0b1c",
     ("zeno-rate", "--model", "bouncing-ball", "--n", "2:8"):
-        "3843f48eee20fdf8d71a2ee3ddffc2f84e30ea44e75ff7f74751d49b1bc5350c",
+        "063ccd802f4cef50536f180aa808fccd93c9d36ae370e9d3a2927404115a523e",
     ("corollary-check", "--x0", "1,0", "--eps", "1e-1:1e-6:decade"):
         "57c8f88867723a6b1ef6c285a9ec4d14e4a94e970903b073f8ed4bca74754d3d",
 }

@@ -10,7 +10,9 @@ and no traceback.  Successful runs stay small: no penalty below 1e-2 and no
 event budget above 200.  Edge cases of the double-integrator experiments
 follow the drawn ones: states on or within 1e-14 of the switching curve
 below unit scale, small states at a truncation radius comparable to |x0|,
-states near overflow and subnormal states.
+states near overflow, subnormal states and states just inside the curve;
+last comes a water-tank run whose horizon ends it after its ninth event,
+before its accumulation time.
 """
 
 import json
@@ -126,8 +128,11 @@ def _case(rng):
 #: integer ranges with a non-integer end; states so far outside the
 #: truncation radius that the switch intervals stop advancing the clock or
 #: the first arc overflows; states within 1e-14 of the curve but far from it
-#: at their own scale; a cut on the closing tail's switching curve; and a
-#: subnormal state whose cut windows underflow
+#: at their own scale; a cut on the closing tail's switching curve; a
+#: subnormal state whose cut windows underflow; states whose feedback
+#: crossing came sooner than a start-point skip (just inside the curve, and
+#: on it with a subnormal x1); and a subnormal state whose wrong-sign
+#: terminal pair rounded to two zero durations
 KNOWN = [
     (["zeno-rate", "--n=2:x"], {}),
     (["zeno-rate", "--n=2.5:8"], {}),
@@ -139,11 +144,14 @@ KNOWN = [
     (["truncation-rate", "--x0=0.2,0", "--tol", "0.5"], {}),
     (["corollary-check", "--x0=1e154,1e154", "--eps=1e-1,1e-2"], {}),
     (["truncation-rate", "--x0=0,5e-324"], {}),
+    (["fuller-synthesize", "--x0=-0.4446235601873816,1"], {}),
+    (["tv-path", "--x0=-3.0751893392e-313,8.316482812154222e-157", "--eps=1e-1"], {}),
+    (["tv-path", "--x0=0.0,-3.72988e-318", "--eps=1e-1:1e-2:decade"], {}),
 ]
 
 
 def _edge_case(rng, kind):
-    """A double-integrator run from one of the four edge classes."""
+    """A double-integrator run from one of the five edge classes."""
     experiment = "truncation-rate" if kind == 1 else rng.choice(
         ["fuller-synthesize", "truncation-rate", "tv-path", "corollary-check"])
     sign = rng.choice([1.0, -1.0])
@@ -158,10 +166,15 @@ def _edge_case(rng, kind):
     elif kind == 2:  # near overflow, x2^2 finite or not
         x1 = rng.choice([1.0, -1.0]) * 10.0 ** rng.uniform(0.0, 308.0)
         x2 = sign * 10.0 ** rng.uniform(153.5, 154.5)
-    else:  # subnormal components
+    elif kind == 3:  # subnormal components
         x1, x2 = (rng.choice([0.0, sign]) * rng.randint(1, 10 ** 6) * 5e-324
                   for _ in range(2))
         x2 = x2 or 5e-324
+    else:  # just inside the curve, at a relative residual of 1e-16 to 1e-10
+        zeta = default_synthesis().zeta
+        x2 = sign * 10.0 ** rng.uniform(-6.0, 2.0)
+        residual = 10.0 ** rng.uniform(-16.0, -10.0) * (1.0 + zeta) * x2 * x2
+        x1 = -zeta * x2 * abs(x2) - sign * residual
     argv = [experiment, f"--x0={x1!r},{x2!r}"]
     if experiment in ("tv-path", "corollary-check"):
         argv.append("--eps=1e-1:1e-2:decade")
@@ -170,10 +183,15 @@ def _edge_case(rng, kind):
     return argv, {}
 
 
-EDGE_CASES = 40
+EDGE_CASES = 50
+
+#: the default tank's ninth event is at 3.98828125 and its tenth at 3.994140625
+HORIZON_CUT = (["zeno-rate", "--model", "water-tank", "--n=2:8"],
+               {"model_params": {"horizon": 3.99}})
 
 CASE_LIST = KNOWN + [_case(random.Random(SEED + k)) for k in range(CASES)] + [
-    _edge_case(random.Random(SEED + CASES + k), k % 4) for k in range(EDGE_CASES)]
+    _edge_case(random.Random(SEED + CASES + k), k % 5) for k in range(EDGE_CASES)] + [
+    HORIZON_CUT]
 
 
 def test_fuzzed_inputs_end_in_documented_exits(tmp_path, capsys):

@@ -140,6 +140,21 @@ def test_far_states_below_unit_scale_reach_the_origin(synth):
                                         rel=1e-9)
 
 
+def test_states_just_inside_the_curve_synthesize(synth):
+    # below the curve with x2 > 0 or above it with x2 < 0, at relative
+    # residuals from inside the tie band to far outside it: the first
+    # crossing is the least positive root however soon it comes, and an
+    # arc that starts on the curve drops its own start point
+    for scale in (1e-6, 1.0, 1e3):
+        for sign in (1.0, -1.0):
+            x2 = sign * scale
+            for k in range(101):
+                r = 10.0 ** (-16.0 + 6.0 * k / 100)
+                x = (-synth.zeta * x2 * abs(x2) - sign * r * (1.0 + synth.zeta) * x2 * x2, x2)
+                synthesize_chattering(x, synth)
+                assert 0.0 < optimal_cost(x, synth) < math.inf, x
+
+
 def test_overflowing_first_arc_is_a_radius_failure(synth):
     for x in ((1e154, 1e154), (-2.841949468283626e+97, 1.3093127639590509e+154)):
         with pytest.raises(TolTooSmall):

@@ -218,18 +218,21 @@ def test_ball_reaches_the_zeno_cut_at_small_restitution(restitution):
     assert abs(detect_zeno(traj).tau_inf - SQRT2 * (1.0 + c) / (1.0 - c)) <= 1e-9
 
 
-@pytest.mark.parametrize("inflow", [0.6, 0.75])
+@pytest.mark.parametrize("inflow", [0.6, 0.75, 0.9])
 def test_tank_gap_identity_and_remaining_time_to_the_cut(inflow):
     # |gap| = |r1 - r2| rho / (1 + rho) (tau_inf - tau_n) at every depth the
-    # run keeps, and tau_inf - tau_n strictly decreases down to the cut
+    # run keeps, and tau_inf - tau_n strictly decreases down to the cut;
+    # with |r1 - r2| = 1 the gap is the time outside the frozen mode, tail
+    # included, to the last bit
     system = water_tank(inflow=inflow)
     rho = (inflow - 0.5) / 0.5
-    traj = execute(system, "fill-1", (0.5, 0.5), horizon=5.0, max_events=30)
+    traj = execute(system, "fill-1", (0.5, 0.5), horizon=20.0, max_events=30)
     sweep = zeno_rate_sweep(traj, range(2, traj.n_events), water_tank_lagrangian(), system)
     params = [r.param for r in sweep.records]
     assert all(b < a for a, b in zip(params, params[1:]))
     for rec in sweep.records:
         assert abs(rec.cost_gap) == pytest.approx(rho / (1.0 + rho) * rec.param, rel=1e-14)
+        assert rec.l1_dev == abs(rec.cost_gap)
 
 
 # ---------------------------------------------------------------------------
@@ -322,17 +325,19 @@ def test_zeno_rate_sweep_validates_depths(tank_run):
         zeno_rate_sweep(traj, [2, 3, 4], water_tank_lagrangian(), system)
     with pytest.raises(ValueError):
         zeno_rate_sweep(traj, [5, 4, 3, 2, 1], water_tank_lagrangian(), system)
+    with pytest.raises(ValueError):  # depth n_events has no event arc to freeze
+        zeno_rate_sweep(traj, range(2, traj.n_events + 1), water_tank_lagrangian(), system)
 
 
 def test_ball_rate_reported_not_asserted(ball_run):
     # non-identity resets sit outside the linear-rate guarantee: the sweep
     # still runs and reports its deviation fit; with one mode, every frozen
-    # arc costs what the run does, so the gaps are rounding and unfitted
+    # arc costs what the run does, so the gaps are exactly zero and unfitted
     system, traj = ball_run
     sweep = zeno_rate_sweep(traj, range(2, 9), bouncing_ball_lagrangian(), system)
     assert math.isfinite(sweep.dev_slope)
     assert sweep.gap_slope is None and sweep.bound_ok
-    assert all(abs(r.cost_gap) <= 1e-15 for r in sweep.records)
+    assert all(r.cost_gap == 0.0 for r in sweep.records)
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +373,7 @@ def test_frozen_deviation_bounds_dense_samples(tank_run, ball_run):
 
 
 def test_zeno_rate_sweep_records_equal_truncated_costs(tank_run, ball_run):
-    # the sweep sums remaining times and costs from the end; the same values
+    # the sweep sums the remaining time per mode from the end; the same values
     # from absolute times and whole-run totals agree to their rounding
     tank_system, tank = tank_run
     ball_system, ball = ball_run
