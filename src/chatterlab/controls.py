@@ -9,6 +9,7 @@ immutable inputs, so values can be shared freely across threads and sweeps.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
@@ -257,7 +258,9 @@ class ProblemSpec:
         object.__setattr__(self, "x0", tuple(float(v) for v in self.x0))
         if len(self.x0) != 2:
             raise ValueError("double integrator needs a planar initial state")
-        if self.equibound <= 0.0:
+        if not all(map(math.isfinite, self.x0)):
+            raise ValueError("initial state must be finite")
+        if not self.equibound > 0.0:  # NaN fails it too; inf is no bound
             raise ValueError("equibound must be positive")
 
 

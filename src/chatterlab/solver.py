@@ -17,9 +17,15 @@ selects each point from it, which makes the monotonicity and concavity of
 the value function exact to roundoff.
 
 The free durations are found by projected BFGS on the box [0, cap]^m from
-three kinds of deterministic start: the synthesized chattering prefix, the
-same prefix behind a vanishing first arc (the sign flip), and the optimum
-of the previous switch count (`_build_starts`).  Arcs are polynomial
+deterministic starts (`_build_starts`).  A subproblem solved alone starts
+from the synthesized chattering prefix and the same prefix behind a
+vanishing first arc (the sign flip, `_cold_starts`).  A regularization path
+adds the optimum of the previous switch count of the same sign, and starts
+the sign opposite the feedback sign at x0 from the exact flip of the solved
+optimum one count lower of the other sign in place of the cold starts: a
+zero first arc leaves the state unchanged, so that start costs exactly what
+the lower count does, and the wrong sign's optimum has mostly collapsed
+onto it.  Arcs are polynomial
 (`di_arc`) and the terminal pair is algebraic (`steer_durations`), so
 `_objective` returns the exact gradient of the eliminated objective from
 one forward fold and one adjoint pass, the switching-time gradient of
@@ -309,7 +315,7 @@ def _projected_bfgs(f, theta: list, val: float, grad: list, cap: float,
             trial = [min(max(t + alpha * s, 0.0), cap) for t, s in zip(theta, step)]
             moved = [b - a for a, b in zip(theta, trial)]
             slope = sum(g * d for g, d in zip(grad, moved))
-            if -slope <= 1e-16 * abs(val):
+            if not -slope > 1e-16 * abs(val):  # NaN ends the search too
                 trial = None
                 break
             new_val, new_grad = f(trial)
@@ -402,25 +408,33 @@ def _candidate(sign: float, res, report=None) -> BangBangCandidate:
     return BangBangCandidate(sign, res[2], res[0], res[1], res[3], report)
 
 
-def _build_starts(n_free: int, x0, synth: FullerSynthesis, cap: float, extra_starts):
-    """Three kinds of start, each padded to n_free durations by a geometric
-    tail at the synthesis contraction ratio and clipped to [0, cap]: the
-    prefix of the chattering control synthesized from x0; the sign flip, a
-    vanishing first arc and then that prefix, which reaches the chattering
-    optimum from the other initial sign; and the warm starts."""
+def _cold_starts(x0, synth: FullerSynthesis) -> list:
+    """The two starts of a subproblem solved alone: the prefix of the
+    chattering control synthesized from x0, and the sign flip, a vanishing
+    first arc and then that prefix, which reaches the chattering optimum
+    from the other initial sign."""
     bp = chattering_reference(tuple(x0), synth)[0].breakpoints
     fuller = [b - a for a, b in zip(bp, bp[1:])]
+    return [fuller, [1e-9 * min_time_to_origin(x0)] + fuller]
+
+
+def _build_starts(n_free: int, starts, rho: float, cap: float) -> list:
+    """The starts of one subproblem, each padded to n_free durations by a
+    geometric tail at the synthesis contraction ratio `rho` and clipped to
+    [0, cap]; a longer start is cut to its first n_free.  They are the cold
+    starts (`_cold_starts`) of a subproblem solved alone, or those its
+    regularization path decides: the warm start, and for the sign opposite
+    the feedback sign the flip of a lower count's optimum
+    (`regularization_path`)."""
 
     def pad(base):
         out = list(base[:n_free])
         while len(out) < n_free:
-            out.append(out[-1] * synth.rho)
+            out.append(out[-1] * rho)
         return out
 
-    starts = [pad(fuller), pad([1e-9 * min_time_to_origin(x0)] + fuller)]
-    starts += [pad(list(warm)) for warm in extra_starts]
     # plain floats: numpy scalars would slow every evaluation several-fold
-    return [[float(min(max(d, 0.0), cap)) for d in s] for s in starts]
+    return [[float(min(max(d, 0.0), cap)) for d in pad(s)] for s in starts]
 
 
 def _lift_last(x0, sign: float, theta: list, cap: float) -> None:
@@ -443,13 +457,16 @@ def _lift_last(x0, sign: float, theta: list, cap: float) -> None:
 
 def optimize_durations(n_switches: int, sign: float, epsilon: float,
                        spec: ProblemSpec, *, synth: FullerSynthesis | None = None,
-                       extra_starts=(), trace: list | None = None) -> BangBangCandidate:
+                       starts=None, trace: list | None = None) -> BangBangCandidate:
     """Best alternating bang-bang candidate with the given switch count and
     initial sign, by projected BFGS on the free durations with the exact
     switching-time gradient; the terminal two durations are eliminated
-    exactly at every evaluation.  The starts are the chattering prefix, the
-    sign flip and `extra_starts` (`_build_starts`; a path passes the previous
-    count's optimum of the same sign).  Every start is evaluated once, and only
+    exactly at every evaluation.  The starts are `starts`, each a sequence
+    of durations padded or cut to the free ones (`_build_starts`): by
+    default the chattering prefix and the sign flip (`_cold_starts`); a
+    regularization path passes the ones it decides, for the sign opposite
+    the feedback sign the exact flip of a lower count's optimum and the warm
+    start (`regularization_path`).  Every start is evaluated once, and only
     those the terminal solve accepts are descended from.  When it accepts
     none, each start's last free duration is lifted to the least value it
     accepts (`_lift_last`) and the lifted starts take their place.  At
@@ -469,7 +486,7 @@ def optimize_durations(n_switches: int, sign: float, epsilon: float,
     """
     if n_switches < 1:
         raise ValueError("need at least one switch")
-    if epsilon < 0.0:
+    if not epsilon >= 0.0:
         raise ValueError("epsilon must be nonnegative")
     sign = float(sign)
     if sign not in (-1.0, 1.0):
@@ -497,7 +514,9 @@ def optimize_durations(n_switches: int, sign: float, epsilon: float,
         evaluations += 1
         return objective(theta)
 
-    starts = _build_starts(n_free, x0, synth, cap, extra_starts)
+    if starts is None:
+        starts = _cold_starts(x0, synth)
+    starts = _build_starts(n_free, starts, synth.rho, cap)
     runs = [(theta, *counted(theta)) for theta in starts]
     if all(grad is None for _, _, grad in runs):
         for theta in starts:
@@ -726,8 +745,15 @@ def regularization_path(epsilons, spec: ProblemSpec, *,
     For a fixed switch count the penalty is an additive constant, so each
     (count, sign) subproblem minimizes the running cost alone, once, warm
     started from the previous count's optimum of its sign; collapsed-switch
-    candidates are already represented by lower counts.  The counts are
-    swept upward once, and the sweep stops after count n once some solved
+    candidates are already represented by lower counts.  The sign opposite
+    the feedback sign at x0 (the first sign of the chattering reference)
+    mostly has its count-n optimum on the face where its first arc is zero,
+    the flip of the solved (n - 1, other sign) optimum.  It starts from
+    exactly that flip, a zero ahead of that optimum's free durations, and
+    from its warm start, not from the cold starts (`_cold_starts`), which
+    only creep toward the face; where (n - 1, other sign) was infeasible it
+    keeps the cold starts.  The counts are swept upward once, and the
+    sweep stops after count n once some solved
     count k <= n has J_k - J_floor < 2 * epsilon_min, J_floor = J* the
     closed-form optimal cost (`fuller.optimal_cost`), which no admissible
     control undercuts at any truncation radius.  A count m > n that keeps
@@ -741,7 +767,7 @@ def regularization_path(epsilons, spec: ProblemSpec, *,
     eps = [float(e) for e in epsilons]
     if not eps:
         raise ValueError("epsilon grid must be nonempty")
-    if any(e <= 0.0 for e in eps):
+    if not all(e > 0.0 for e in eps):
         raise ValueError("epsilons must be positive")
     if any(b >= a for a, b in zip(eps, eps[1:])):
         raise ValueError("epsilons must be sorted descending")
@@ -752,18 +778,28 @@ def regularization_path(epsilons, spec: ProblemSpec, *,
     table = []  # (count, candidate), count ascending, sign -1 before +1
     reports = []  # (count, sign, running cost or None, DescentReport)
     min_gap = math.inf
-    warm: dict[float, tuple] = {}
+    warm: dict[float, tuple] = {}  # sign -> durations of its last optimum
+    optima: dict[tuple, tuple] = {}  # (count, sign) -> durations of its optimum
     for n in range(1, MAX_SWITCHES + 1):
         for sign in (-1.0, 1.0):
-            extra = (warm[sign],) if sign in warm else ()
+            flip = optima.get((n - 1, -sign))
+            if n == 1:
+                starts = []  # no free duration
+            elif flip is not None and \
+                    sign != chattering_reference(spec.x0, synth)[0].values[0]:
+                starts = [(0.0,) + flip[:-2]]
+            else:
+                starts = _cold_starts(spec.x0, synth)
+            if sign in warm:
+                starts.append(warm[sign])
             try:
                 cand = optimize_durations(n, sign, 0.0, spec, synth=synth,
-                                          extra_starts=extra)
+                                          starts=starts)
             except AllStartsInfeasible as exc:
                 reports.append((n, sign, None, DescentReport(None, exc.evaluations, 0)))
                 continue
             reports.append((n, sign, cand.lagrangian, cand.report))
-            warm[sign] = cand.durations
+            warm[sign] = optima[n, sign] = cand.durations
             min_gap = min(min_gap, cand.lagrangian - j_floor)
             table.append((n, cand))
         if not table:

@@ -64,3 +64,25 @@ def test_manifest_is_sorted_json(tmp_path):
     text = path.read_text()
     assert text.index('"a"') < text.index('"b"')
     assert json.loads(text) == {"b": 1, "a": {"z": 2, "y": 3}}
+
+
+@pytest.mark.parametrize("write, long, short", [
+    (write_csv, sample_records(), sample_records()[:1]),
+    (write_manifest, {"a": list(range(50))}, {"a": 1}),
+])
+def test_shorter_rewrite_leaves_exactly_the_new_bytes(tmp_path, write, long, short):
+    # outputs are rewritten in place; the tail of a longer earlier file
+    # must not survive
+    path = tmp_path / "out"
+    write(path, long)
+    before = path.stat().st_size
+    fresh = write(tmp_path / "fresh", short).read_bytes()
+    assert write(path, short) == path
+    assert path.read_bytes() == fresh and len(fresh) < before
+
+
+def test_missing_output_is_created(tmp_path):
+    path = tmp_path / "new.csv"
+    assert not path.exists()
+    write_csv(path, sample_records())
+    assert path.read_text().splitlines()[0] == ",".join(CSV_COLUMNS)

@@ -1,4 +1,6 @@
+import contextlib
 import math
+import signal
 import tracemalloc
 
 import numpy as np
@@ -14,10 +16,12 @@ from chatterlab.solver import (
     SolutionPath,
     _better,
     _build_starts,
+    _cold_starts,
     _evaluate,
     _grid_argmin,
     _lift_last,
     _objective,
+    _projected_bfgs,
     _projected_gradient_norm,
     _tie_band,
     _value,
@@ -269,7 +273,7 @@ NO_FEASIBLE_START = [
 def test_lifted_starts_solve_when_no_start_is_feasible(x0, sign, want, synth):
     spec = ProblemSpec(x0=x0)
     cap = solver.DURATION_CAP_FACTOR * min_time_to_origin(x0)
-    starts = _build_starts(1, x0, synth, cap, ())
+    starts = _build_starts(1, _cold_starts(x0, synth), synth.rho, cap)
     assert all(_evaluate(x0, sign, theta, spec.equibound) is None for theta in starts)
     cand = optimize_durations(2, sign, 1e-4, spec, synth=synth)
     assert cand.terminal_residual <= 1e-9
@@ -405,6 +409,77 @@ def test_no_count_past_the_stop_beats_the_path(synth):
     assert checked >= 48
 
 
+def _path_states(synth):
+    """Seeded states at radius 0.5-2, and states at relative residual
+    1e-6-1 of the switching curve on either side, where the wrong initial
+    sign can have an optimum of its own."""
+    rng = np.random.default_rng(21)
+    states = []
+    for _ in range(12):
+        radius, angle = rng.uniform(0.5, 2.0), rng.uniform(0.0, 2.0 * math.pi)
+        states.append((radius * math.cos(angle), radius * math.sin(angle)))
+    for _ in range(12):
+        x2 = rng.uniform(-1.5, 1.5)
+        r = 10.0 ** rng.uniform(-6.0, 0.0) * rng.choice([-1.0, 1.0])
+        states.append((-synth.zeta * x2 * abs(x2) + r * (1.0 + synth.zeta) * x2 * x2, x2))
+    return [(float(x1), float(x2)) for x1, x2 in states]
+
+
+def test_path_starts_lose_nothing_against_solving_alone(monkeypatch, synth):
+    # a path starts the wrong initial sign from the solved flip of count
+    # n - 1 and its warm start only: each entry of its table is no higher,
+    # within the tie band, than the subproblem solved alone from the cold
+    # starts and the same warm start, the selection over those entries is
+    # the path's, and the wrong sign descends from at most two starts, one
+    # of which is worth exactly the flipped count's cost (a zero arc leaves
+    # the state unchanged)
+    solved = []
+    original = solver.optimize_durations
+
+    def recording(n, sign, *args, **kwargs):
+        try:
+            cand = original(n, sign, *args, **kwargs)
+        except AllStartsInfeasible:
+            solved.append((n, sign, None))
+            raise
+        solved.append((n, sign, cand))
+        return cand
+
+    monkeypatch.setattr(solver, "optimize_durations", recording)
+    flipped = 0
+    for x0 in _path_states(synth):
+        spec = ProblemSpec(x0=x0)
+        solved.clear()
+        path = regularization_path(LADDER_8, spec, synth=synth)
+        assert [(n, s, c) for n, s, c, _ in path.subproblems] == \
+            [(n, s, c and c.lagrangian) for n, s, c in solved]
+        feedback = fuller.chattering_reference(x0, synth)[0].values[0]
+        warm, costs, table = {}, {}, []
+        for n, sign, cand in solved:
+            starts = _cold_starts(x0, synth) + ([warm[sign]] if sign in warm else [])
+            try:
+                alone = optimize_durations(n, sign, 0.0, spec, synth=synth, starts=starts)
+            except AllStartsInfeasible:
+                assert cand is None
+                continue
+            assert cand.lagrangian <= alone.lagrangian + _tie_band(alone.lagrangian)
+            if sign != feedback and (n - 1, -sign) in costs:
+                assert cand.report.feasible_starts <= 2
+                assert cand.lagrangian <= costs[n - 1, -sign]
+                flipped += 1
+            warm[sign] = cand.durations
+            costs[n, sign] = cand.lagrangian
+            table.append((n, alone))
+        for point in path.records:
+            best = None
+            for n, alone in table:
+                if _better(alone.value(point.epsilon), n, best):
+                    best = (alone.value(point.epsilon), n, alone)
+            assert (point.value, point.n_switches, point.candidate.initial_sign) == \
+                (best[0], best[1], best[2].initial_sign)
+    assert flipped >= 30
+
+
 def test_far_state_sweep_stops_on_j_star(synth):
     # at J = 7.6e9 the stop's slack and the tie band scale with J: the
     # sweep ends by count 6 and keeps every value to 1e-14 relative
@@ -506,6 +581,50 @@ def test_path_validates_grid(reference):
         regularization_path([1e-3, 1e-2], spec)
     with pytest.raises(ValueError):
         regularization_path([1e-2, -1e-3], spec)
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Fail a call that runs past `seconds` instead of hanging the suite."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"no return within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: optimize_durations(2, 1.0, math.nan, ProblemSpec(x0=(1.0, 0.0))),
+    lambda: regularization_path([math.nan], ProblemSpec(x0=(1.0, 0.0))),
+    lambda: regularization_path([1e-1, math.nan], ProblemSpec(x0=(1.0, 0.0))),
+    lambda: ProblemSpec(x0=(1.0, 0.0), equibound=math.nan),
+    lambda: ProblemSpec(x0=(math.nan, 0.0)),
+    lambda: ProblemSpec(x0=(1.0, -math.inf)),
+], ids=["epsilon", "path", "path-tail", "equibound", "x0-nan", "x0-inf"])
+def test_nan_inputs_raise_one_line_value_errors(call):
+    # every guard is written so that NaN fails it; before, the first call
+    # never returned and the path returned a point at epsilon = NaN
+    with deadline(5.0), pytest.raises(ValueError) as info:
+        call()
+    assert "\n" not in str(info.value)
+    assert ProblemSpec(x0=(1.0, 0.0), equibound=math.inf).equibound == math.inf
+
+
+def test_line_search_ends_on_a_nan_value():
+    # a NaN value fails every Armijo test; the search must still end
+    x0 = (1.0, 0.0)
+    f = _objective(x0, 1.0, math.nan, 1e3)
+    theta = [0.5]
+    val, grad = f(theta)
+    assert math.isnan(val) and grad is not None
+    with deadline(5.0):
+        _projected_bfgs(f, theta, val, grad, 3.0 * min_time_to_origin(x0), [], [False])
 
 
 def test_solver_beats_truncation_competitor(reference, synth, decade_path):
