@@ -98,6 +98,8 @@ class PiecewiseConstantControl:
         for a, b in zip(bp, bp[1:]):
             if not b > a:
                 raise ValueError("breakpoints must be strictly increasing")
+        if not (math.isfinite(bp[-1]) and all(map(math.isfinite, vals))):
+            raise ValueError("breakpoints and values must be finite")
 
     @property
     def duration(self) -> float:

@@ -148,8 +148,11 @@ def compute_fuller_constant(tol: float = 1e-12, start_scale: float = 1.0):
     root is independent of start_scale; recomputing from several scales is
     the scaling-invariance oracle used in tests.
     """
-    if tol < 1e-12:
+    if not tol >= 1e-12:
         raise ValueError("tol below 1e-12 is not resolvable in double precision")
+    if not 1e-76 <= start_scale <= 1e76:
+        raise ValueError(f"start_scale must lie in [1e-76, 1e76], where the residual's "
+                         f"fourth power of it is a normal float, got {start_scale!r}")
     lo, hi = ZETA_BRACKET
     r_lo = _adjoint_switch_residual(lo, start_scale)
     r_hi = _adjoint_switch_residual(hi, start_scale)
@@ -198,8 +201,8 @@ class FullerSynthesis:
             raise ValueError(f"zeta={self.zeta} outside {ZETA_BRACKET}")
         if not 0.0 < self.rho < 1.0:
             raise ValueError("contraction ratio must lie in (0, 1)")
-        if self.truncation_tol <= 0.0:
-            raise ValueError("truncation_tol must be positive")
+        if not 0.0 < self.truncation_tol < math.inf:
+            raise ValueError("truncation_tol must be positive and finite")
 
     @cached_property
     def value_constant(self) -> float:

@@ -44,6 +44,8 @@ def _floats(values, n: int, what: str) -> tuple:
     out = tuple(float(v) for v in values)
     if len(out) != n:
         raise ValueError(f"{what} needs {n} numbers, got {values!r}")
+    if not all(map(math.isfinite, out)):
+        raise ValueError(f"{what} must be finite, got {values!r}")
     return out
 
 
@@ -170,7 +172,7 @@ def execute(system: HybridSystem, q0: str, x0, horizon: float,
         raise ValueError("max_events must be at least 1")
     if q0 not in system.modes:
         raise ValueError(f"unknown initial mode {q0!r}")
-    if horizon <= 0.0:
+    if not horizon > 0.0:
         raise ValueError("horizon must be positive")
     t = 0.0
     x = _floats(x0, 2, "x0")
@@ -252,6 +254,8 @@ def truncate_zeno(traj_star: HybridTrajectory, n: int, system: HybridSystem,
     if not 0 <= n < traj_star.n_events:
         raise ValueError(f"n must lie in [0, {traj_star.n_events})")
     src = traj_star.arcs[n]
+    if not src.t0 <= tau_inf < math.inf:
+        raise ValueError(f"tau_inf must be finite and at least {src.t0}, got {tau_inf!r}")
     duration = tau_inf - src.t0
     end = system.flow(src.mode, src.x0, duration)
     arcs = list(traj_star.arcs[:n]) + [_arc(src.mode, src.t0, duration, src.x0, end)]
@@ -269,6 +273,10 @@ class HybridLagrangian:
     rate times its duration."""
 
     per_mode: dict[str, float]
+
+    def __post_init__(self):
+        if not all(map(math.isfinite, self.per_mode.values())):
+            raise ValueError(f"cost rates must be finite, got {self.per_mode!r}")
 
     def arc_cost(self, arc: HybridArc) -> float:
         return self.per_mode[arc.mode] * arc.duration
@@ -366,7 +374,10 @@ def zeno_rate_sweep(traj_star: HybridTrajectory, ns, lagrangian: HybridLagrangia
     The gap is also checked against (sup rate - inf rate) * (tau_inf -
     tau_n), with the rates of the modes the run visits.
     """
-    ns = [int(n) for n in ns]
+    try:
+        ns = [int(n) for n in ns]
+    except OverflowError:
+        raise ValueError(f"truncation depths must be finite, got {ns!r}") from None
     if len(ns) < 5:
         raise ValueError("need at least 5 truncation depths")
     if any(b <= a for a, b in zip(ns, ns[1:])):

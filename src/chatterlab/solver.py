@@ -46,7 +46,12 @@ golden-section descent on `_evaluate`, independent of the quasi-Newton
 solver it checks.  The grid's free durations are broadcast
 axes, so each arc is folded once per distinct prefix, and only the cells
 the terminal solve accepts get the terminal arcs, the equibound test and
-the collapsed TV.
+the collapsed TV.  The grid is also pruned by cost, branch-and-bound style
+(Land & Doig, Econometrica 28(3), 1960): every arc's running cost and
+epsilon * TV are nonnegative, so a cell's free-arc cost is a lower bound on
+its value, and cells whose bound is above the best value so far are never
+scored (`_grid_argmin`).  The pruned cells could neither be nor tie the
+grid minimum, so the oracle's result is the unpruned grid's bit for bit.
 """
 
 from __future__ import annotations
@@ -455,6 +460,21 @@ def _lift_last(x0, sign: float, theta: list, cap: float) -> None:
         theta[-1] = min(max(theta[-1], t_f + 1e-12 * (1.0 + t_f)), cap)
 
 
+def _checked_sign(n_switches: int, sign: float, epsilon: float) -> float:
+    """The initial sign of a (count, sign) subproblem at penalty epsilon as a
+    float, once the count is an integer of at least 1, the sign -1 or +1 and
+    epsilon finite and nonnegative (each test fails on NaN); ValueError
+    otherwise."""
+    if not (isinstance(n_switches, int) and n_switches >= 1):
+        raise ValueError(f"need an integer switch count of at least 1, got {n_switches!r}")
+    if not 0.0 <= epsilon < math.inf:
+        raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon!r}")
+    sign = float(sign)
+    if sign not in (-1.0, 1.0):
+        raise ValueError(f"sign must be -1 or +1, got {sign!r}")
+    return sign
+
+
 def optimize_durations(n_switches: int, sign: float, epsilon: float,
                        spec: ProblemSpec, *, synth: FullerSynthesis | None = None,
                        starts=None, trace: list | None = None) -> BangBangCandidate:
@@ -484,13 +504,7 @@ def optimize_durations(n_switches: int, sign: float, epsilon: float,
     and are not recorded).  Raises AllStartsInfeasible, carrying its
     evaluation count, when no start yields a feasible candidate.
     """
-    if n_switches < 1:
-        raise ValueError("need at least one switch")
-    if not epsilon >= 0.0:
-        raise ValueError("epsilon must be nonnegative")
-    sign = float(sign)
-    if sign not in (-1.0, 1.0):
-        raise ValueError("sign must be -1 or +1")
+    sign = _checked_sign(n_switches, sign, epsilon)
     synth = synth or default_synthesis()
     x0 = spec.x0
     cap = DURATION_CAP_FACTOR * min_time_to_origin(x0)
@@ -560,7 +574,7 @@ def optimize_durations(n_switches: int, sign: float, epsilon: float,
     return _candidate(sign, _evaluate(x0, sign, best_theta, spec.equibound), report)
 
 
-def _vector_eval(x0, sign: float, free_grids, equibound: float):
+def _vector_eval(x0, sign: float, free_grids, equibound: float, bound: float = math.inf):
     """Vectorized running cost and collapsed total variation of candidates
     over a grid of free durations, the grids broadcasting to the grid's
     shape.  Infeasible entries come back with cost +inf, and those the
@@ -569,8 +583,10 @@ def _vector_eval(x0, sign: float, free_grids, equibound: float):
     Each free arc is folded on the shape its inputs broadcast to, so a
     duration that varies along one axis only is folded once per value.  The
     terminal solve runs on the whole grid; the terminal arcs, the equibound
-    test and the collapsed TV only on the cells it accepts.  Every feasible
-    cell gets the floats `_evaluate` gives it, operation for operation.
+    test and the collapsed TV only on the cells it accepts whose free-arc
+    cost is at most `bound`, the others coming back as infeasible.  Every
+    feasible cell gets the floats `_evaluate` gives it, operation for
+    operation.
     """
     import numpy as np
 
@@ -586,7 +602,7 @@ def _vector_eval(x0, sign: float, free_grids, equibound: float):
         u = -u
     shape = np.broadcast_shapes(*(np.shape(d) for d in free_grids))
     root = 0.5 * x2 * x2 - u * x1  # the discriminant until its root is taken
-    feasible = root >= 0.0
+    feasible = (root >= 0.0) & (cost <= bound)
     np.sqrt(np.maximum(root, 0.0, out=root), out=root)
     a = -u * x2 + root
     feasible &= a > steer_floor(x2, root)  # as in steer_durations
@@ -618,21 +634,39 @@ def _grid_argmin(x0, sign: float, epsilon: float, axis, n_free: int,
     None when no cell is feasible.
 
     Free duration k is `axis` laid along grid dimension k, so `_vector_eval`
-    folds each arc once per distinct prefix and scores only the cells the
-    terminal solve accepts.  The grid is scored in blocks of leading-axis
-    rows of about _ORACLE_BLOCK_CELLS cells, which bounds its memory; a
-    strict < across blocks keeps the first minimum of the whole grid, as
-    np.argmin would.
+    folds each arc once per distinct prefix.  The grid is scored in blocks
+    of leading-axis rows of about _ORACLE_BLOCK_CELLS cells, which bounds
+    its memory; a strict < across blocks keeps the first minimum of the
+    whole grid, as np.argmin would.
+
+    Every arc's running cost is nonnegative and epsilon * TV is too, so a
+    cell's value is at least the cost of its free arcs, and that is at
+    least the cost of its first arc, which depends on its row alone.  A
+    cell whose free-arc cost is above the running best is therefore above
+    it in value too, and can be neither the minimum nor tied with it: only
+    the other cells get the terminal solve, the equibound test and the
+    collapsed TV (`_vector_eval`'s `bound`), and the rows from the first one
+    whose suffix minimum of first-arc costs is above the best are not scored
+    at all.  A relative margin of 1e-9 on the best covers the rounding of
+    the sums, so the result is the unpruned grid's cell bit for bit.
     """
     import numpy as np
 
     rows = max(1, _ORACLE_BLOCK_CELLS // axis.size ** (n_free - 1))
     dims = [(1,) * k + (-1,) + (1,) * (n_free - 1 - k) for k in range(n_free)]
     tail = [axis.reshape(dim) for dim in dims[1:]]
+    # least first-arc cost of the rows from each one on: nondecreasing
+    first = di_arc(x0[0], x0[1], sign, axis)[2]
+    floor = np.minimum.accumulate(first[::-1])[::-1]
     best, theta = math.inf, None
     for r0 in range(0, axis.size, rows):
-        lead = axis[r0:r0 + rows]
-        cost, tv_grid = _vector_eval(x0, sign, [lead.reshape(dims[0])] + tail, equibound)
+        bound = best + 1e-9 * abs(best)
+        r1 = min(r0 + rows, int(np.searchsorted(floor, bound, side="right")))
+        if r1 <= r0:
+            break
+        lead = axis[r0:r1]
+        cost, tv_grid = _vector_eval(x0, sign, [lead.reshape(dims[0])] + tail,
+                                     equibound, bound)
         value = cost + epsilon * tv_grid
         flat = int(np.argmin(value))
         if value.flat[flat] < best:
@@ -647,14 +681,23 @@ def brute_force_oracle(n_switches: int, sign: float, epsilon: float,
     """Exhaustive grid search over the free durations (switch count <= 3),
     terminal arcs eliminated exactly, then one local refinement pass around
     the best cell.  Serves as the independent optimality oracle.
-    """
-    import numpy as np
 
+    The grid has round(1 / resolution) cells per free duration on [0, cap].
+    Its argmin (`_grid_argmin`) skips the cells whose free arcs alone cost
+    more than the best value found so far, which is exact because epsilon
+    is checked finite and nonnegative: no skipped cell could be the first
+    minimum.  Raises ValueError on a switch count outside 1-3, a sign other
+    than -1 or +1, an epsilon that is negative or not finite, or a
+    resolution that is not positive and finite or whose reciprocal
+    overflows.
+    """
+    sign = _checked_sign(n_switches, sign, epsilon)
     if n_switches > 3:
         raise ValueError("the oracle covers at most 3 switches")
-    if n_switches < 1:
-        raise ValueError("need at least one switch")
-    sign = float(sign)
+    if not (0.0 < resolution < math.inf and 1.0 / resolution < math.inf):
+        raise ValueError(f"resolution must be positive and finite, got {resolution!r}")
+    import numpy as np
+
     x0 = spec.x0
     cap = DURATION_CAP_FACTOR * min_time_to_origin(x0)
     cells = max(2, int(round(1.0 / resolution)))

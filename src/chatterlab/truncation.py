@@ -63,13 +63,22 @@ def steer_durations(state, first_sign: float):
     return (a, root)
 
 
+def _finite_state(y) -> tuple[float, float]:
+    """The planar state y, or ValueError when a component is not finite
+    (NaN fails every comparison, so it would pass for the origin)."""
+    z1, z2 = y
+    if not (math.isfinite(z1) and math.isfinite(z2)):
+        raise ValueError(f"state {tuple(y)} must be finite")
+    return z1, z2
+
+
 def min_time_to_origin(y) -> float:
     """Minimum time for the double integrator to steer y to the origin.
 
     Closed form: above the min-time curve the time is x2 + 2*sqrt(x1 + x2^2/2),
     mirrored below; on the curve it is |x2|.  Hoelder-1/2 near the origin.
     """
-    z1, z2 = y
+    z1, z2 = _finite_state(y)
     curve = z1 + 0.5 * z2 * abs(z2)
     if curve > 0.0:
         return z2 + 2.0 * math.sqrt(z1 + 0.5 * z2 * z2)
@@ -85,7 +94,7 @@ def min_time_steer(y):
     the control is None with tau = 0.  The control has at most one internal
     switch, so its total variation is at most 2.
     """
-    z1, z2 = y
+    z1, z2 = _finite_state(y)
     if z1 == 0.0 and z2 == 0.0:
         return None, 0.0
     curve = z1 + 0.5 * z2 * abs(z2)
@@ -337,6 +346,8 @@ def composite_rate_bound(path_rows, u_star: PiecewiseConstantControl,
     constant covers the whole sweep.  `path_rows` supplies (epsilon,
     lagrangian, tv) triples, largest epsilon first.
     """
+    if not math.isfinite(j_star):
+        raise ValueError(f"j_star must be finite, got {j_star!r}")
     rows = []
     m_hat = None
     for point in path_rows:
@@ -359,7 +370,7 @@ def truncation_lag_for_budget(u_star: PiecewiseConstantControl,
     jumping at each switch; the lag therefore snaps to switch times.  When
     the budget covers every recorded jump the lag is the final arc's length.
     """
-    if budget < 0.0:
+    if not budget >= 0.0:
         raise ValueError("budget must be nonnegative")
     t_star = u_star.duration
     acc = 0.0

@@ -784,3 +784,88 @@ def test_blocked_oracle_grid_picks_the_full_grid_argmin(equibound, monkeypatch):
                             assert theta is None
                             continue
                         assert theta == [float(g.flat[flat]) for g in grids]
+
+
+def _kronecker_states(count, seed=22):
+    """States of the benchmark's distribution (radius uniform in [0.5, 2],
+    angle uniform) at the points of a seed-shifted 2-d Kronecker sequence."""
+    g = 1.324717957244746  # the plastic number, g^3 = g + 1
+    shift = np.random.default_rng(seed).random(2)
+    states = []
+    for k in range(count):
+        u, v = np.mod(shift + k * np.array([1.0 / g, 1.0 / g ** 2]), 1.0)
+        r, a = 0.5 + 1.5 * u, 2.0 * math.pi * v
+        states.append((float(r * math.cos(a)), float(r * math.sin(a))))
+    return states
+
+
+def _unpruned_argmin(x0, sign, epsilon, axis, n_free, equibound):
+    """The grid oracle's cell without blocks or cost bound: np.argmin over
+    the values of the whole grid, the reference for `_grid_argmin`."""
+    grids = np.meshgrid(*([axis] * n_free), indexing="ij")
+    cost, tv_grid = _vector_eval(x0, sign, grids, equibound)
+    value = cost + epsilon * tv_grid
+    flat = int(np.argmin(value))
+    if not np.isfinite(value.flat[flat]):
+        return None
+    return [float(g.flat[flat]) for g in grids]
+
+
+@pytest.mark.parametrize("equibound", [1e3, 3.0])
+def test_pruned_oracle_grid_is_the_unpruned_one(equibound, monkeypatch):
+    # cells whose free arcs alone cost more than the running best are not
+    # scored, and rows whose first arc does are not folded; on 20 states of
+    # the benchmark's distribution, in 16-row blocks of a 101-point axis (the
+    # first block is scored whole, so the bound acts from the second on),
+    # the cell is np.argmin's over the whole unpruned grid; on every fourth
+    # state the oracle's refined candidate is the one the unpruned grid
+    # leads to, bit for bit
+    for k, x0 in enumerate(_kronecker_states(20)):
+        axis = np.linspace(0.0, 3.0 * min_time_to_origin(x0), 101)
+        for n_free in (1, 2):
+            monkeypatch.setattr(solver, "_ORACLE_BLOCK_CELLS", 16 * axis.size ** (n_free - 1))
+            for sign in (-1.0, 1.0):
+                for eps in (0.0, 1e-4, 1e-1):
+                    assert _grid_argmin(x0, sign, eps, axis, n_free, equibound) == \
+                        _unpruned_argmin(x0, sign, eps, axis, n_free, equibound)
+        monkeypatch.undo()
+        if k % 4:
+            continue
+        spec = ProblemSpec(x0=x0, equibound=equibound)
+        for sign in (-1.0, 1.0):
+            for eps in (0.0, 1e-4, 1e-1):
+                runs = []
+                for grid_argmin in (solver._grid_argmin, _unpruned_argmin):
+                    monkeypatch.setattr(solver, "_grid_argmin", grid_argmin)
+                    try:
+                        runs.append(brute_force_oracle(3, sign, eps, spec, resolution=1e-2))
+                    except AllStartsInfeasible:
+                        runs.append(None)
+                    monkeypatch.undo()
+                assert runs[0] == runs[1]
+
+
+def test_oracle_grid_prunes_most_cells(monkeypatch):
+    # from (1, 0) at count 3 the unpruned grid folds all of its 251k cells
+    # and gives 22-30% of them the terminal arcs and the collapsed TV; the
+    # cost bound folds under half of them and scores under an eighth
+    folded, scored = [0], [0]
+    vector_eval, collapsed_tv = solver._vector_eval, solver._collapsed_tv
+
+    def counting_eval(x0, sign, free_grids, *args):
+        folded[0] += math.prod(np.broadcast_shapes(*(np.shape(d) for d in free_grids)))
+        return vector_eval(x0, sign, free_grids, *args)
+
+    def counting_tv(durations):
+        if isinstance(durations[-1], np.ndarray):
+            scored[0] += durations[-1].size
+        return collapsed_tv(durations)
+
+    monkeypatch.setattr(solver, "_vector_eval", counting_eval)
+    monkeypatch.setattr(solver, "_collapsed_tv", counting_tv)
+    cells = 501 ** 2
+    for sign in (-1.0, 1.0):
+        folded[0] = scored[0] = 0
+        brute_force_oracle(3, sign, 1e-4, ProblemSpec(x0=(1.0, 0.0)), resolution=2e-3)
+        assert folded[0] < cells / 2
+        assert 0 < scored[0] < cells / 8
