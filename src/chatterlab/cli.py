@@ -18,12 +18,13 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from bisect import bisect_left
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Callable
 
 from . import __version__
-from .controls import ProblemSpec, simulate, tv
+from .controls import ProblemSpec, simulate
 from .errors import (
     AllStartsInfeasible,
     ChatterlabError,
@@ -50,6 +51,7 @@ from .records import RateRecord, write_csv, write_manifest
 from .solver import regularization_path
 from .truncation import (
     HOLDER_EXPONENT,
+    TAIL_TV_BUDGET,
     composite_rate_bound,
     l1_control_distance,
     sup_state_deviation,
@@ -148,16 +150,8 @@ class ExperimentConfig:
         return self
 
     def echo(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "x0": None if self.x0 is None else list(self.x0),
-            "eps": self.eps,
-            "eta": self.eta,
-            "n": self.n,
-            "model": self.model,
-            "model_params": self.model_params,
-            "tol": self.tol,
-        }
+        """Every field but the output directory, for the manifest."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "out"}
 
 
 def _finite_numbers(name: str, values) -> list:
@@ -246,14 +240,14 @@ def load_config(args) -> ExperimentConfig:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from None
         if not isinstance(data, dict):
             raise ConfigError("config file must hold a JSON object")
-    keys = ("x0", "eps", "eta", "n", "model", "model_params", "tol", "out")
-    # the subcommand names the experiment; a config-file "experiment" is
-    # accepted and ignored
-    unknown = sorted(set(data) - {"experiment", *keys})
+    keys = {f.name for f in fields(ExperimentConfig)}
+    unknown = sorted(set(data) - keys)
     if unknown:
         raise ConfigError(f"unknown config key {', '.join(map(repr, unknown))}")
+    # the subcommand names the experiment; a config-file "experiment" is
+    # accepted and ignored
     cfg = ExperimentConfig(experiment=args.experiment)
-    for key in keys:
+    for key in keys - {"experiment"}:
         if key in data:
             setattr(cfg, key, data[key])
     # command-line flags override the config file; the state and the grids
@@ -376,8 +370,9 @@ def run_tv_path(cfg: ExperimentConfig):
     return records, manifest
 
 
-def _default_eta_grid(u_star, traj_star, decades: int = 3, points: int = 9):
-    """Logarithmic cut-window grid inside the unit steering neighborhood.
+def _default_eta_grid(u_star, traj_star):
+    """Logarithmic cut-window grid inside the unit steering neighborhood:
+    nine windows over three decades.
 
     The largest window ends at 0.9 of the time left after the last of the
     samples t_k = t* (k + 1) / 2001, k < 2000, where the reference lies
@@ -398,17 +393,15 @@ def _default_eta_grid(u_star, traj_star, decades: int = 3, points: int = 9):
     DegenerateFit when the smallest window is below the normal floats.
     """
     t_star = u_star.duration
-    arcs = traj_star.arcs
+    arcs, ends = traj_star.arcs, traj_star.ends
     allowance = 1e-9 * (1.0 + t_star) ** 2
     hi = None
-    i = len(arcs) - 1
     k = 1999
     while k >= 0:
         t = t_star * (k + 1) / 2001.0
-        while i > 0 and t <= arcs[i - 1].t0 + arcs[i - 1].duration:
-            i -= 1  # arcs[i] is the first arc ending at or after t
+        i = bisect_left(ends, t)  # arcs[i] is the first arc ending at or after t
         arc = arcs[i]
-        floor = arcs[i - 1].t0 + arcs[i - 1].duration if i > 0 else 0.0
+        floor = ends[i - 1] if i > 0 else 0.0
         if math.sqrt(2.0) * arc.sup_abs() >= 1.0 - 1e-9:
             x1, x2 = arc.state_at(t - arc.t0)
             r = math.hypot(x1, x2)
@@ -420,7 +413,7 @@ def _default_eta_grid(u_star, traj_star, decades: int = 3, points: int = 9):
             floor = max(floor, t - 2.0 * gap / (b + math.sqrt(b * b + 2.0 * gap)))
         k = min(k - 1, math.floor(floor * 2001.0 / t_star + 1e-9) - 1)
     eta_max = 0.9 * (t_star - hi) if hi is not None else 0.9 * t_star
-    etas = [eta_max * 10.0 ** (-decades * k / (points - 1)) for k in range(points)]
+    etas = [eta_max * 10.0 ** (-3 * k / 8) for k in range(9)]
     if not etas[-1] >= sys.float_info.min:
         raise DegenerateFit(f"the cut windows below t* = {t_star:.3g} underflow")
     return etas
@@ -438,8 +431,8 @@ def run_truncation_rate(cfg: ExperimentConfig):
         "max_rel_residual": sweep.max_rel_residual,
         "n_dropped_at_floor": sweep.n_dropped,
         "monotone": sweep.monotone,
-        "tail_tv_budget_ok": all(
-            tv(res.control) <= res.prefix_tv + 4.0 for res in sweep.results),
+        "tail_tv_budget_ok": all(rec.tv <= res.prefix_tv + TAIL_TV_BUDGET
+                                 for rec, res in zip(sweep.records, sweep.results)),
     }
     return list(sweep.records), manifest
 

@@ -10,7 +10,7 @@ immutable inputs, so values can be shared freely across threads and sweeps.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -198,17 +198,23 @@ class Trajectory:
     final_state: tuple[float, float]
 
     @cached_property
+    def ends(self) -> tuple[float, ...]:
+        """Absolute end time of each arc, nondecreasing: every lookup of the
+        arc that holds a time reads this one record."""
+        return tuple(arc.t0 + arc.duration for arc in self.arcs)
+
+    @cached_property
     def duration(self) -> float:
-        last = self.arcs[-1]
-        return last.t0 + last.duration
+        return self.ends[-1]
 
     def state_at(self, t: float) -> tuple[float, float]:
-        if t < 0.0 or t > self.duration * (1.0 + 1e-12) + 1e-300:
+        if not 0.0 <= t <= self.duration * (1.0 + 1e-12) + 1e-300:  # NaN fails
             raise ValueError(f"t={t} outside [0, {self.duration}]")
-        for arc in self.arcs:
-            if t <= arc.t0 + arc.duration:
-                return arc.state_at(t - arc.t0)
-        return self.arcs[-1].state_at(self.arcs[-1].duration)
+        k = bisect_left(self.ends, t)  # the first arc ending at or after t
+        if k == len(self.arcs):
+            return self.arcs[-1].end_state
+        arc = self.arcs[k]
+        return arc.state_at(t - arc.t0)
 
     def sup_abs(self) -> float:
         return max(arc.sup_abs() for arc in self.arcs)
@@ -226,16 +232,18 @@ class Trajectory:
     def cost_after(self, t: float) -> float:
         """Running cost on [t, end]: the part of the arc holding t plus the
         later arcs' suffix sum, which is cached, so cutting one trajectory
-        at many times costs one arc per cut."""
-        for k, arc in enumerate(self.arcs):
-            rest = arc.t0 + arc.duration - t
-            if rest <= 0.0:
-                continue
-            if arc.t0 >= t:
-                return self._cost_suffixes[k]
-            x1, x2 = arc.state_at(t - arc.t0)
-            return self._cost_suffixes[k + 1] + di_arc(x1, x2, arc.u, rest)[2]
-        return 0.0
+        at many times costs one arc per cut.  The whole cost before the
+        start, 0 at or past the end, ValueError for NaN."""
+        if math.isnan(t):
+            raise ValueError(f"t={t} is not a time")
+        k = bisect_right(self.ends, t)  # the first arc ending after t
+        if k == len(self.arcs):
+            return 0.0
+        arc = self.arcs[k]
+        if arc.t0 >= t:
+            return self._cost_suffixes[k]
+        x1, x2 = arc.state_at(t - arc.t0)
+        return self._cost_suffixes[k + 1] + di_arc(x1, x2, arc.u, self.ends[k] - t)[2]
 
 
 # ---------------------------------------------------------------------------

@@ -155,15 +155,13 @@ class BangBangCandidate:
 
 
 def _fold(state, durations, arcs=None):
-    """Fold free arcs through `di_arc` into the running sums `state` =
-    (x1, x2, control sign, cost, sup, elapsed time), each in left-to-right
-    order; None when a duration is negative.  Folding a prefix once and its
-    continuations later gives the same floats as folding the whole list.
-    A list `arcs` receives (x1, x2, u, d, end x1, end x2) of each arc."""
+    """Fold arcs of nonnegative durations through `di_arc` into the running
+    sums `state` = (x1, x2, control sign, cost, sup, elapsed time), each in
+    left-to-right order.  Folding a prefix once and its continuations later
+    gives the same floats as folding the whole list.  A list `arcs`
+    receives (x1, x2, u, d, end x1, end x2) of each arc."""
     x1, x2, u, cost, sup, total = state
     for d in durations:
-        if d < 0.0:
-            return None
         e1, e2, c, vertex = di_arc(x1, x2, u, d)
         cost += c
         sup = max(sup, abs(x1), abs(x2), abs(e1), abs(e2), vertex)
@@ -196,11 +194,10 @@ def _close(state, equibound, arcs=None):
 
 
 def _evaluate(x0, sign: float, free, equibound: float):
-    """Cost data of the candidate with the given free durations, or None when
-    the terminal solve fails, a duration is negative, or the equibound is
+    """Cost data of the candidate with the given free durations (none
+    negative), or None when the terminal solve fails or the equibound is
     violated.  Returns (lagrangian, tv, durations, residual, sup, total_t)."""
-    head = _fold((x0[0], x0[1], sign, 0.0, 0.0, 0.0), free)
-    end = None if head is None else _close(head, equibound)
+    end = _close(_fold((x0[0], x0[1], sign, 0.0, 0.0, 0.0), free), equibound)
     if end is None:
         return None
     cost, pair, x1, x2, sup, total = end
@@ -380,33 +377,6 @@ def _golden(fun, lo: float, hi: float, xtol: float):
             b = lo + _INVPHI * h
             fb = fun(b)
     return (a, fa) if fa <= fb else (b, fb)
-
-
-def _coordinate_descent(value, theta: list, val: float, *, cap: float,
-                        half_width: float, xtol: float, rtol: float,
-                        passes: int) -> float:
-    """Cyclic coordinate descent on the free durations `theta` (updated in
-    place) from objective value `val`; returns the final value.  The
-    oracle's local refinement, independent of the quasi-Newton descent.
-
-    `value(durations)` is the objective.  Per coordinate, a golden-section
-    search of half-width `half_width` around the current duration, clipped
-    to [0, cap], replaces it when strictly better.  Passes stop once one
-    gains less than rtol * (1 + |value|).
-    """
-    for _ in range(passes):
-        prev = val
-        for j in range(len(theta)):
-            lo = max(0.0, theta[j] - half_width)
-            hi = min(cap, theta[j] + half_width)
-            before, after = theta[:j], theta[j + 1:]
-            g_t, g_f = _golden(lambda t: value(before + [t] + after), lo, hi, xtol)
-            if g_f < val:
-                theta[j] = g_t
-                val = g_f
-        if not val < prev - rtol * (1.0 + abs(prev)):
-            break
-    return val
 
 
 def _candidate(sign: float, res, report=None) -> BangBangCandidate:
@@ -707,13 +677,25 @@ def brute_force_oracle(n_switches: int, sign: float, epsilon: float,
     theta = _grid_argmin(x0, sign, epsilon, axis, n_free, spec.equibound) if n_free else []
     if theta is None:
         raise AllStartsInfeasible(f"no feasible grid cell for sign {sign:+.0f}")
-    # local refinement around the best cell: coordinate golden sections,
-    # iterated to convergence inside the one-cell trust region
+    # local refinement around the best cell: cyclic coordinate golden
+    # sections over one cell on each side, clipped to [0, cap], each kept
+    # when strictly better; at most 8 passes, stopping once one gains less
+    # than 1e-15 (1 + |value|)
     def value(free):
         return _value(_evaluate(x0, sign, free, spec.equibound), epsilon)
 
-    _coordinate_descent(value, theta, value(theta), cap=cap, half_width=cap / cells,
-                        xtol=1e-12 * (1.0 + cap), rtol=1e-15, passes=8)
+    val, half, xtol = value(theta), cap / cells, 1e-12 * (1.0 + cap)
+    for _ in range(8):
+        prev = val
+        for j in range(n_free):
+            lo = max(0.0, theta[j] - half)
+            hi = min(cap, theta[j] + half)
+            before, after = theta[:j], theta[j + 1:]
+            g_t, g_f = _golden(lambda t: value(before + [t] + after), lo, hi, xtol)
+            if g_f < val:
+                theta[j], val = g_t, g_f
+        if not val < prev - 1e-15 * (1.0 + abs(prev)):
+            break
     res = _evaluate(x0, sign, theta, spec.equibound)
     if res is None:
         raise AllStartsInfeasible(f"sign {sign:+.0f} infeasible")

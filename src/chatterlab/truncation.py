@@ -144,8 +144,7 @@ def _motions(traj: Trajectory, cuts):
     onto the horizon.  Both indices only grow with lo, so each arc is
     passed once.
     """
-    arcs = traj.arcs
-    ends = [arc.t0 + arc.duration for arc in arcs]
+    arcs, ends = traj.arcs, traj.ends
     last = len(arcs) - 1
     i = j = 0
     for lo, hi in zip(cuts, cuts[1:]):
@@ -168,20 +167,15 @@ def sup_state_deviation(traj_a: Trajectory, traj_b: Trajectory,
     """Exact sup-norm distance between two trajectories on [t_from, T], T the
     larger horizon, extending each by its terminal equilibrium.
 
-    The cuts are t_from, T and every arc end of either trajectory between
-    them.  On each piece between two cuts the difference is one polynomial
-    motion, whose sup motion_gap gives from its ends and vertex; `_motions`
-    reads both trajectories' pieces in one forward pass, so the cost is
-    linear in the arcs.
+    The cuts are t_from, T and every arc end (`Trajectory.ends`) of either
+    trajectory between them.  On each piece between two cuts the difference
+    is one polynomial motion, whose sup motion_gap gives from its ends and
+    vertex; `_motions` reads both trajectories' pieces in one forward pass,
+    so the cost is linear in the arcs.
     """
     horizon = max(traj_a.duration, traj_b.duration)
-    cuts = {t_from, horizon}
-    for traj in (traj_a, traj_b):
-        for arc in traj.arcs:
-            for t in (arc.t0, arc.t0 + arc.duration):
-                if t_from <= t <= horizon:
-                    cuts.add(t)
-    cuts = sorted(cuts)
+    cuts = sorted({t_from, horizon, *(t for t in traj_a.ends + traj_b.ends
+                                      if t_from <= t <= horizon)})
     return max(map(motion_gap, _motions(traj_a, cuts), _motions(traj_b, cuts),
                    [hi - lo for lo, hi in zip(cuts, cuts[1:])]), default=0.0)
 
@@ -270,10 +264,10 @@ class TruncationSweep:
 
 
 def truncation_rate_sweep(u_star: PiecewiseConstantControl, traj_star: Trajectory,
-                          etas, spec: ProblemSpec, *,
-                          radius: float = 1.0) -> TruncationSweep:
+                          etas, spec: ProblemSpec) -> TruncationSweep:
     """Run truncations over a grid of cut windows and fit the cost-gap decay
-    as a power of the window.
+    as a power of the window.  Every cut state must lie in `truncate`'s
+    unit steering neighborhood.
 
     Points whose gap sits at the arithmetic floor are dropped from the fit;
     DegenerateFit is raised when fewer than three usable points remain.  The
@@ -290,7 +284,7 @@ def truncation_rate_sweep(u_star: PiecewiseConstantControl, traj_star: Trajector
     records = []
     for eta in etas:
         t0 = time.perf_counter()
-        res = truncate(u_star, traj_star, eta, spec, radius=radius)
+        res = truncate(u_star, traj_star, eta, spec)
         wall = (time.perf_counter() - t0) * 1e3
         results.append(res)
         records.append(RateRecord(

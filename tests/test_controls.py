@@ -15,6 +15,7 @@ from chatterlab.controls import (
     tv,
 )
 from chatterlab.errors import EquiboundViolation
+from chatterlab.fuller import chattering_reference, default_synthesis
 
 
 def alternating(n_switches, first=1.0, dur=0.25):
@@ -204,6 +205,68 @@ def test_cost_after_a_cut_is_the_tail_cost():
         assert traj.cost_after(t) == pytest.approx(want, rel=1e-14, abs=1e-18)
     assert traj.cost_after(0.0) == pytest.approx(total, rel=1e-14)
     assert traj.cost_after(control.duration) == 0.0
+
+
+def scan_state_at(traj, t):
+    """The state at t by a linear scan: the first arc ending at or after t,
+    or the last arc's end past them all."""
+    for arc in traj.arcs:
+        if t <= arc.t0 + arc.duration:
+            return arc.state_at(t - arc.t0)
+    return traj.arcs[-1].state_at(traj.arcs[-1].duration)
+
+
+def scan_cost_after(traj, t):
+    """The running cost on [t, end] by a linear scan that skips every arc
+    ending at or before t."""
+    for k, arc in enumerate(traj.arcs):
+        rest = arc.t0 + arc.duration - t
+        if rest <= 0.0:
+            continue
+        if arc.t0 >= t:
+            return sum(a.cost_x1sq() for a in reversed(traj.arcs[k:]))
+        x1, x2 = arc.state_at(t - arc.t0)
+        later = sum(a.cost_x1sq() for a in reversed(traj.arcs[k + 1:]))
+        return later + di_arc(x1, x2, arc.u, rest)[2]
+    return 0.0
+
+
+def seeded_references():
+    """Chattering references from seeded states of radius 0.5-2 and seeded
+    random controls, some arcs far shorter than others."""
+    rng = np.random.default_rng(23)
+    synth = default_synthesis()
+    for _ in range(8):
+        r, a = rng.uniform(0.5, 2.0), rng.uniform(0.0, 2.0 * math.pi)
+        yield chattering_reference((r * math.cos(a), r * math.sin(a)), synth)[2]
+    for _ in range(8):
+        ends = np.cumsum(10.0 ** rng.uniform(-9.0, 0.5, size=int(rng.integers(1, 12))))
+        control = PiecewiseConstantControl.from_ends(
+            ends.tolist(), rng.uniform(-1.0, 1.0, size=ends.size).tolist())
+        yield simulate(ProblemSpec(x0=tuple(rng.uniform(-2.0, 2.0, size=2))), control)
+
+
+def test_lookups_match_a_linear_scan_at_every_arc_end():
+    # ties at an arc's end belong to that arc for state_at and to the next
+    # one for cost_after, as in the scans they replaced
+    for traj in seeded_references():
+        assert traj.ends == tuple(arc.t0 + arc.duration for arc in traj.arcs)
+        assert traj.duration == traj.ends[-1]
+        probes = [*traj.ends, *(arc.t0 for arc in traj.arcs),
+                  *(arc.t0 + 0.5 * arc.duration for arc in traj.arcs),
+                  traj.duration * (1.0 + 1e-13)]
+        for t in probes:
+            assert traj.state_at(t) == scan_state_at(traj, t)
+        for t in [*probes, -1.0, 2.0 * traj.duration, -math.inf, math.inf]:
+            assert traj.cost_after(t) == scan_cost_after(traj, t)
+
+
+def test_trajectory_lookups_reject_nan_with_one_line():
+    traj = simulate(ProblemSpec(x0=(1.0, 0.0)), alternating(2))
+    for lookup in (traj.state_at, traj.cost_after):
+        with pytest.raises(ValueError) as exc:
+            lookup(math.nan)
+        assert "\n" not in str(exc.value)
 
 
 def test_closed_form_matches_gauss_legendre_on_random_arcs():
