@@ -9,11 +9,11 @@ k b2, its second is linear, and a guard along it is a quadratic in time whose
 first downward root is the next event.  Executions that exhaust their event
 budget, or whose next arc no longer advances the clock, return the partial
 run with hit_max_events set, which is the normal entry point for Zeno
-analysis: detect_zeno fits the stored arc durations, the fit's
-accumulation time sets where truncate_zeno ends its frozen arc, and its
-tail, split between the modes of the last two event arcs, is the one
-continuation of the run past its last event that costs and the rate sweep
-read.
+analysis: detect_zeno fits the stored arc durations once per run
+(`HybridTrajectory.fit`), the fit's accumulation time sets where
+truncate_zeno ends its frozen arc, and its tail, split between the modes of
+the last two event arcs, is the one continuation of the run past its last
+event that costs and the rate sweep read.
 
 Resets receive the state as a pair of floats and may return any pair of
 numbers.  Each arc stores its duration as computed, its two end times and
@@ -25,10 +25,11 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 from .controls import di_arc, motion_gap
-from .errors import Inconclusive
+from .errors import ConfigError, Inconclusive
 from .fuller import _quad_roots
 from .ratefit import GAP_FLOOR, fit_line, fit_power_law
 from .records import RateRecord
@@ -157,6 +158,11 @@ class HybridTrajectory:
     def duration(self) -> float:
         last = self.arcs[-1]
         return last.t0 + last.duration
+
+    @cached_property
+    def fit(self) -> ZenoFit:
+        """The run's one Zeno fit (`detect_zeno`), worked out once."""
+        return detect_zeno(self)
 
 
 def execute(system: HybridSystem, q0: str, x0, horizon: float,
@@ -292,7 +298,7 @@ def _zeno_tail(traj: HybridTrajectory) -> tuple[ZenoFit, dict[str, float]]:
     the rest; a single mode gets all of it.  Raises Inconclusive unless the
     run fits as Zeno.
     """
-    fit = detect_zeno(traj)
+    fit = traj.fit
     if not fit.is_zeno:
         raise Inconclusive("tail extrapolation needs a Zeno trajectory")
     before, last = (arc.mode for arc in traj.arcs[traj.n_events - 2:traj.n_events])
@@ -372,18 +378,20 @@ def zeno_rate_sweep(traj_star: HybridTrajectory, ns, lagrangian: HybridLagrangia
     Gaps at the rounding floor are left out of the gap fit; with fewer than
     three left, gap_slope and gap_constant are None.
     The gap is also checked against (sup rate - inf rate) * (tau_inf -
-    tau_n), with the rates of the modes the run visits.
+    tau_n), with the rates of the modes the run visits.  A depth grid of
+    fewer than 5, not increasing or outside [0, n_events) raises
+    ConfigError.
     """
     try:
         ns = [int(n) for n in ns]
-    except OverflowError:
-        raise ValueError(f"truncation depths must be finite, got {ns!r}") from None
+    except (OverflowError, ValueError):  # inf, NaN
+        raise ConfigError(f"truncation depths must be finite, got {ns!r}") from None
     if len(ns) < 5:
-        raise ValueError("need at least 5 truncation depths")
+        raise ConfigError("need at least 5 truncation depths")
     if any(b <= a for a, b in zip(ns, ns[1:])):
-        raise ValueError("truncation depths must be strictly increasing")
+        raise ConfigError("truncation depths must be strictly increasing")
     if ns[0] < 0 or ns[-1] >= traj_star.n_events:
-        raise ValueError(f"truncation depths must lie in [0, {traj_star.n_events})")
+        raise ConfigError(f"truncation depths must lie in [0, {traj_star.n_events})")
     fit, mode_times = _zeno_tail(traj_star)
     arcs = traj_star.arcs[:traj_star.n_events]
     param = fit.tail

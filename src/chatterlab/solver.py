@@ -61,7 +61,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate, cycle
 
 from .controls import PiecewiseConstantControl, ProblemSpec, di_arc, di_arc_cost_grad
-from .errors import AllStartsInfeasible
+from .errors import AllStartsInfeasible, ConfigError
 from .fuller import FullerSynthesis, chattering_reference, default_synthesis, optimal_cost
 from .truncation import min_time_to_origin, steer_durations, steer_floor
 
@@ -276,22 +276,20 @@ def _projected_bfgs(f, theta: list, val: float, grad: list, cap: float,
     epsilon > 0 are rejected trials, not gradient information.
 
     When a direction yields no step whose first-order gain is above the
-    value's rounding, 1e-16 * |value|, H is reset; when the reset direction
-    fails too, the coordinates it would move off zero are pinned there, and
-    the descent ends once there is nothing left to pin.  It also ends on two
-    full quasi-Newton steps in a row that each gain less than
-    1e-14 * |value| (one such step can stop short in a flat valley H has
-    not yet seen); on a projected gradient whose first-order gain across
-    the whole box is below that; on two steps in a row cut short by
-    infeasible trials that leave the gradient about as large (a creep along
-    the feasibility boundary, whose points are lower-count candidates); or
-    after _MAX_ITERATIONS steps.  Tolerances relative to |value| keep the
+    value's rounding, 1e-16 * |value|, H is reset, and the descent ends
+    when the reset direction fails too.  It also ends on two full
+    quasi-Newton steps in a row that each gain less than 1e-14 * |value|
+    (one such step can stop short in a flat valley H has not yet seen); on
+    a projected gradient whose first-order gain across the whole box is
+    below that; on two steps in a row cut short by infeasible trials that
+    leave the gradient about as large (a creep along the feasibility
+    boundary, whose points are lower-count candidates); or after
+    _MAX_ITERATIONS steps.  Tolerances relative to |value| keep the
     stop invariant under the problem's scaling law.
     """
     m = len(theta)
     h = None  # inverse-Hessian rows; None stands for gamma times the identity
     gamma = None
-    pinned = list(pinned)
     cut, q_prev = False, math.inf
     walled = small = 0
     for _ in range(_MAX_ITERATIONS):
@@ -330,10 +328,7 @@ def _projected_bfgs(f, theta: list, val: float, grad: list, cap: float,
                 alpha *= min(0.5, max(0.1, -slope / (2.0 * (new_val - val - slope))))
         if trial is None:
             if h is None:
-                leaving = [t <= 0.0 < s for t, s in zip(theta, step)]
-                if not any(leaving):
-                    break
-                pinned = [p or gone for p, gone in zip(pinned, leaving)]
+                break
             h = None
             continue
         y = [b - a for a, b in zip(grad, new_grad)]
@@ -741,17 +736,19 @@ class SolutionPath:
     subproblems: tuple = ()
     stop: SweepStop | None = None
 
-    def laws(self, tol: float = 1e-9) -> dict:
+    def laws(self) -> dict:
         """Monotonicity and concavity checks along the path (epsilon
         ascending): value nondecreasing, total variation nonincreasing,
-        running cost nondecreasing, and the value concave as the lower
-        envelope of the points' lines, value_i <= L_j + eps_i * TV_j for all
-        i, j within the selection's tie band (divided differences of the
-        values read rounding at small epsilon as a breach)."""
+        running cost nondecreasing, each to 1e-9, and the value concave as
+        the lower envelope of the points' lines, value_i <= L_j + eps_i *
+        TV_j for all i, j within the selection's tie band (divided
+        differences of the values read rounding at small epsilon as a
+        breach)."""
         recs = sorted(self.records, key=lambda r: r.epsilon)
         val = [r.value for r in recs]
         tvs = [r.tv for r in recs]
         jls = [r.lagrangian for r in recs]
+        tol = 1e-9
         return {
             "value_nondecreasing": all(b >= a - tol for a, b in zip(val, val[1:])),
             "value_concave": all(
@@ -787,15 +784,16 @@ def regularization_path(epsilons, spec: ProblemSpec, *,
     lower count.  The stop's rounding slack, 1e-13 * max(1, |J_floor|), is
     below the tie band.  Each point is then the cheapest entry of the one
     table, ties going to the lower switch count, so the exchange
-    inequalities hold to roundoff.
+    inequalities hold to roundoff.  An empty grid, or one not positive and
+    strictly descending, raises ConfigError.
     """
     eps = [float(e) for e in epsilons]
     if not eps:
-        raise ValueError("epsilon grid must be nonempty")
+        raise ConfigError("epsilon grid must be nonempty")
     if not all(e > 0.0 for e in eps):
-        raise ValueError("epsilons must be positive")
+        raise ConfigError("epsilons must be positive")
     if any(b >= a for a, b in zip(eps, eps[1:])):
-        raise ValueError("epsilons must be sorted descending")
+        raise ConfigError("epsilons must be sorted descending")
     synth = synth or default_synthesis()
     j_floor = optimal_cost(spec.x0, synth)
     two_eps_min = 2.0 * eps[-1]

@@ -21,7 +21,7 @@ from .controls import (
     simulate,
     tv,
 )
-from .errors import CutTooLarge, DegenerateFit
+from .errors import ConfigError, CutTooLarge, DegenerateFit
 from .ratefit import GAP_FLOOR, fit_power_law
 from .records import RateRecord
 
@@ -271,15 +271,17 @@ def truncation_rate_sweep(u_star: PiecewiseConstantControl, traj_star: Trajector
 
     Points whose gap sits at the arithmetic floor are dropped from the fit;
     DegenerateFit is raised when fewer than three usable points remain.  The
-    deviation columns are checked for monotone decay toward zero.
+    deviation columns are checked for monotone decay toward zero.  A grid
+    of fewer than 5 windows, or not positive, or spanning less than two
+    decades (largest / smallest < 99) raises ConfigError.
     """
     etas = sorted(float(e) for e in etas)
     if len(etas) < 5:
-        raise ValueError("need at least 5 cut windows")
+        raise ConfigError("need at least 5 cut windows")
     if etas[0] <= 0.0:
-        raise ValueError("cut windows must be positive")
+        raise ConfigError("cut windows must be positive")
     if etas[-1] / etas[0] < 99.0:
-        raise ValueError("cut windows must span at least two decades")
+        raise ConfigError("cut windows must span at least two decades")
     results = []
     records = []
     for eta in etas:

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chatterlab import cli, fuller
+from chatterlab import cli, errors, fuller, hybrid
 from chatterlab.cli import main, parse_grid
 from chatterlab.controls import Arc, ProblemSpec, simulate
 from chatterlab.errors import ConfigError
@@ -37,6 +37,15 @@ def test_parse_rejects_garbage():
     for bad in ("", "a,b", "1e-1:3e-4:decade", "1:2:3:4", "2:x", "2.5:8"):
         with pytest.raises(ConfigError):
             parse_grid(bad)
+
+
+def test_decade_grid_faults_keep_their_one_line_messages():
+    # a ConfigError is a ValueError: the parse's own except must not wrap it
+    for bad, message in (("0:1:decade", "decade grids need positive endpoints"),
+                         ("1:2:decade", "decade grids need endpoints a power of ten apart")):
+        with pytest.raises(ConfigError) as info:
+            parse_grid(bad)
+        assert str(info.value) == message
 
 
 def test_missing_subcommand_exits_with_config_code(capsys):
@@ -334,6 +343,11 @@ def _config_file(tmp_path, data):
     ["fuller-synthesize", "--x0=0,0"],
     ["zeno-rate", "--n", "2:x"],
     ["zeno-rate", "--n", "2.5:8"],
+    # grids the sweeps reject: a negative depth, and windows spanning
+    # 98.99... times, which a CLI-side copy of the 99x rule let through
+    ["zeno-rate", "--n=-3:5"],
+    ["zeno-rate", "--config", {"n": [-1, 2, 3, 4, 5, 6]}],
+    ["truncation-rate", "--eta", "49.04812357402852,10,5,1,0.4954355916568538"],
 ])
 def test_bad_input_exits_with_config_code(tmp_path, capsys, argv):
     args = [str(_config_file(tmp_path, arg)) if isinstance(arg, dict) else arg
@@ -574,6 +588,47 @@ def test_path_run_synthesizes_its_reference_once(tmp_path, monkeypatch):
     assert main(["tv-path", "--x0=0.83,-0.41", "--eps", "1e-1:1e-4:decade",
                  "--out", str(tmp_path)]) == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("model, grid", [("water-tank", "2:12"), ("bouncing-ball", "2:8")])
+def test_zeno_rate_fits_its_run_once(tmp_path, monkeypatch, model, grid):
+    # the CLI's check, the sweep and the tail cost all read the run's one
+    # fit, HybridTrajectory.fit
+    calls = []
+    original = hybrid.detect_zeno
+    monkeypatch.setattr(hybrid, "detect_zeno",
+                        lambda traj: calls.append(traj) or original(traj))
+    assert main(["zeno-rate", "--model", model, "--n", grid,
+                 "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
+
+
+#: the documented exit code of each error class, kept apart from the classes
+EXIT_CODES = {
+    errors.ChatterlabError: 1,
+    errors.ConfigError: 2,
+    errors.AllStartsInfeasible: 3,
+    errors.NoRootBracket: 4,
+    errors.TolTooSmall: 4,
+    errors.CutTooLarge: 5,
+    errors.DegenerateFit: 5,
+    errors.Inconclusive: 6,
+    errors.EquiboundViolation: 7,
+}
+
+
+def test_every_error_class_exits_with_its_documented_code(tmp_path, capsys, monkeypatch):
+    classes = {c for c in vars(errors).values()
+               if isinstance(c, type) and issubclass(c, errors.ChatterlabError)}
+    assert classes == set(EXIT_CODES)
+    for cls, code in EXIT_CODES.items():
+        def runner(cfg):
+            raise cls("one line")
+        monkeypatch.setitem(cli._RUNNERS, "fuller-synthesize", runner)
+        assert cls.exit_code == code
+        assert main(["fuller-synthesize", "--out", str(tmp_path / "out")]) == code, cls
+        assert capsys.readouterr().err == "error: one line\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_readme_flag_list_names_every_option():

@@ -131,8 +131,10 @@ def _case(rng):
 #: at their own scale; a cut on the closing tail's switching curve; a
 #: subnormal state whose cut windows underflow; states whose feedback
 #: crossing came sooner than a start-point skip (just inside the curve, and
-#: on it with a subnormal x1); and a subnormal state whose wrong-sign
-#: terminal pair rounded to two zero durations
+#: on it with a subnormal x1); a subnormal state whose wrong-sign
+#: terminal pair rounded to two zero durations; and grids the CLI passed on
+#: that the sweeps reject: a negative truncation depth, on the command line
+#: and in a config file, and cut windows spanning just under 99x
 KNOWN = [
     (["zeno-rate", "--n=2:x"], {}),
     (["zeno-rate", "--n=2.5:8"], {}),
@@ -147,6 +149,9 @@ KNOWN = [
     (["fuller-synthesize", "--x0=-0.4446235601873816,1"], {}),
     (["tv-path", "--x0=-3.0751893392e-313,8.316482812154222e-157", "--eps=1e-1"], {}),
     (["tv-path", "--x0=0.0,-3.72988e-318", "--eps=1e-1:1e-2:decade"], {}),
+    (["zeno-rate", "--n=-3:5"], {}),
+    (["zeno-rate"], {"n": [-1, 2, 3, 4, 5, 6]}),
+    (["truncation-rate", "--eta=49.04812357402852,10,5,1,0.4954355916568538"], {}),
 ]
 
 

@@ -185,6 +185,15 @@ def test_detect_zeno_needs_enough_events(tank_run):
     short = execute(system, "fill-1", (0.5, 0.5), horizon=5.0, max_events=4)
     with pytest.raises(ValueError):
         detect_zeno(short)
+    with pytest.raises(ValueError):  # the run's fit raises as detect_zeno does
+        short.fit
+
+
+def test_a_run_is_fitted_once(tank_run):
+    _, traj = tank_run
+    fresh = dataclasses.replace(traj)
+    assert fresh.fit is fresh.fit
+    assert fresh.fit == detect_zeno(traj)
 
 
 def tank_tau_inf(inflow, levels=(0.5, 0.5), drain=(0.5, 0.5)):

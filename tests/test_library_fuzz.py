@@ -199,3 +199,17 @@ def test_every_public_function_taking_numbers_is_probed():
                 "detect_zeno", "lagrangian_cost", "tv", "write_csv", "write_manifest"}
     public = {name for name in cl.__all__ if callable(getattr(cl, name))}
     assert public == probed | unprobed
+
+
+@pytest.mark.parametrize("call", [
+    lambda: cl.regularization_path([], SPEC),
+    # largest / smallest is 98.99...: below the sweep's two decades
+    lambda: cl.truncation_rate_sweep(
+        U_STAR, TRAJ_STAR, [49.04812357402852, 10, 5, 1, 0.4954355916568538], SPEC),
+    lambda: cl.zeno_rate_sweep(BALL_RUN, [-1, 2, 3, 4, 5], BALL_COST, BALL),
+])
+def test_sweep_grid_faults_are_config_errors_and_value_errors(call):
+    # each sweep checks its own grid; the CLI maps the error to exit 2 and
+    # a library caller catches it as a ValueError
+    exc = _call(call)
+    assert isinstance(exc, cl.ConfigError) and isinstance(exc, ValueError)

@@ -528,7 +528,7 @@ def test_exchange_inequalities_along_path(decade_path):
 
 
 def test_path_laws(decade_path):
-    laws = decade_path.laws(tol=1e-9)
+    laws = decade_path.laws()
     assert all(laws.values()), laws
 
 
