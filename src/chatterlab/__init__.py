@@ -7,7 +7,6 @@ from .controls import (
     PiecewiseConstantControl,
     ProblemSpec,
     Trajectory,
-    constant_control,
     lagrangian_cost,
     simulate,
     tv,
@@ -51,7 +50,6 @@ from .solver import (
     brute_force_oracle,
     optimize_durations,
     regularization_path,
-    solve_regularized,
 )
 from .truncation import (
     TruncationResult,

@@ -41,6 +41,7 @@ from .records import RateRecord, write_csv, write_manifest
 from .solver import regularization_path
 from .truncation import (
     HOLDER_EXPONENT,
+    STEERING_RADIUS,
     TAIL_TV_BUDGET,
     composite_rate_bound,
     l1_control_distance,
@@ -349,20 +350,21 @@ def run_tv_path(cfg: ExperimentConfig):
 
 
 def _default_eta_grid(u_star, traj_star):
-    """Logarithmic cut-window grid inside the unit steering neighborhood:
-    nine windows over three decades.
+    """Logarithmic cut-window grid inside `truncate`'s steering
+    neighborhood, the ball of radius R = STEERING_RADIUS: nine windows over
+    three decades.
 
     The largest window ends at 0.9 of the time left after the last of the
     samples t_k = t* (k + 1) / 2001, k < 2000, where the reference lies
-    outside the unit ball.  The samples are scanned backward from the last,
+    outside that ball.  The samples are scanned backward from the last,
     stopping at the first one outside.  Two rules skip samples that cannot
     be outside, so a scan evaluates a few states instead of hundreds:
-    - on an arc whose sup norm times sqrt(2) is below 1 - 1e-9, no sample
+    - on an arc whose sup norm times sqrt(2) is below R - 1e-9, no sample
       is outside, and the scan moves on to the previous arc;
-    - at a sample of radius r <= 1 and velocity x2, the arc's motion s
+    - at a sample of radius r <= R and velocity x2, the arc's motion s
       earlier differs by (-x2 s + u s^2 / 2, -u s), at most
       s (|x2| + 1) + s^2 / 2 in norm for |u| <= 1.  Every sample of the
-      same arc within the s where that reaches 1 - r, less a rounding
+      same arc within the s where that reaches R - r, less a rounding
       allowance of 1e-9 (1 + t*)^2, is inside.
     A skip ends at the previous arc, where another motion takes over, and
     keeps only samples more than 1e-9 of a spacing above its limits, far
@@ -380,13 +382,13 @@ def _default_eta_grid(u_star, traj_star):
         i = bisect_left(ends, t)  # arcs[i] is the first arc ending at or after t
         arc = arcs[i]
         floor = ends[i - 1] if i > 0 else 0.0
-        if math.sqrt(2.0) * arc.sup_abs() >= 1.0 - 1e-9:
+        if math.sqrt(2.0) * arc.sup_abs() >= STEERING_RADIUS - 1e-9:
             x1, x2 = arc.state_at(t - arc.t0)
             r = math.hypot(x1, x2)
-            if r > 1.0:
+            if r > STEERING_RADIUS:
                 hi = t
                 break
-            gap, b = max(0.0, 1.0 - r - allowance), abs(x2) + 1.0
+            gap, b = max(0.0, STEERING_RADIUS - r - allowance), abs(x2) + 1.0
             # the root s of s^2 / 2 + b s = gap
             floor = max(floor, t - 2.0 * gap / (b + math.sqrt(b * b + 2.0 * gap)))
         k = min(k - 1, math.floor(floor * 2001.0 / t_star + 1e-9) - 1)

@@ -145,10 +145,6 @@ class PiecewiseConstantControl:
         return self.from_ends(ends, self.values + other.values)
 
 
-def constant_control(value: float, duration: float) -> PiecewiseConstantControl:
-    return PiecewiseConstantControl((0.0, float(duration)), (value,))
-
-
 def tv(control: PiecewiseConstantControl) -> float:
     """Total variation: sum of jump magnitudes between consecutive arc values."""
     vals = control.values

@@ -379,13 +379,17 @@ def zeno_rate_sweep(traj_star: HybridTrajectory, ns, lagrangian: HybridLagrangia
     three left, gap_slope and gap_constant are None.
     The gap is also checked against (sup rate - inf rate) * (tau_inf -
     tau_n), with the rates of the modes the run visits.  A depth grid of
-    fewer than 5, not increasing or outside [0, n_events) raises
-    ConfigError.
+    fewer than 5, not integers (a bool is not one), not increasing or
+    outside [0, n_events) raises ConfigError.
     """
+    ns = list(ns)
     try:
-        ns = [int(n) for n in ns]
+        depths = [int(n) for n in ns]
     except (OverflowError, ValueError):  # inf, NaN
         raise ConfigError(f"truncation depths must be finite, got {ns!r}") from None
+    if any(isinstance(n, bool) or d != n for d, n in zip(depths, ns)):
+        raise ConfigError(f"truncation depths must be integers, got {ns!r}")
+    ns = depths
     if len(ns) < 5:
         raise ConfigError("need at least 5 truncation depths")
     if any(b <= a for a, b in zip(ns, ns[1:])):

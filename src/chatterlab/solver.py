@@ -4,41 +4,36 @@ Candidates are alternating bang-bang controls: an initial sign and one
 duration per arc.  The last two durations are always eliminated exactly
 through the terminal constraint, so only the leading durations are free.
 Each extra switch adds 2 to the total variation, which prices it at
-2 * epsilon in the regularized objective; the solver sweeps the switch
-count and keeps the cheapest feasible candidate.  No admissible control
-costs less than the optimal cost J* = `fuller.optimal_cost`, so the sweep
-stops at the first count where some solved count is within 2 * epsilon of
-J* at the smallest epsilon: no higher count can win.
+2 * epsilon in the regularized objective.
 
-For fixed arc count the duration optimum does not depend on epsilon (the
-penalty is an additive constant), so one table of (count, sign) optima
-serves every epsilon; `regularization_path` builds it in one sweep and
-selects each point from it, which makes the monotonicity and concavity of
-the value function exact to roundoff.
+For a fixed arc count the penalty is an additive constant, so each
+(count, sign) subproblem is solved once, at epsilon = 0, into one table
+that serves every epsilon (`_grow`), grown by count on demand and kept for
+the last (spec, synthesis) asked for.  A control whose arcs collapse is a
+lower-TV candidate of the same count: a zero first arc turns a (n - 1, -s)
+candidate into a (n, s) one, and a zero pair after the free arcs a
+(n - 2, s) one, each folding to the same floats.  So the regularized
+optimum of (n, s) is the recursion
 
-The free durations are found by projected BFGS on the box [0, cap]^m from
-deterministic starts (`_build_starts`).  A subproblem solved alone starts
-from the synthesized chattering prefix and the same prefix behind a
-vanishing first arc (the sign flip, `_cold_starts`).  A regularization path
-adds the optimum of the previous switch count of the same sign, and starts
-the sign opposite the feedback sign at x0 from the exact flip of the solved
-optimum one count lower of the other sign in place of the cold starts: a
-zero first arc leaves the state unchanged, so that start costs exactly what
-the lower count does, and the wrong sign's optimum has mostly collapsed
-onto it.  Arcs are polynomial
-(`di_arc`) and the terminal pair is algebraic (`steer_durations`), so
-`_objective` returns the exact gradient of the eliminated objective from
-one forward fold and one adjoint pass, the switching-time gradient of
+    E(n, s) = min(J(n, s) + epsilon * TV, E(n - 1, -s), E(n - 2, s)),
+
+J the table's running cost (`optimize_durations`).  A lower count also
+embeds through a trailing zero arc, but only where the terminal solve
+returns an exact 0, a set of measure zero that the grid oracle cannot
+reach either; those embeddings are left out.  `regularization_path`
+selects each point from the table, which makes the monotonicity and
+concavity of the value function exact to roundoff.
+
+Each entry is found by projected BFGS on the box [0, cap]^m from the
+deterministic starts `_grow` decides.  Arcs are polynomial (`di_arc`) and
+the terminal pair is algebraic (`steer_durations`), so `_objective`
+returns the exact gradient of the eliminated running cost from one
+forward fold and one adjoint pass, the switching-time gradient of
 Egerstedt, Wardi & Axelsson (IEEE TAC 51(1), 2006) and Xu & Antsaklis
-(IEEE TAC 49(1), 2004).  Zero-length arcs are
-active bounds of the box.  Infeasible points and the collapsed-TV jump at a
-zero face enter only through value comparisons in the line search, so at
-epsilon > 0 a zero-face step then sets each positive free duration of the
-best point to 0 in turn and descends with it pinned there.  Only the starts
-the terminal solve accepts are descended from; when it accepts none, each
-start's last free duration is lifted to the least value it accepts, a
-closed form (`_lift_last`).  Each subproblem reports its projected-gradient
-norm as a first-order certificate (`DescentReport`).
+(IEEE TAC 49(1), 2004).  Zero-length arcs are active bounds of the box,
+and infeasible points enter only through value comparisons in the line
+search.  Each entry reports its projected-gradient norm as a first-order
+certificate (`DescentReport`).
 
 `brute_force_oracle` scores a numpy grid (numpy is imported by the three
 oracle functions only, so no other caller loads it) and refines by coordinate
@@ -57,7 +52,8 @@ grid minimum, so the oracle's result is the unpruned grid's bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from itertools import accumulate, cycle
 
 from .controls import PiecewiseConstantControl, ProblemSpec, di_arc, di_arc_cost_grad
@@ -74,7 +70,7 @@ DURATION_CAP_FACTOR = 3.0
 #: grid cells the oracle scores per numpy pass
 _ORACLE_BLOCK_CELLS = 1 << 14
 
-#: quasi-Newton steps per start of `optimize_durations`
+#: quasi-Newton steps per start of a subproblem's descent
 _MAX_ITERATIONS = 60
 
 #: largest switch count a regularization path sweeps (a guard: paths stop on J*)
@@ -113,9 +109,9 @@ def _better(value: float, n: int, best) -> bool:
 
 @dataclass(frozen=True)
 class DescentReport:
-    """What one (count, sign) subproblem of `optimize_durations` did: the
-    infinity norm of the projected gradient of the running cost at the
-    returned durations (its first-order certificate; None when no start was
+    """What the solve of one (count, sign) table entry did: the infinity
+    norm of the projected gradient of the running cost at the returned
+    durations (its first-order certificate; None when no start was
     feasible), the objective evaluations (one per start, one per lifted
     start when no start was feasible, and the descents'), and the starts
     the terminal solve accepted, which alone are descended from."""
@@ -129,7 +125,7 @@ class DescentReport:
 class BangBangCandidate:
     """Alternating bang-bang candidate: initial sign plus one duration per
     arc (terminal two solved exactly), with its evaluated costs and, from
-    `optimize_durations`, the report of its solve."""
+    the solver, the report of its (count, sign) table entry's solve."""
 
     initial_sign: float
     durations: tuple[float, ...]
@@ -211,18 +207,17 @@ def _value(res, epsilon: float) -> float:
     return math.inf if res is None else res[0] + epsilon * res[1]
 
 
-def _objective(x0, sign: float, epsilon: float, equibound: float):
+def _objective(x0, sign: float, equibound: float):
     """Objective of the quasi-Newton descent: `f(theta)` returns the
-    regularized value of the free durations `theta` (none negative) and the
-    exact gradient of their running cost, or (inf, None) when infeasible.
+    running cost of the free durations `theta` (none negative) and its
+    exact gradient, or (inf, None) when infeasible.
 
     One fold through `di_arc` records the arcs, the terminal pair's too.  The
     pair's cost is differentiated in the state z it starts from through the
     closed form of `steer_durations` (a = -u z2 + r, b = r, r = sqrt(z2^2/2 -
     u z1)), and one adjoint pass carries that gradient back through the free
-    arcs, the switching-time gradient.  The collapsed TV is piecewise
-    constant, so it enters the value only.  The value equals `_value(_evaluate(...))` bit for
-    bit.
+    arcs, the switching-time gradient.  The value equals `_evaluate`'s
+    running cost bit for bit.
     """
     start = (x0[0], x0[1], sign, 0.0, 0.0, 0.0)
 
@@ -245,26 +240,22 @@ def _objective(x0, sign: float, epsilon: float, equibound: float):
             grad[i] = e1 * e1 + l1 * e2 + l2 * u
             c1, c2 = di_arc_cost_grad(x1, x2, u, d)
             l1, l2 = c1 + l1, c2 + d * l1 + l2
-        tv = _collapsed_tv(list(theta) + [a, b]) if epsilon > 0.0 else 0.0
-        return end[0] + epsilon * tv, grad
+        return end[0], grad
 
     return f
 
 
-def _projected_gradient_norm(theta, grad, cap: float, pinned) -> float:
+def _projected_gradient_norm(theta, grad, cap: float) -> float:
     """Infinity norm of theta - P(theta - grad), P the projection onto
-    [0, cap]^m with the `pinned` coordinates held at 0: zero exactly at
-    first-order stationary points of that face of the box."""
-    return max((0.0 if p else abs(t - min(max(t - g, 0.0), cap))
-                for t, g, p in zip(theta, grad, pinned)), default=0.0)
+    [0, cap]^m: zero exactly at first-order stationary points of the box."""
+    return max((abs(t - min(max(t - g, 0.0), cap)) for t, g in zip(theta, grad)),
+               default=0.0)
 
 
-def _projected_bfgs(f, theta: list, val: float, grad: list, cap: float,
-                    trace: list, pinned: list) -> tuple:
+def _projected_bfgs(f, theta: list, val: float, grad: list, cap: float) -> tuple:
     """Projected BFGS on the box [0, cap]^m from the feasible point `theta`
     (updated in place) with value `val` and gradient `grad`; returns the
-    final (value, gradient) and appends every accepted value to `trace`.
-    The coordinates flagged in `pinned` stay where they are.
+    final (value, gradient).
 
     Coordinates at a bound whose gradient points out of the box are held;
     the others move along -H g, H the dense inverse-Hessian estimate (a
@@ -272,8 +263,7 @@ def _projected_bfgs(f, theta: list, val: float, grad: list, cap: float,
     projected onto the box; the step shrinks by safeguarded quadratic
     interpolation, or halves on an infeasible trial, until the Armijo
     condition holds along the projected path.  Values decide acceptance, so
-    infeasible points and the collapsed-TV jump at a zero face at
-    epsilon > 0 are rejected trials, not gradient information.
+    infeasible points are rejected trials, not gradient information.
 
     When a direction yields no step whose first-order gain is above the
     value's rounding, 1e-16 * |value|, H is reset, and the descent ends
@@ -294,8 +284,8 @@ def _projected_bfgs(f, theta: list, val: float, grad: list, cap: float,
     walled = small = 0
     for _ in range(_MAX_ITERATIONS):
         tol = 1e-14 * abs(val)
-        q = [0.0 if p or (t <= 0.0 and g > 0.0) or (t >= cap and g < 0.0) else g
-             for p, t, g in zip(pinned, theta, grad)]
+        q = [0.0 if (t <= 0.0 and g > 0.0) or (t >= cap and g < 0.0) else g
+             for t, g in zip(theta, grad)]
         q_max = max(map(abs, q))
         if q_max * cap <= tol:
             break
@@ -346,7 +336,6 @@ def _projected_bfgs(f, theta: list, val: float, grad: list, cap: float,
         gain = val - new_val
         theta[:] = trial
         val, grad = new_val, new_grad
-        trace.append(val)
         small = small + 1 if gain < tol and alpha == 1.0 and h is not None else 0
         if small >= 2:
             break
@@ -379,10 +368,10 @@ def _candidate(sign: float, res, report=None) -> BangBangCandidate:
 
 
 def _cold_starts(x0, synth: FullerSynthesis) -> list:
-    """The two starts of a subproblem solved alone: the prefix of the
-    chattering control synthesized from x0, and the sign flip, a vanishing
-    first arc and then that prefix, which reaches the chattering optimum
-    from the other initial sign."""
+    """The two cold starts of a table entry: the prefix of the chattering
+    control synthesized from x0, and the sign flip, a vanishing first arc
+    and then that prefix, which reaches the chattering optimum from the
+    other initial sign."""
     bp = chattering_reference(tuple(x0), synth)[0].breakpoints
     fuller = [b - a for a, b in zip(bp, bp[1:])]
     return [fuller, [1e-9 * min_time_to_origin(x0)] + fuller]
@@ -391,11 +380,10 @@ def _cold_starts(x0, synth: FullerSynthesis) -> list:
 def _build_starts(n_free: int, starts, rho: float, cap: float) -> list:
     """The starts of one subproblem, each padded to n_free durations by a
     geometric tail at the synthesis contraction ratio `rho` and clipped to
-    [0, cap]; a longer start is cut to its first n_free.  They are the cold
-    starts (`_cold_starts`) of a subproblem solved alone, or those its
-    regularization path decides: the warm start, and for the sign opposite
-    the feedback sign the flip of a lower count's optimum
-    (`regularization_path`)."""
+    [0, cap]; a longer start is cut to its first n_free.  They are those
+    `_grow` decides for a table entry: the warm start, and the cold starts
+    (`_cold_starts`) or, for the sign opposite the feedback sign, the flip
+    of a lower count's optimum."""
 
     def pad(base):
         out = list(base[:n_free])
@@ -440,39 +428,21 @@ def _checked_sign(n_switches: int, sign: float, epsilon: float) -> float:
     return sign
 
 
-def optimize_durations(n_switches: int, sign: float, epsilon: float,
-                       spec: ProblemSpec, *, synth: FullerSynthesis | None = None,
-                       starts=None, trace: list | None = None) -> BangBangCandidate:
-    """Best alternating bang-bang candidate with the given switch count and
-    initial sign, by projected BFGS on the free durations with the exact
-    switching-time gradient; the terminal two durations are eliminated
-    exactly at every evaluation.  The starts are `starts`, each a sequence
-    of durations padded or cut to the free ones (`_build_starts`): by
-    default the chattering prefix and the sign flip (`_cold_starts`); a
-    regularization path passes the ones it decides, for the sign opposite
-    the feedback sign the exact flip of a lower count's optimum and the warm
-    start (`regularization_path`).  Every start is evaluated once, and only
-    those the terminal solve accepts are descended from.  When it accepts
-    none, each start's last free duration is lifted to the least value it
-    accepts (`_lift_last`) and the lifted starts take their place.  At
-    epsilon > 0 a zero-face step follows: from the best point with one
-    positive free duration set to 0, a descent with that duration pinned
-    there replaces the best point when strictly lower, once per such
-    duration.
-
-    The candidate's `report` holds the projected-gradient norm at its
-    durations (a pinned zero counts as an active bound), the objective
-    evaluations (starts, lifted starts, descents and the zero-face step)
-    and the feasible starts.  Passing a list as `trace` records, per
-    feasible start, the objective after every accepted improvement (one
-    weakly decreasing sublist each; the zero-face descents are not starts
-    and are not recorded).  Raises AllStartsInfeasible, carrying its
-    evaluation count, when no start yields a feasible candidate.
+def _solve_subproblem(n_switches: int, sign: float, spec: ProblemSpec, rho: float,
+                      starts) -> BangBangCandidate:
+    """Least-running-cost alternating bang-bang candidate with the given
+    switch count and initial sign, by projected BFGS on the free durations
+    from `starts` (`_build_starts`); the terminal two durations are
+    eliminated exactly at every evaluation.  Only the starts the terminal
+    solve accepts are descended from; when it accepts none, each start's
+    last free duration is lifted to the least value it accepts
+    (`_lift_last`) and the lifted starts take their place.  The report
+    holds the projected-gradient norm at the returned durations, the
+    objective evaluations and the feasible starts.  Raises
+    AllStartsInfeasible, carrying its evaluation count, when no start
+    yields a feasible candidate.
     """
-    sign = _checked_sign(n_switches, sign, epsilon)
-    synth = synth or default_synthesis()
     x0 = spec.x0
-    cap = DURATION_CAP_FACTOR * min_time_to_origin(x0)
     n_free = n_switches - 1
 
     if n_free == 0:
@@ -480,11 +450,10 @@ def optimize_durations(n_switches: int, sign: float, epsilon: float,
         if res is None:
             raise AllStartsInfeasible(f"sign {sign:+.0f} cannot reach the origin",
                                       evaluations=1)
-        if trace is not None:
-            trace.append([_value(res, epsilon)])
         return _candidate(sign, res, DescentReport(0.0, 1, 1))
 
-    objective = _objective(x0, sign, epsilon, spec.equibound)
+    cap = DURATION_CAP_FACTOR * min_time_to_origin(x0)
+    objective = _objective(x0, sign, spec.equibound)
     evaluations = feasible = 0
     best_val, best_theta, best_grad = math.inf, None, None
 
@@ -493,9 +462,7 @@ def optimize_durations(n_switches: int, sign: float, epsilon: float,
         evaluations += 1
         return objective(theta)
 
-    if starts is None:
-        starts = _cold_starts(x0, synth)
-    starts = _build_starts(n_free, starts, synth.rho, cap)
+    starts = _build_starts(n_free, starts, rho, cap)
     runs = [(theta, *counted(theta)) for theta in starts]
     if all(grad is None for _, _, grad in runs):
         for theta in starts:
@@ -504,39 +471,96 @@ def optimize_durations(n_switches: int, sign: float, epsilon: float,
     for theta, val, grad in runs:
         if grad is None:
             continue
-        run_trace = [val]
-        val, grad = _projected_bfgs(counted, theta, val, grad, cap, run_trace,
-                                    [False] * n_free)
+        val, grad = _projected_bfgs(counted, theta, val, grad, cap)
         feasible += 1
-        if trace is not None:
-            trace.append(run_trace)
         if val < best_val:
             best_val, best_theta, best_grad = val, list(theta), grad
     if best_theta is None:
         raise AllStartsInfeasible(
             f"all starts infeasible for {n_switches} switches, sign {sign:+.0f}",
             evaluations=evaluations)
-    best_pins = [False] * n_free
-    if epsilon > 0.0:
-        # zero faces: dropping an arc lowers the collapsed TV, a jump the
-        # descent sees only when a trial lands on the face exactly
-        start = best_theta
-        for j in range(n_free):
-            if start[j] <= 0.0:
-                continue
-            theta = list(start)
-            theta[j] = 0.0
-            val, grad = counted(theta)
-            if grad is None:
-                continue
-            pins = [k == j for k in range(n_free)]
-            val, grad = _projected_bfgs(counted, theta, val, grad, cap, [], pins)
-            if val < best_val:
-                best_val, best_theta, best_grad, best_pins = val, theta, grad, pins
-    report = DescentReport(
-        _projected_gradient_norm(best_theta, best_grad, cap, best_pins),
-        evaluations, feasible)
+    report = DescentReport(_projected_gradient_norm(best_theta, best_grad, cap),
+                           evaluations, feasible)
     return _candidate(sign, _evaluate(x0, sign, best_theta, spec.equibound), report)
+
+
+@lru_cache(maxsize=1)
+def _table(spec: ProblemSpec, synth: FullerSynthesis) -> dict:
+    """The epsilon = 0 table of the last spec and synthesis asked for, as
+    `_grow` fills it: (count, sign) -> (candidate or None, DescentReport)."""
+    return {}
+
+
+def _grow(spec: ProblemSpec, synth: FullerSynthesis, n_switches: int) -> dict:
+    """The table of `spec` and `synth` with every count up to n_switches
+    solved, counts ascending and sign -1 before +1.  Entry (n, s) starts
+    from the last optimum of its sign (the warm start) and the cold starts
+    (`_cold_starts`); the sign opposite the feedback sign at x0 starts in
+    their place from the exact flip of the (n - 1, -s) optimum, a zero
+    ahead of its free durations, which the cold starts only creep toward,
+    and keeps them where (n - 1, -s) is infeasible.
+    """
+    table = _table(spec, synth)
+    for n in range(len(table) // 2 + 1, n_switches + 1):
+        for sign in (-1.0, 1.0):
+            flip = table.get((n - 1, -sign), (None,))[0]
+            if n == 1:
+                starts = []  # no free duration
+            elif flip is not None and \
+                    sign != chattering_reference(spec.x0, synth)[0].values[0]:
+                starts = [(0.0,) + flip.durations[:-2]]
+            else:
+                starts = _cold_starts(spec.x0, synth)
+            warm = next((table[m, sign][0] for m in range(n - 1, 0, -1)
+                         if table[m, sign][0] is not None), None)
+            if warm is not None:
+                starts.append(warm.durations)
+            try:
+                cand = _solve_subproblem(n, sign, spec, synth.rho, starts)
+            except AllStartsInfeasible as exc:
+                table[n, sign] = (None, DescentReport(None, exc.evaluations, 0))
+                continue
+            table[n, sign] = (cand, cand.report)
+    return table
+
+
+def optimize_durations(n_switches: int, sign: float, epsilon: float,
+                       spec: ProblemSpec, *,
+                       synth: FullerSynthesis | None = None) -> BangBangCandidate:
+    """Best alternating bang-bang candidate with the given switch count and
+    initial sign at penalty epsilon, zero-length arcs included: the
+    recursion E(n, s) of the module docstring over the table grown to
+    count n (`_grow`).  E(n - 1, -s) enters behind a zero first arc and
+    E(n - 2, s) with a zero pair ahead of its terminal pair, which the
+    terminal solve gives again from the same state and sign, so `_evaluate`
+    of the free durations returns the candidate's floats.  Within the tie
+    band (`_better`) the (n, s) entry wins, then the flip.  The table is
+    kept, so a repeated call solves nothing; the report is the (n, s)
+    entry's.  Raises AllStartsInfeasible, carrying that entry's evaluation
+    count, when no term is feasible.
+    """
+    sign = _checked_sign(n_switches, sign, epsilon)
+    table = _grow(spec, synth or default_synthesis(), n_switches)
+    best = {}  # (count, sign) -> E(count, sign), a candidate of that count and sign
+    for n in range(1, n_switches + 1):
+        for s in (-1.0, 1.0):
+            flip, pair = best.get((n - 1, -s)), best.get((n - 2, s))
+            terms = (table[n, s][0],
+                     flip and replace(flip, initial_sign=s, durations=(0.0,) + flip.durations),
+                     pair and replace(pair, durations=pair.durations[:-2] + (0.0, 0.0)
+                                      + pair.durations[-2:]))
+            choice = None
+            for rank, cand in enumerate(terms):
+                if cand is not None and _better(cand.value(epsilon), rank, choice):
+                    choice = (cand.value(epsilon), rank, cand)
+            if choice is not None:
+                best[n, s] = choice[2]
+    entry_report = table[n_switches, sign][1]
+    if (n_switches, sign) not in best:
+        raise AllStartsInfeasible(
+            f"no feasible candidate for {n_switches} switches, sign {sign:+.0f}",
+            evaluations=entry_report.evaluations)
+    return replace(best[n_switches, sign], report=entry_report)
 
 
 def _vector_eval(x0, sign: float, free_grids, equibound: float, bound: float = math.inf):
@@ -729,8 +753,8 @@ class SolutionPath:
     first.  The value function is a pointwise minimum of affine functions of
     epsilon, hence concave and nondecreasing.  `subproblems` holds the
     (count, sign, running cost or None when infeasible, DescentReport) of
-    every subproblem the path solved, in the order it solved them, and
-    `stop` the sweep's end."""
+    every table entry the path read, counts ascending and sign -1 before
+    +1, and `stop` the sweep's end."""
 
     records: tuple[PathPoint, ...]
     subproblems: tuple = ()
@@ -764,28 +788,20 @@ def regularization_path(epsilons, spec: ProblemSpec, *,
     """Minimize running cost + epsilon * TV over switch counts and both
     initial signs, for each of a descending grid of penalty weights.
 
-    For a fixed switch count the penalty is an additive constant, so each
-    (count, sign) subproblem minimizes the running cost alone, once, warm
-    started from the previous count's optimum of its sign; collapsed-switch
-    candidates are already represented by lower counts.  The sign opposite
-    the feedback sign at x0 (the first sign of the chattering reference)
-    mostly has its count-n optimum on the face where its first arc is zero,
-    the flip of the solved (n - 1, other sign) optimum.  It starts from
-    exactly that flip, a zero ahead of that optimum's free durations, and
-    from its warm start, not from the cold starts (`_cold_starts`), which
-    only creep toward the face; where (n - 1, other sign) was infeasible it
-    keeps the cold starts.  The counts are swept upward once, and the
-    sweep stops after count n once some solved
-    count k <= n has J_k - J_floor < 2 * epsilon_min, J_floor = J* the
-    closed-form optimal cost (`fuller.optimal_cost`), which no admissible
-    control undercuts at any truncation radius.  A count m > n that keeps
-    its arcs has value at least J_floor + 2 (n + 1) epsilon, above count
-    k's at every epsilon of the grid; a candidate whose arcs collapse is a
-    lower count.  The stop's rounding slack, 1e-13 * max(1, |J_floor|), is
-    below the tie band.  Each point is then the cheapest entry of the one
-    table, ties going to the lower switch count, so the exchange
-    inequalities hold to roundoff.  An empty grid, or one not positive and
-    strictly descending, raises ConfigError.
+    For a fixed switch count the penalty is an additive constant, so the
+    path reads the epsilon = 0 table (`_grow`) count by count; candidates
+    whose arcs collapse are already represented by lower counts.  The
+    counts are read upward once, and the sweep stops after count n once
+    some solved count k <= n has J_k - J_floor < 2 * epsilon_min, J_floor =
+    J* the closed-form optimal cost (`fuller.optimal_cost`), which no
+    admissible control undercuts at any truncation radius.  A count m > n
+    that keeps its arcs has value at least J_floor + 2 (n + 1) epsilon,
+    above count k's at every epsilon of the grid; a candidate whose arcs
+    collapse is a lower count.  The stop's rounding slack, 1e-13 * max(1,
+    |J_floor|), is below the tie band.  Each point is then the cheapest
+    entry of the one table, ties going to the lower switch count, so the
+    exchange inequalities hold to roundoff.  An empty grid, or one not
+    positive and strictly descending, raises ConfigError.
     """
     eps = [float(e) for e in epsilons]
     if not eps:
@@ -798,34 +814,16 @@ def regularization_path(epsilons, spec: ProblemSpec, *,
     j_floor = optimal_cost(spec.x0, synth)
     two_eps_min = 2.0 * eps[-1]
     slack = 1e-13 * max(1.0, abs(j_floor))
-    table = []  # (count, candidate), count ascending, sign -1 before +1
-    reports = []  # (count, sign, running cost or None, DescentReport)
+    feasible = []  # (count, candidate) of the feasible entries read
     min_gap = math.inf
-    warm: dict[float, tuple] = {}  # sign -> durations of its last optimum
-    optima: dict[tuple, tuple] = {}  # (count, sign) -> durations of its optimum
     for n in range(1, MAX_SWITCHES + 1):
+        table = _grow(spec, synth, n)
         for sign in (-1.0, 1.0):
-            flip = optima.get((n - 1, -sign))
-            if n == 1:
-                starts = []  # no free duration
-            elif flip is not None and \
-                    sign != chattering_reference(spec.x0, synth)[0].values[0]:
-                starts = [(0.0,) + flip[:-2]]
-            else:
-                starts = _cold_starts(spec.x0, synth)
-            if sign in warm:
-                starts.append(warm[sign])
-            try:
-                cand = optimize_durations(n, sign, 0.0, spec, synth=synth,
-                                          starts=starts)
-            except AllStartsInfeasible as exc:
-                reports.append((n, sign, None, DescentReport(None, exc.evaluations, 0)))
-                continue
-            reports.append((n, sign, cand.lagrangian, cand.report))
-            warm[sign] = optima[n, sign] = cand.durations
-            min_gap = min(min_gap, cand.lagrangian - j_floor)
-            table.append((n, cand))
-        if not table:
+            cand = table[n, sign][0]
+            if cand is not None:
+                min_gap = min(min_gap, cand.lagrangian - j_floor)
+                feasible.append((n, cand))
+        if not feasible:
             # no feasible candidate at counts 1-3: the problem itself is
             # inadmissible
             if n >= 3:
@@ -839,18 +837,14 @@ def regularization_path(epsilons, spec: ProblemSpec, *,
     points = []
     for e in eps:
         best = None
-        for n, cand in table:
+        for n, cand in feasible:
             v = cand.value(e)
             if _better(v, n, best):
                 best = (v, n, cand)
         value, n, cand = best
         points.append(PathPoint(epsilon=e, n_switches=n, lagrangian=cand.lagrangian,
                                 tv=cand.tv, value=value, candidate=cand))
-    return SolutionPath(tuple(points), tuple(reports), stop)
-
-
-def solve_regularized(epsilon: float, spec: ProblemSpec, *,
-                      synth: FullerSynthesis | None = None) -> BangBangCandidate:
-    """Candidate minimizing running cost + epsilon * TV: the one point of a
-    one-weight regularization path."""
-    return regularization_path([epsilon], spec, synth=synth).records[0].candidate
+    reports = tuple((n, sign, None if cand is None else cand.lagrangian, report)
+                    for (n, sign), (cand, report) in table.items()
+                    if n <= stop.n_switches)
+    return SolutionPath(tuple(points), reports, stop)

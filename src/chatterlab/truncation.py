@@ -28,6 +28,9 @@ from .records import RateRecord
 #: added total variation of the closing tail, junction jumps included
 TAIL_TV_BUDGET = 4.0
 
+#: radius of the steering neighborhood every cut state must lie in
+STEERING_RADIUS = 1.0
+
 #: Hoelder exponent of the truncation lag in the composite rate bound, that
 #: of the minimum time to the origin
 HOLDER_EXPONENT = 0.5
@@ -211,7 +214,8 @@ def l1_control_distance(u: PiecewiseConstantControl,
 
 
 def truncate(u_star: PiecewiseConstantControl, traj_star: Trajectory,
-             eta: float, spec: ProblemSpec, *, radius: float = 1.0) -> TruncationResult:
+             eta: float, spec: ProblemSpec, *,
+             radius: float = STEERING_RADIUS) -> TruncationResult:
     """Cut the reference control eta before its final time and close with the
     minimum-time tail, recording cost gap and control/state deviations.
 
@@ -267,19 +271,19 @@ def truncation_rate_sweep(u_star: PiecewiseConstantControl, traj_star: Trajector
                           etas, spec: ProblemSpec) -> TruncationSweep:
     """Run truncations over a grid of cut windows and fit the cost-gap decay
     as a power of the window.  Every cut state must lie in `truncate`'s
-    unit steering neighborhood.
+    steering neighborhood of radius STEERING_RADIUS.
 
     Points whose gap sits at the arithmetic floor are dropped from the fit;
     DegenerateFit is raised when fewer than three usable points remain.  The
     deviation columns are checked for monotone decay toward zero.  A grid
-    of fewer than 5 windows, or not positive, or spanning less than two
-    decades (largest / smallest < 99) raises ConfigError.
+    of fewer than 5 windows, or not positive and finite, or spanning less
+    than two decades (largest / smallest < 99) raises ConfigError.
     """
     etas = sorted(float(e) for e in etas)
     if len(etas) < 5:
         raise ConfigError("need at least 5 cut windows")
-    if etas[0] <= 0.0:
-        raise ConfigError("cut windows must be positive")
+    if not all(0.0 < e < math.inf for e in etas):  # NaN fails it too
+        raise ConfigError("cut windows must be positive and finite")
     if etas[-1] / etas[0] < 99.0:
         raise ConfigError("cut windows must span at least two decades")
     results = []

@@ -8,7 +8,6 @@ from chatterlab.controls import (
     Arc,
     PiecewiseConstantControl,
     ProblemSpec,
-    constant_control,
     di_arc,
     lagrangian_cost,
     simulate,
@@ -29,7 +28,7 @@ def alternating(n_switches, first=1.0, dur=0.25):
 # ---------------------------------------------------------------------------
 
 def test_tv_constant_control_is_zero():
-    assert tv(constant_control(1.0, 1.0)) == 0.0
+    assert tv(PiecewiseConstantControl((0.0, 1.0), (1.0,))) == 0.0
 
 
 def test_tv_alternating_counts_two_per_switch():
@@ -100,33 +99,33 @@ def test_breakpoints_start_at_zero():
 
 def test_simulate_unit_push():
     spec = ProblemSpec(x0=(0.0, 0.0))
-    traj = simulate(spec, constant_control(1.0, 1.0))
+    traj = simulate(spec, PiecewiseConstantControl((0.0, 1.0), (1.0,)))
     assert traj.final_state == pytest.approx((0.5, 1.0), abs=1e-15)
 
 
 def test_simulate_equilibrium_stays_at_origin():
     spec = ProblemSpec(x0=(0.0, 0.0))
-    traj = simulate(spec, constant_control(0.0, 2.0))
+    traj = simulate(spec, PiecewiseConstantControl((0.0, 2.0), (0.0,)))
     for t in np.linspace(0.0, 2.0, 7):
         assert traj.state_at(t) == (0.0, 0.0)
 
 
 def test_simulate_brake_arc():
     spec = ProblemSpec(x0=(1.0, 0.0))
-    traj = simulate(spec, constant_control(-1.0, 1.0))
+    traj = simulate(spec, PiecewiseConstantControl((0.0, 1.0), (-1.0,)))
     assert traj.final_state == pytest.approx((0.5, -1.0), abs=1e-15)
 
 
 def test_simulate_rejects_values_outside_admissible_set():
     spec = ProblemSpec(x0=(0.0, 0.0))
     with pytest.raises(ValueError):
-        simulate(spec, constant_control(1.5, 1.0))
+        simulate(spec, PiecewiseConstantControl((0.0, 1.0), (1.5,)))
 
 
 def test_equibound_violation():
     spec = ProblemSpec(x0=(1.0, 0.0), equibound=1.5)
     with pytest.raises(EquiboundViolation):
-        simulate(spec, constant_control(1.0, 1.0))
+        simulate(spec, PiecewiseConstantControl((0.0, 1.0), (1.0,)))
 
 
 def test_flow_consistency_split_equals_whole():
@@ -171,7 +170,7 @@ def test_junction_continuity():
 
 def test_cost_unit_push_is_one_twentieth():
     spec = ProblemSpec(x0=(0.0, 0.0))
-    u = constant_control(1.0, 1.0)
+    u = PiecewiseConstantControl((0.0, 1.0), (1.0,))
     traj = simulate(spec, u)
     cost = lagrangian_cost(traj)
     oracle, err = quad(lambda s: (0.5 * s * s) ** 2, 0.0, 1.0, epsabs=1e-14)
@@ -182,13 +181,13 @@ def test_cost_unit_push_is_one_twentieth():
 
 def test_cost_zero_trajectory():
     spec = ProblemSpec(x0=(0.0, 0.0))
-    u = constant_control(0.0, 3.0)
+    u = PiecewiseConstantControl((0.0, 3.0), (0.0,))
     assert lagrangian_cost(simulate(spec, u)) == 0.0
 
 
 def test_cost_constant_integrand():
     spec = ProblemSpec(x0=(1.0, 0.0))
-    u = constant_control(0.0, 1.0)
+    u = PiecewiseConstantControl((0.0, 1.0), (0.0,))
     assert lagrangian_cost(simulate(spec, u)) == pytest.approx(1.0, abs=1e-15)
 
 

@@ -53,9 +53,8 @@ PROBES = {
         (lambda v: cl.PiecewiseConstantControl((0.0, v), (1.0,)), False),
     "PiecewiseConstantControl.values":
         (lambda v: cl.PiecewiseConstantControl((0.0, 1.0), (v,)), False),
-    "constant_control.value": (lambda v: cl.constant_control(v, 1.0), False),
-    "constant_control.duration": (lambda v: cl.constant_control(1.0, v), False),
-    "simulate.control": (lambda v: cl.simulate(SPEC, cl.constant_control(1.0, v)), False),
+    "simulate.control":
+        (lambda v: cl.simulate(SPEC, cl.PiecewiseConstantControl((0.0, v), (1.0,))), False),
     "compute_fuller_constant.tol": (lambda v: cl.compute_fuller_constant(tol=v), False),
     "compute_fuller_constant.start_scale":
         (lambda v: cl.compute_fuller_constant(start_scale=v), False),
@@ -89,7 +88,6 @@ PROBES = {
     "brute_force_oracle.resolution":
         (lambda v: cl.brute_force_oracle(2, 1.0, 1e-3, SPEC, resolution=v), False),
     "regularization_path.epsilons": (lambda v: cl.regularization_path([1e-1, v], SPEC), False),
-    "solve_regularized.epsilon": (lambda v: cl.solve_regularized(v, SPEC), False),
     "bouncing_ball.gravity": (lambda v: cl.bouncing_ball(gravity=v), False),
     "bouncing_ball.restitution": (lambda v: cl.bouncing_ball(restitution=v), False),
     "water_tank.inflow": (lambda v: cl.water_tank(inflow=v), False),
@@ -207,6 +205,10 @@ def test_every_public_function_taking_numbers_is_probed():
     lambda: cl.truncation_rate_sweep(
         U_STAR, TRAJ_STAR, [49.04812357402852, 10, 5, 1, 0.4954355916568538], SPEC),
     lambda: cl.zeno_rate_sweep(BALL_RUN, [-1, 2, 3, 4, 5], BALL_COST, BALL),
+    lambda: cl.truncation_rate_sweep(U_STAR, TRAJ_STAR, ETAS + [math.nan], SPEC),
+    lambda: cl.truncation_rate_sweep(U_STAR, TRAJ_STAR, ETAS + [math.inf], SPEC),
+    lambda: cl.zeno_rate_sweep(BALL_RUN, [2.5, 3, 4, 5, 6], BALL_COST, BALL),
+    lambda: cl.zeno_rate_sweep(BALL_RUN, [True, 3, 4, 5, 6], BALL_COST, BALL),
 ])
 def test_sweep_grid_faults_are_config_errors_and_value_errors(call):
     # each sweep checks its own grid; the CLI maps the error to exit 2 and

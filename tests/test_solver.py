@@ -19,17 +19,19 @@ from chatterlab.solver import (
     _cold_starts,
     _evaluate,
     _grid_argmin,
+    _grow,
     _lift_last,
     _objective,
     _projected_bfgs,
     _projected_gradient_norm,
+    _solve_subproblem,
+    _table,
     _tie_band,
     _value,
     _vector_eval,
     brute_force_oracle,
     optimize_durations,
     regularization_path,
-    solve_regularized,
 )
 from chatterlab.truncation import (
     min_time_to_origin,
@@ -130,7 +132,7 @@ def test_switching_time_gradient_matches_differences():
     h = 1e-5
     near_curve = 0
     for x0, sign, theta in _gradient_cases():
-        f = _objective(x0, sign, 0.0, 1e3)
+        f = _objective(x0, sign, 1e3)
         val, grad = f(theta)
         assert val == _evaluate(x0, sign, theta, 1e3)[0]
         near_curve += _evaluate(x0, sign, theta, 1e3)[2][-1] < 2e-2  # r, the last arc
@@ -143,10 +145,13 @@ def test_switching_time_gradient_matches_differences():
 
 @pytest.mark.parametrize("epsilon", [0.0, 1e-4])
 def test_objective_value_matches_evaluate_bit_for_bit(epsilon):
+    # the descent runs on the running cost; with the penalty of the
+    # collapsed TV added it is the regularized value of `_evaluate`
     for x0, sign, theta in _gradient_cases():
-        assert _objective(x0, sign, epsilon, 1e3)(theta)[0] == \
-            _value(_evaluate(x0, sign, theta, 1e3), epsilon)
-    assert _objective((1.0, 0.0), 1.0, 0.0, 1e3)([]) == (math.inf, None)
+        res = _evaluate(x0, sign, theta, 1e3)
+        assert _objective(x0, sign, 1e3)(theta)[0] + epsilon * res[1] == \
+            _value(res, epsilon)
+    assert _objective((1.0, 0.0), 1.0, 1e3)([]) == (math.inf, None)
 
 
 def test_certificate_is_small_at_interior_optima(synth):
@@ -165,15 +170,15 @@ def test_certificate_is_small_at_interior_optima(synth):
                 except AllStartsInfeasible:
                     continue
                 report = cand.report
-                assert 1 <= report.feasible_starts <= 2
+                # the table entry's cold, flip and warm starts
+                assert 1 <= report.feasible_starts <= 3
                 assert report.evaluations >= report.feasible_starts
                 if min(cand.durations) < 1e-3 * cap:
                     continue
                 interior += 1
                 theta = list(cand.durations[:n - 1])
-                _, grad = _objective(spec.x0, sign, 0.0, spec.equibound)(theta)
-                assert report.pg_norm == _projected_gradient_norm(theta, grad, cap,
-                                                                  [False] * (n - 1))
+                _, grad = _objective(spec.x0, sign, spec.equibound)(theta)
+                assert report.pg_norm == _projected_gradient_norm(theta, grad, cap)
                 assert report.pg_norm * cap <= 1e-5 * cand.lagrangian
     assert interior >= 10
 
@@ -198,13 +203,42 @@ def test_sign_flip_start_reaches_the_other_signs_optimum(synth, n, want):
     assert abs(cand.lagrangian - want) <= 1e-14 * want
 
 
+class _AcceptedValues(list):
+    """Durations that record the value of every point the descent accepts
+    into them (`theta[:] = trial`), read from the objective's own calls."""
+
+    def __init__(self, theta, values_of):
+        super().__init__(theta)
+        self.values_of, self.accepted = values_of, []
+
+    def __setitem__(self, key, trial):
+        self.accepted.append(self.values_of[tuple(trial)])
+        super().__setitem__(key, trial)
+
+
 def test_descent_trace_is_monotone(reference, synth):
     spec = reference[0]
-    trace = []
-    optimize_durations(3, -1.0, 1e-4, spec, synth=synth, trace=trace)
-    assert trace and any(len(run) >= 2 for run in trace)
-    for run in trace:
+    cap = solver.DURATION_CAP_FACTOR * min_time_to_origin(spec.x0)
+    objective = _objective(spec.x0, -1.0, spec.equibound)
+    values_of = {}
+
+    def f(theta):
+        out = objective(theta)
+        values_of[tuple(theta)] = out[0]
+        return out
+
+    descended = 0
+    for start in _build_starts(2, _cold_starts(spec.x0, synth), synth.rho, cap):
+        val, grad = f(start)
+        if grad is None:
+            continue
+        theta = _AcceptedValues(start, values_of)
+        final, _ = _projected_bfgs(f, theta, val, grad, cap)
+        run = [val] + theta.accepted
+        descended += len(run) >= 2
         assert all(b <= a + 1e-14 for a, b in zip(run, run[1:]))
+        assert final == run[-1] == objective(list(theta))[0]
+    assert descended
 
 
 def test_cost_approaches_optimum_from_above(reference, synth):
@@ -255,7 +289,7 @@ def test_all_starts_infeasible_under_tight_equibound(synth):
     with pytest.raises(AllStartsInfeasible):
         optimize_durations(2, -1.0, 1e-3, spec, synth=synth)
     with pytest.raises(AllStartsInfeasible):
-        solve_regularized(1e-3, spec, synth=synth)
+        regularization_path([1e-3], spec, synth=synth)
 
 
 #: two-switch subproblems at epsilon = 1e-4 where the terminal solve rejects
@@ -319,53 +353,68 @@ def test_terminal_solve_accepts_a_last_arc_exactly_from_t_f():
 # regularized solve and path
 # ---------------------------------------------------------------------------
 
+def _one_point(epsilon, spec, synth):
+    """The candidate of the one-point path at epsilon."""
+    return regularization_path([epsilon], spec, synth=synth).records[0].candidate
+
+
 def test_large_epsilon_returns_minimal_tv(reference, synth):
     spec, _, _, _, _ = reference
     n1 = optimize_durations(1, -1.0, 0.0, spec, synth=synth)
     eps = n1.lagrangian / 2.0 + 0.1
-    cand = solve_regularized(eps, spec, synth=synth)
+    cand = _one_point(eps, spec, synth)
     assert cand.tv == 2.0
 
 
 def test_path_switch_count_grows_as_epsilon_shrinks(reference, synth):
     spec = reference[0]
-    big = solve_regularized(1e-1, spec, synth=synth)
-    small = solve_regularized(1e-6, spec, synth=synth)
+    big = _one_point(1e-1, spec, synth)
+    small = _one_point(1e-6, spec, synth)
     assert small.n_switches > big.n_switches
-    mid = solve_regularized(1e-3, spec, synth=synth)
+    mid = _one_point(1e-3, spec, synth)
     assert big.n_switches <= mid.n_switches <= small.n_switches
 
 
 def test_path_synthesizes_the_chattering_reference_once(monkeypatch, synth):
-    # every (count, sign) subproblem with a free duration seeds a start with
-    # the same chattering prefix; one path synthesizes it once
+    # every (count, sign) table entry with a free duration seeds a start
+    # with the same chattering prefix; one path synthesizes it once
     synthesized, seeded = [], []
     for module, name, calls in ((fuller, "synthesize_chattering", synthesized),
-                                (solver, "optimize_durations", seeded)):
+                                (solver, "_solve_subproblem", seeded)):
         original = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *a, _f=original, _c=calls, **kw:
                             _c.append(a) or _f(*a, **kw))
     fuller.chattering_reference.cache_clear()
+    _table.cache_clear()
     regularization_path([10.0 ** -k for k in range(1, 9)], ProblemSpec(x0=(0.3, -0.7)),
                         synth=synth)
     assert len([a for a in seeded if a[0] > 1]) > 2 and len(synthesized) == 1
 
 
 def test_path_sweeps_each_subproblem_of_its_smallest_epsilon_once(monkeypatch, synth):
-    # one table serves every epsilon: a path makes exactly the subproblem
-    # calls of its smallest epsilon solved alone, each (count, sign) once
+    # one table serves every epsilon: a path solves exactly the table
+    # entries of its smallest epsilon alone, each (count, sign) once, and
+    # the table is kept, so the subproblems solved alone after it solve
+    # nothing
     calls = []
-    original = solver.optimize_durations
-    monkeypatch.setattr(solver, "optimize_durations", lambda *a, **kw:
+    original = solver._solve_subproblem
+    monkeypatch.setattr(solver, "_solve_subproblem", lambda *a, **kw:
                         calls.append(a[:2]) or original(*a, **kw))
     spec = ProblemSpec(x0=(0.3, -0.7))
-    regularization_path([1e-1, 1e-3, 1e-5], spec, synth=synth)
+    _table.cache_clear()
+    path = regularization_path([1e-1, 1e-3, 1e-5], spec, synth=synth)
     path_calls = list(calls)
     calls.clear()
-    solve_regularized(1e-5, spec, synth=synth)
+    _table.cache_clear()
+    assert regularization_path([1e-5], spec, synth=synth).subproblems == path.subproblems
     assert path_calls == calls
-    assert sorted(path_calls) == [(n, s) for n in range(1, path_calls[-1][0] + 1)
-                                  for s in (-1.0, 1.0)]
+    assert path_calls == [(n, s) for n in range(1, path.stop.n_switches + 1)
+                          for s in (-1.0, 1.0)]
+    calls.clear()
+    for n, s in path_calls:
+        with contextlib.suppress(AllStartsInfeasible):
+            optimize_durations(n, s, 1e-5, spec, synth=synth)
+    assert calls == []
 
 
 #: the bench ladder, 1e-1 down to 1e-8
@@ -434,7 +483,7 @@ def test_path_starts_lose_nothing_against_solving_alone(monkeypatch, synth):
     # of which is worth exactly the flipped count's cost (a zero arc leaves
     # the state unchanged)
     solved = []
-    original = solver.optimize_durations
+    original = solver._solve_subproblem
 
     def recording(n, sign, *args, **kwargs):
         try:
@@ -445,11 +494,12 @@ def test_path_starts_lose_nothing_against_solving_alone(monkeypatch, synth):
         solved.append((n, sign, cand))
         return cand
 
-    monkeypatch.setattr(solver, "optimize_durations", recording)
+    monkeypatch.setattr(solver, "_solve_subproblem", recording)
     flipped = 0
     for x0 in _path_states(synth):
         spec = ProblemSpec(x0=x0)
         solved.clear()
+        _table.cache_clear()
         path = regularization_path(LADDER_8, spec, synth=synth)
         assert [(n, s, c) for n, s, c, _ in path.subproblems] == \
             [(n, s, c and c.lagrangian) for n, s, c in solved]
@@ -458,7 +508,7 @@ def test_path_starts_lose_nothing_against_solving_alone(monkeypatch, synth):
         for n, sign, cand in solved:
             starts = _cold_starts(x0, synth) + ([warm[sign]] if sign in warm else [])
             try:
-                alone = optimize_durations(n, sign, 0.0, spec, synth=synth, starts=starts)
+                alone = original(n, sign, spec, synth.rho, starts)
             except AllStartsInfeasible:
                 assert cand is None
                 continue
@@ -619,12 +669,16 @@ def test_nan_inputs_raise_one_line_value_errors(call):
 def test_line_search_ends_on_a_nan_value():
     # a NaN value fails every Armijo test; the search must still end
     x0 = (1.0, 0.0)
-    f = _objective(x0, 1.0, math.nan, 1e3)
+    objective = _objective(x0, 1.0, 1e3)
+
+    def f(theta):
+        return math.nan, objective(theta)[1]
+
     theta = [0.5]
     val, grad = f(theta)
     assert math.isnan(val) and grad is not None
     with deadline(5.0):
-        _projected_bfgs(f, theta, val, grad, 3.0 * min_time_to_origin(x0), [], [False])
+        _projected_bfgs(f, theta, val, grad, 3.0 * min_time_to_origin(x0))
 
 
 def test_solver_beats_truncation_competitor(reference, synth, decade_path):
@@ -691,7 +745,8 @@ def test_solver_no_worse_than_oracle(synth, n, sign):
 def test_zero_face_step_finds_collapsed_optima(synth, x0, interior_value):
     # every start descends to an interior optimum (value `interior_value`)
     # with a first arc of about 0.004; the oracle's optimum drops that arc,
-    # which lowers the TV from 6 to 4, a face the descent never lands on
+    # which lowers the TV from 6 to 4, a face the descent never lands on:
+    # it is the (2, -1) table entry behind a zero first arc
     eps = 1e-4
     spec = ProblemSpec(x0=x0)
     orc = brute_force_oracle(3, 1.0, eps, spec, resolution=2e-3)
@@ -700,6 +755,52 @@ def test_zero_face_step_finds_collapsed_optima(synth, x0, interior_value):
     assert cand.value(eps) <= orc.value(eps) * (1.0 + 1e-6)
     assert orc.value(eps) < interior_value * (1.0 - 1e-5)
     assert cand.report.pg_norm * 3.0 * min_time_to_origin(x0) <= 1e-5 * cand.lagrangian
+
+
+#: six-switch subproblems, sign -1 at epsilon = 1e-4, whose optima are lower
+#: table entries behind zero-length arcs; descents from the two cold starts
+#: end 7.9% and 7.4% above these values
+COLLAPSED_SIX = [
+    ((-0.22633779463431777, 0.45287275082240863), 0.008002042264232224),
+    ((-0.22925166684613776, 0.5531552934147955), 0.007610305517238637),
+]
+
+
+@pytest.mark.parametrize("x0, want", COLLAPSED_SIX)
+def test_solo_subproblem_reads_collapsed_optima_from_the_table(synth, x0, want):
+    cand = optimize_durations(6, -1.0, 1e-4, ProblemSpec(x0=x0), synth=synth)
+    assert cand.value(1e-4) == want
+    assert cand.tv < 12.0 and 0.0 in cand.durations
+
+
+def test_solo_subproblem_is_the_collapse_recursion(synth):
+    # E(n, s) = min(J(n, s) + eps TV, E(n - 1, -s), E(n - 2, s)), each
+    # lower term embedded by zero-length arcs: the returned value is no
+    # higher than any term beyond the tie band, and the returned durations
+    # are a candidate of (n, s) that `_evaluate` gives back float for float
+    rng = np.random.default_rng(26)
+    embedded = 0
+    for _ in range(8):
+        r, angle = 10.0 ** rng.uniform(-1.0, 1.0), rng.uniform(0.0, 2.0 * math.pi)
+        spec = ProblemSpec(x0=(r * math.cos(angle), r * math.sin(angle)))
+        for eps in (0.0, 1e-4, 1e-3):
+            solved = {}
+            for n in range(1, 7):
+                for sign in (-1.0, 1.0):
+                    with contextlib.suppress(AllStartsInfeasible):
+                        solved[n, sign] = optimize_durations(n, sign, eps, spec, synth=synth)
+            for (n, sign), cand in solved.items():
+                own = _grow(spec, synth, n)[n, sign][0]
+                terms = [c.value(eps) for c in (own, solved.get((n - 1, -sign)),
+                                                 solved.get((n - 2, sign))) if c]
+                value = cand.value(eps)
+                assert all(value <= t + _tie_band(t) for t in terms)
+                assert len(cand.durations) == n + 1 and cand.initial_sign == sign
+                res = _evaluate(spec.x0, sign, cand.durations[:-2], spec.equibound)
+                assert (res[0], res[1], res[2], res[3]) == \
+                    (cand.lagrangian, cand.tv, cand.durations, cand.terminal_residual)
+                embedded += own is None or cand.durations != own.durations
+    assert embedded >= 60
 
 
 @pytest.mark.parametrize("sign", [-1.0, 1.0])
