@@ -174,8 +174,8 @@ def execute(system: HybridSystem, q0: str, x0, horizon: float,
     hit_max_events set (the usual signature of a Zeno execution); so does a
     next arc too short to advance the clock (t + d == t).
     """
-    if max_events < 1:
-        raise ValueError("max_events must be at least 1")
+    if isinstance(max_events, bool) or not (isinstance(max_events, int) and max_events >= 1):
+        raise ValueError(f"max_events must be an integer of at least 1, got {max_events!r}")
     if q0 not in system.modes:
         raise ValueError(f"unknown initial mode {q0!r}")
     if not horizon > 0.0:

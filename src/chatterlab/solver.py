@@ -24,8 +24,12 @@ reach either; those embeddings are left out.  `regularization_path`
 selects each point from the table, which makes the monotonicity and
 concavity of the value function exact to roundoff.
 
-Each entry is found by projected BFGS on the box [0, cap]^m from the
-deterministic starts `_grow` decides.  Arcs are polynomial (`di_arc`) and
+Each entry is found by projected BFGS on the box [0, cap]^m from at most
+two deterministic starts (`_grow`): the last optimum of its sign, and one
+start in its own sign's phase of Fuller's chattering synthesis (Zelikin &
+Borisov, Theory of Chattering Control, 1994), which is the synthesized
+prefix for the feedback sign at x0 and a zero first arc ahead of the
+(n - 1, -s) optimum for the other sign.  Arcs are polynomial (`di_arc`) and
 the terminal pair is algebraic (`steer_durations`), so `_objective`
 returns the exact gradient of the eliminated running cost from one
 forward fold and one adjoint pass, the switching-time gradient of
@@ -271,17 +275,13 @@ def _projected_bfgs(f, theta: list, val: float, grad: list, cap: float) -> tuple
     quasi-Newton steps in a row that each gain less than 1e-14 * |value|
     (one such step can stop short in a flat valley H has not yet seen); on
     a projected gradient whose first-order gain across the whole box is
-    below that; on two steps in a row cut short by infeasible trials that
-    leave the gradient about as large (a creep along the feasibility
-    boundary, whose points are lower-count candidates); or after
-    _MAX_ITERATIONS steps.  Tolerances relative to |value| keep the
-    stop invariant under the problem's scaling law.
+    below that; or after _MAX_ITERATIONS steps.  Tolerances relative to
+    |value| keep the stop invariant under the problem's scaling law.
     """
     m = len(theta)
     h = None  # inverse-Hessian rows; None stands for gamma times the identity
     gamma = None
-    cut, q_prev = False, math.inf
-    walled = small = 0
+    small = 0
     for _ in range(_MAX_ITERATIONS):
         tol = 1e-14 * abs(val)
         q = [0.0 if (t <= 0.0 and g > 0.0) or (t >= cap and g < 0.0) else g
@@ -289,18 +289,13 @@ def _projected_bfgs(f, theta: list, val: float, grad: list, cap: float) -> tuple
         q_max = max(map(abs, q))
         if q_max * cap <= tol:
             break
-        # creeping along the feasibility boundary (see the docstring)
-        walled = walled + 1 if cut and q_max > 0.5 * q_prev else 0
-        if walled >= 2:
-            break
-        q_prev = q_max
         if h is None:
             scale = gamma if gamma is not None else 1e-2 * cap / q_max
             step = [-scale * v for v in q]
         else:
             step = [-sum(a * b for a, b in zip(row, q)) if qi else 0.0
                     for row, qi in zip(h, q)]
-        alpha, cut = 1.0, False
+        alpha = 1.0
         while True:
             trial = [min(max(t + alpha * s, 0.0), cap) for t, s in zip(theta, step)]
             moved = [b - a for a, b in zip(theta, trial)]
@@ -312,7 +307,6 @@ def _projected_bfgs(f, theta: list, val: float, grad: list, cap: float) -> tuple
             if new_val <= val + 1e-4 * slope:
                 break
             if new_grad is None:
-                cut = True
                 alpha *= 0.5
             else:
                 alpha *= min(0.5, max(0.1, -slope / (2.0 * (new_val - val - slope))))
@@ -367,23 +361,12 @@ def _candidate(sign: float, res, report=None) -> BangBangCandidate:
     return BangBangCandidate(sign, res[2], res[0], res[1], res[3], report)
 
 
-def _cold_starts(x0, synth: FullerSynthesis) -> list:
-    """The two cold starts of a table entry: the prefix of the chattering
-    control synthesized from x0, and the sign flip, a vanishing first arc
-    and then that prefix, which reaches the chattering optimum from the
-    other initial sign."""
-    bp = chattering_reference(tuple(x0), synth)[0].breakpoints
-    fuller = [b - a for a, b in zip(bp, bp[1:])]
-    return [fuller, [1e-9 * min_time_to_origin(x0)] + fuller]
-
-
 def _build_starts(n_free: int, starts, rho: float, cap: float) -> list:
     """The starts of one subproblem, each padded to n_free durations by a
     geometric tail at the synthesis contraction ratio `rho` and clipped to
     [0, cap]; a longer start is cut to its first n_free.  They are those
-    `_grow` decides for a table entry: the warm start, and the cold starts
-    (`_cold_starts`) or, for the sign opposite the feedback sign, the flip
-    of a lower count's optimum."""
+    `_grow` decides for a table entry: the start in its own sign's phase,
+    and the warm start."""
 
     def pad(base):
         out = list(base[:n_free])
@@ -494,23 +477,26 @@ def _table(spec: ProblemSpec, synth: FullerSynthesis) -> dict:
 def _grow(spec: ProblemSpec, synth: FullerSynthesis, n_switches: int) -> dict:
     """The table of `spec` and `synth` with every count up to n_switches
     solved, counts ascending and sign -1 before +1.  Entry (n, s) starts
-    from the last optimum of its sign (the warm start) and the cold starts
-    (`_cold_starts`); the sign opposite the feedback sign at x0 starts in
-    their place from the exact flip of the (n - 1, -s) optimum, a zero
-    ahead of its free durations, which the cold starts only creep toward,
-    and keeps them where (n - 1, -s) is infeasible.
+    from one point in its own sign's phase of the chattering control
+    synthesized from x0, and from the last optimum of its sign (the warm
+    start).  The feedback sign at x0 starts from the control's durations,
+    its prefix; the other sign from a zero first arc ahead of the free
+    durations of the (n - 1, -s) optimum, that optimum's exact flip, or
+    ahead of the prefix where (n - 1, -s) is infeasible.
     """
     table = _table(spec, synth)
+    reference = chattering_reference(spec.x0, synth)[0]
+    bp = reference.breakpoints
+    prefix = tuple(b - a for a, b in zip(bp, bp[1:]))
     for n in range(len(table) // 2 + 1, n_switches + 1):
         for sign in (-1.0, 1.0):
-            flip = table.get((n - 1, -sign), (None,))[0]
             if n == 1:
                 starts = []  # no free duration
-            elif flip is not None and \
-                    sign != chattering_reference(spec.x0, synth)[0].values[0]:
-                starts = [(0.0,) + flip.durations[:-2]]
+            elif sign == reference.values[0]:
+                starts = [prefix]
             else:
-                starts = _cold_starts(spec.x0, synth)
+                flip = table[n - 1, -sign][0]
+                starts = [(0.0,) + (prefix if flip is None else flip.durations[:-2])]
             warm = next((table[m, sign][0] for m in range(n - 1, 0, -1)
                          if table[m, sign][0] is not None), None)
             if warm is not None:

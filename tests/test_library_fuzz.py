@@ -11,7 +11,7 @@ returned and check nothing themselves (BangBangCandidate, Trajectory,
 HybridTrajectory, ZenoFit, ...) are not probed, nor are the writers, which
 take paths.  The oracle runs at resolution 0.05 only.
 
-KNOWN names the bad inputs recorded before this fuzz existed, each of which
+KNOWN names the bad inputs found outside the probes, each of which once
 hung, raised the wrong error or answered a meaningless question with a
 finite number; each now raises ValueError.  The probes found the rest: a
 NaN control value, cost rate, flow or guard coefficient, an infinite
@@ -133,6 +133,11 @@ KNOWN = {
     "lag-nan-budget": lambda: cl.truncation_lag_for_budget(U_STAR, math.nan),
     "execute-nan-horizon": lambda: cl.execute(BALL, "flight", (1.0, 0.0), math.nan),
     "execute-nan-state": lambda: cl.execute(BALL, "flight", (math.nan, 0.0), 5.0),
+    "execute-fractional-budget":
+        lambda: cl.execute(BALL, "flight", (1.0, 0.0), 5.0, max_events=2.5),
+    "execute-bool-budget": lambda: cl.execute(BALL, "flight", (1.0, 0.0), 5.0, max_events=True),
+    "execute-nan-budget":
+        lambda: cl.execute(BALL, "flight", (1.0, 0.0), 5.0, max_events=math.nan),
 }
 
 

@@ -1,5 +1,6 @@
 import contextlib
 import math
+import random
 import signal
 import tracemalloc
 
@@ -16,7 +17,6 @@ from chatterlab.solver import (
     SolutionPath,
     _better,
     _build_starts,
-    _cold_starts,
     _evaluate,
     _grid_argmin,
     _grow,
@@ -40,6 +40,15 @@ from chatterlab.truncation import (
     truncate,
     truncation_lag_for_budget,
 )
+
+
+def _both_phase_starts(x0, synth):
+    """The durations of the chattering control synthesized from x0, and
+    the same behind a vanishing first arc: the first is in phase with the
+    control for the feedback sign at x0, the second for the other sign."""
+    bp = fuller.chattering_reference(x0, synth)[0].breakpoints
+    prefix = [b - a for a, b in zip(bp, bp[1:])]
+    return [prefix, [1e-9 * min_time_to_origin(x0)] + prefix]
 
 
 def forward_residual(state, sign, pair):
@@ -170,8 +179,8 @@ def test_certificate_is_small_at_interior_optima(synth):
                 except AllStartsInfeasible:
                     continue
                 report = cand.report
-                # the table entry's cold, flip and warm starts
-                assert 1 <= report.feasible_starts <= 3
+                # the table entry's own-phase and warm starts
+                assert 1 <= report.feasible_starts <= 2
                 assert report.evaluations >= report.feasible_starts
                 if min(cand.durations) < 1e-3 * cap:
                     continue
@@ -228,7 +237,7 @@ def test_descent_trace_is_monotone(reference, synth):
         return out
 
     descended = 0
-    for start in _build_starts(2, _cold_starts(spec.x0, synth), synth.rho, cap):
+    for start in _build_starts(2, _both_phase_starts(spec.x0, synth), synth.rho, cap):
         val, grad = f(start)
         if grad is None:
             continue
@@ -307,7 +316,7 @@ NO_FEASIBLE_START = [
 def test_lifted_starts_solve_when_no_start_is_feasible(x0, sign, want, synth):
     spec = ProblemSpec(x0=x0)
     cap = solver.DURATION_CAP_FACTOR * min_time_to_origin(x0)
-    starts = _build_starts(1, _cold_starts(x0, synth), synth.rho, cap)
+    starts = _build_starts(1, _both_phase_starts(x0, synth), synth.rho, cap)
     assert all(_evaluate(x0, sign, theta, spec.equibound) is None for theta in starts)
     cand = optimize_durations(2, sign, 1e-4, spec, synth=synth)
     assert cand.terminal_residual <= 1e-9
@@ -420,6 +429,9 @@ def test_path_sweeps_each_subproblem_of_its_smallest_epsilon_once(monkeypatch, s
 #: the bench ladder, 1e-1 down to 1e-8
 LADDER_8 = [10.0 ** -k for k in range(1, 9)]
 
+#: objective evaluations over the 24 paths of `_path_states`, as measured
+PATH_EVALUATIONS = 1056
+
 #: path values from (1e4, 0) under equibound 1e9 on LADDER_8 of a sweep
 #: that ran on to count 13; J is about 7.6e9 there, so epsilon <= 1e-6 is
 #: below one ulp of it and the counts it picked above 5 were rounding
@@ -474,14 +486,10 @@ def _path_states(synth):
     return [(float(x1), float(x2)) for x1, x2 in states]
 
 
-def test_path_starts_lose_nothing_against_solving_alone(monkeypatch, synth):
-    # a path starts the wrong initial sign from the solved flip of count
-    # n - 1 and its warm start only: each entry of its table is no higher,
-    # within the tie band, than the subproblem solved alone from the cold
-    # starts and the same warm start, the selection over those entries is
-    # the path's, and the wrong sign descends from at most two starts, one
-    # of which is worth exactly the flipped count's cost (a zero arc leaves
-    # the state unchanged)
+def _recorded_paths(monkeypatch, synth):
+    """(x0, path, [(count, sign, candidate or None)] of every table entry
+    the path solved, in order) for each of `_path_states`, each path from
+    an empty table."""
     solved = []
     original = solver._solve_subproblem
 
@@ -495,18 +503,34 @@ def test_path_starts_lose_nothing_against_solving_alone(monkeypatch, synth):
         return cand
 
     monkeypatch.setattr(solver, "_solve_subproblem", recording)
-    flipped = 0
     for x0 in _path_states(synth):
-        spec = ProblemSpec(x0=x0)
         solved.clear()
         _table.cache_clear()
-        path = regularization_path(LADDER_8, spec, synth=synth)
+        path = regularization_path(LADDER_8, ProblemSpec(x0=x0), synth=synth)
         assert [(n, s, c) for n, s, c, _ in path.subproblems] == \
             [(n, s, c and c.lagrangian) for n, s, c in solved]
+        yield x0, path, list(solved)
+
+
+def test_path_starts_lose_nothing_against_solving_alone(monkeypatch, synth):
+    # a path starts the sign opposite the feedback sign from the solved flip
+    # of count n - 1 and its warm start only: each entry of its table is no
+    # higher, within the tie band, than the subproblem solved alone from the
+    # entry's own cold start (the prefix, behind a zero arc for the other
+    # sign) and the same warm start, the selection over those entries is
+    # the path's, and the other sign descends from at most two starts, one
+    # of which is worth exactly the flipped count's cost (a zero arc leaves
+    # the state unchanged)
+    original = solver._solve_subproblem
+    flipped = 0
+    for x0, path, solved in _recorded_paths(monkeypatch, synth):
+        spec = ProblemSpec(x0=x0)
+        prefix = _both_phase_starts(x0, synth)[0]
         feedback = fuller.chattering_reference(x0, synth)[0].values[0]
         warm, costs, table = {}, {}, []
         for n, sign, cand in solved:
-            starts = _cold_starts(x0, synth) + ([warm[sign]] if sign in warm else [])
+            cold = prefix if sign == feedback else [0.0] + prefix
+            starts = [cold] + ([warm[sign]] if sign in warm else [])
             try:
                 alone = original(n, sign, spec, synth.rho, starts)
             except AllStartsInfeasible:
@@ -528,6 +552,57 @@ def test_path_starts_lose_nothing_against_solving_alone(monkeypatch, synth):
             assert (point.value, point.n_switches, point.candidate.initial_sign) == \
                 (best[0], best[1], best[2].initial_sign)
     assert flipped >= 30
+
+
+def test_one_start_per_phase_loses_nothing_against_both_phases(monkeypatch, synth):
+    # each entry starts in its own sign's phase only: it is no higher,
+    # beyond the tie band, than the same entry solved from the starts in
+    # both phases and the same warm start, and feasible exactly where that
+    # solve is
+    original = solver._solve_subproblem
+    compared = 0
+    for x0, _, solved in _recorded_paths(monkeypatch, synth):
+        spec = ProblemSpec(x0=x0)
+        warm = {}
+        for n, sign, cand in solved:
+            starts = _both_phase_starts(x0, synth) + ([warm[sign]] if sign in warm else [])
+            try:
+                both = original(n, sign, spec, synth.rho, starts)
+            except AllStartsInfeasible:
+                assert cand is None
+                continue
+            assert cand is not None
+            assert cand.lagrangian <= both.lagrangian + _tie_band(both.lagrangian)
+            compared += 1
+            warm[sign] = cand.durations
+    assert compared >= 90
+
+
+def test_path_evaluations_stay_within_the_measured_work(synth):
+    # a host-independent guard on the descent's work: the objective
+    # evaluations of every table entry the 24 paths of `_path_states` read
+    total = 0
+    for x0 in _path_states(synth):
+        _table.cache_clear()
+        path = regularization_path(LADDER_8, ProblemSpec(x0=x0), synth=synth)
+        total += sum(report.evaluations for *_, report in path.subproblems)
+    assert total <= PATH_EVALUATIONS
+
+
+def test_coarse_truncation_radius_keeps_the_path_values(synth):
+    # at a truncation radius comparable to |x0| the reference's prefix is
+    # short, and an entry started in the wrong sign's phase from it could
+    # stop at a collapsed lower-count point; each entry starting in its own
+    # phase, every point keeps the default radius's value
+    rng = random.Random(1812)
+    coarse = default_synthesis(3.0)
+    for _ in range(12):
+        radius, angle = rng.uniform(0.5, 2.0), rng.uniform(0.0, 2.0 * math.pi)
+        spec = ProblemSpec(x0=(radius * math.cos(angle), radius * math.sin(angle)))
+        fine = regularization_path(LADDER_8, spec, synth=synth)
+        for a, b in zip(regularization_path(LADDER_8, spec, synth=coarse).records,
+                        fine.records):
+            assert abs(a.value - b.value) <= _tie_band(b.value)
 
 
 def test_far_state_sweep_stops_on_j_star(synth):
