@@ -43,14 +43,18 @@ certificate (`DescentReport`).
 oracle functions only, so no other caller loads it) and refines by coordinate
 golden-section descent on `_evaluate`, independent of the quasi-Newton
 solver it checks.  The grid's free durations are broadcast
-axes, so each arc is folded once per distinct prefix, and only the cells
-the terminal solve accepts get the terminal arcs, the equibound test and
-the collapsed TV.  The grid is also pruned by cost, branch-and-bound style
-(Land & Doig, Econometrica 28(3), 1960): every arc's running cost and
-epsilon * TV are nonnegative, so a cell's free-arc cost is a lower bound on
-its value, and cells whose bound is above the best value so far are never
-scored (`_grid_argmin`).  The pruned cells could neither be nor tie the
-grid minimum, so the oracle's result is the unpruned grid's bit for bit.
+axes, so each arc is folded once per distinct prefix.  The grid is pruned
+by cost, branch-and-bound style (Land & Doig, Econometrica 28(3), 1960):
+every arc's running cost and epsilon * TV are nonnegative, so a cell's
+free-arc cost is a lower bound on its value, and cells whose bound is above
+a value some cell reaches are never scored (`_grid_argmin`).  That value is
+seeded from a sparse subgrid, so the cut acts from the first block on, and
+only the cells within it are gathered for the sup, the terminal solve, the
+terminal arcs, the equibound test and the collapsed TV (`_vector_eval`).
+The pruned cells could neither be nor tie the grid minimum, so the grid's
+cell is the unpruned grid's bit for bit.  The golden sections end at about
+the square root of the double precision unit, below which the value is flat
+to rounding (`brute_force_oracle`).
 """
 
 from __future__ import annotations
@@ -552,41 +556,48 @@ def optimize_durations(n_switches: int, sign: float, epsilon: float,
 def _vector_eval(x0, sign: float, free_grids, equibound: float, bound: float = math.inf):
     """Vectorized running cost and collapsed total variation of candidates
     over a grid of free durations, the grids broadcasting to the grid's
-    shape.  Infeasible entries come back with cost +inf, and those the
-    terminal solve rejects with TV 0, so cost + epsilon * TV is never NaN.
+    shape.  Infeasible entries come back with cost +inf and a finite TV, so
+    cost + epsilon * TV is never NaN.
 
     Each free arc is folded on the shape its inputs broadcast to, so a
     duration that varies along one axis only is folded once per value.  The
-    terminal solve runs on the whole grid; the terminal arcs, the equibound
-    test and the collapsed TV only on the cells it accepts whose free-arc
-    cost is at most `bound`, the others coming back as infeasible.  Every
-    feasible cell gets the floats `_evaluate` gives it, operation for
+    cells whose free-arc cost is at most `bound` are then gathered, and only
+    they get the sup, the terminal solve, the terminal arcs, the equibound
+    test and the collapsed TV, the others coming back as infeasible: with a
+    bound that prunes most cells, this skips most of the grid's passes.  Max
+    and every elementwise operation give the same floats on a subset, so
+    every feasible cell gets the floats `_evaluate` gives it, operation for
     operation.
     """
     import numpy as np
 
     x1, x2 = x0
-    cost = total = 0.0
-    sup = max(abs(x1), abs(x2))
+    cost = 0.0
+    ends = []  # (end x1, end x2, vertex) of each free arc
     u = sign
     for d in free_grids:
         x1, x2, c, vertex = di_arc(x1, x2, u, d)
         cost = cost + c
-        sup = np.maximum(sup, np.maximum(np.maximum(np.abs(x1), np.abs(x2)), vertex))
-        total = total + d
+        ends.append((x1, x2, vertex))
         u = -u
     shape = np.broadcast_shapes(*(np.shape(d) for d in free_grids))
-    root = 0.5 * x2 * x2 - u * x1  # the discriminant until its root is taken
-    feasible = (root >= 0.0) & (cost <= bound)
-    np.sqrt(np.maximum(root, 0.0, out=root), out=root)
-    a = -u * x2 + root
-    feasible &= a > steer_floor(x2, root)  # as in steer_durations
-    cells = np.flatnonzero(np.broadcast_to(feasible, shape))
+    cells = np.flatnonzero(np.broadcast_to(cost <= bound, shape))
 
     def gather(v):
         return np.take(np.broadcast_to(v, shape), cells)
 
-    x1, x2, cost, sup, total, a, root = map(gather, (x1, x2, cost, sup, total, a, root))
+    free = [gather(d) for d in free_grids]
+    cost, x1, x2 = gather(cost), gather(x1), gather(x2)
+    sup = max(abs(x0[0]), abs(x0[1]))
+    for end in ends:
+        e1, e2, vertex = map(gather, end)
+        sup = np.maximum(sup, np.maximum(np.maximum(np.abs(e1), np.abs(e2)), vertex))
+    total = sum(free)
+    root = 0.5 * x2 * x2 - u * x1  # the discriminant until its root is taken
+    feasible = root >= 0.0
+    np.sqrt(np.maximum(root, 0.0, out=root), out=root)
+    a = -u * x2 + root
+    feasible &= a > steer_floor(x2, root)  # as in steer_durations
     a = np.maximum(a, 0.0)
     for d in (a, root):
         x1, x2, c, vertex = di_arc(x1, x2, u, d)
@@ -594,11 +605,11 @@ def _vector_eval(x0, sign: float, free_grids, equibound: float, bound: float = m
         sup = np.maximum(sup, np.maximum(np.maximum(np.abs(x1), np.abs(x2)), vertex))
         total += d
         u = -u
-    tv = _collapsed_tv([gather(d) for d in free_grids] + [a, root])
+    feasible &= total + sup <= equibound
     cost_grid = np.full(shape, np.inf)
-    cost_grid.flat[cells] = np.where(total + sup <= equibound, cost, np.inf)
+    cost_grid.flat[cells] = np.where(feasible, cost, np.inf)
     tv_grid = np.zeros(shape)
-    tv_grid.flat[cells] = tv
+    tv_grid.flat[cells] = _collapsed_tv(free + [a, root])
     return cost_grid, tv_grid
 
 
@@ -617,13 +628,19 @@ def _grid_argmin(x0, sign: float, epsilon: float, axis, n_free: int,
     Every arc's running cost is nonnegative and epsilon * TV is too, so a
     cell's value is at least the cost of its free arcs, and that is at
     least the cost of its first arc, which depends on its row alone.  A
-    cell whose free-arc cost is above the running best is therefore above
-    it in value too, and can be neither the minimum nor tied with it: only
+    cell whose free-arc cost is above a grid cell's value is therefore above
+    the minimum too, and can be neither the minimum nor tied with it: only
     the other cells get the terminal solve, the equibound test and the
     collapsed TV (`_vector_eval`'s `bound`), and the rows from the first one
-    whose suffix minimum of first-arc costs is above the best are not scored
-    at all.  A relative margin of 1e-9 on the best covers the rounding of
-    the sums, so the result is the unpruned grid's cell bit for bit.
+    whose suffix minimum of first-arc costs is above that value are not
+    scored at all.  The value that cuts is the lesser of the running best
+    and a seed: the least value of the subgrid of every 8th axis point,
+    scored whole before the blocks, so that the cut acts from the first
+    block on, where an unseeded best would leave the block scored whole.
+    The seed only cuts; the best is set by the blocks alone, so a tie is
+    still resolved to the first cell in row-major order.  A relative margin
+    of 1e-9 on the cut covers the rounding of the sums, so the result is
+    the unpruned grid's cell bit for bit.
     """
     import numpy as np
 
@@ -633,9 +650,15 @@ def _grid_argmin(x0, sign: float, epsilon: float, axis, n_free: int,
     # least first-arc cost of the rows from each one on: nondecreasing
     first = di_arc(x0[0], x0[1], sign, axis)[2]
     floor = np.minimum.accumulate(first[::-1])[::-1]
+    # every 8th axis point, sparser where that subgrid would exceed a block
+    side = int(_ORACLE_BLOCK_CELLS ** (1.0 / n_free))
+    sub = axis[::max(8, -(-axis.size // side))]
+    cost, tv_grid = _vector_eval(x0, sign, [sub.reshape(dim) for dim in dims], equibound)
+    seed = float(np.min(cost + epsilon * tv_grid))
     best, theta = math.inf, None
     for r0 in range(0, axis.size, rows):
-        bound = best + 1e-9 * abs(best)
+        cut = min(best, seed)
+        bound = cut + 1e-9 * abs(cut)
         r1 = min(r0 + rows, int(np.searchsorted(floor, bound, side="right")))
         if r1 <= r0:
             break
@@ -659,12 +682,22 @@ def brute_force_oracle(n_switches: int, sign: float, epsilon: float,
 
     The grid has round(1 / resolution) cells per free duration on [0, cap].
     Its argmin (`_grid_argmin`) skips the cells whose free arcs alone cost
-    more than the best value found so far, which is exact because epsilon
+    more than a value some cell reaches, which is exact because epsilon
     is checked finite and nonnegative: no skipped cell could be the first
     minimum.  Raises ValueError on a switch count outside 1-3, a sign other
     than -1 or +1, an epsilon that is negative or not finite, or a
     resolution that is not positive and finite or whose reciprocal
     overflows.
+
+    Each golden section of the refinement ends at 1e-8 (1 + cap), about
+    the square root of the double precision unit times the scale: near a
+    smooth minimum the value is flat to rounding below that step (Brent,
+    Algorithms for Minimization without Derivatives, 1973, ch. 5), so a
+    finer section spends probes that change nothing.  In coupled valleys
+    the two coordinates trade small steps and the 8-pass cap ends the
+    refinement while it still improves: on 40 states of the benchmark's distribution, 34 of
+    80 count-3 calls stopped there, up to 5.9e-7 relative above
+    `optimize_durations`' value, more than half of criterion 4's 1e-6 slack.
     """
     sign = _checked_sign(n_switches, sign, epsilon)
     if n_switches > 3:
@@ -689,7 +722,7 @@ def brute_force_oracle(n_switches: int, sign: float, epsilon: float,
     def value(free):
         return _value(_evaluate(x0, sign, free, spec.equibound), epsilon)
 
-    val, half, xtol = value(theta), cap / cells, 1e-12 * (1.0 + cap)
+    val, half, xtol = value(theta), cap / cells, 1e-8 * (1.0 + cap)
     for _ in range(8):
         prev = val
         for j in range(n_free):

@@ -921,6 +921,39 @@ def test_grid_evaluator_matches_scalar_cell_by_cell(equibound):
                     assert tv(cand.control()) == res[1]
 
 
+@pytest.mark.parametrize("equibound", [1e3, 3.0, 2.2, 1.2])
+def test_grid_evaluator_bound_gathers_cell_by_cell(equibound):
+    # with a finite bound only the cells whose free arcs cost at most the
+    # bound are gathered for the terminal solve: each of them that is
+    # feasible agrees with the scalar evaluator bit for bit, and every other
+    # cell comes back infeasible; bounds at the 10th and 50th percentile of
+    # the free-arc costs leave 313, 58, 25 and 8 feasible cells at the four
+    # equibounds and cut 475, 8, 1 and 0; at 2.2 some cells' sup is reached
+    # on a free arc only, so a gather that drops either free arc's sup fails
+    axis = np.linspace(0.0, 2.5, 11)
+    gathered = 0
+    for x0 in ((1.0, 0.0), (-0.3, 0.8), (0.2, -1.1), (0.05, -0.3)):
+        for sign in (-1.0, 1.0):
+            for n_free in (1, 2):
+                grids = np.meshgrid(*([axis] * n_free), indexing="ij")
+                cells = list(np.ndindex(grids[0].shape))
+                free = {idx: [float(g[idx]) for g in grids] for idx in cells}
+                free_cost = {idx: solver._fold((x0[0], x0[1], sign, 0.0, 0.0, 0.0),
+                                               free[idx])[3] for idx in cells}
+                for q in (10, 50):
+                    bound = float(np.percentile(list(free_cost.values()), q))
+                    cost, tv_grid = _vector_eval(x0, sign, grids, equibound, bound)
+                    for idx in cells:
+                        res = _evaluate(x0, sign, free[idx], equibound)
+                        if res is None or free_cost[idx] > bound:
+                            assert cost[idx] == np.inf
+                            continue
+                        gathered += 1
+                        assert cost[idx] == res[0]
+                        assert tv_grid[idx] == res[1]
+    assert gathered > 0
+
+
 def test_grid_and_scalar_steering_share_the_rescue_band():
     # from x0 the last terminal arc alone nearly reaches the origin: the
     # first terminal duration solves to about -1e-12, inside the rounding
@@ -989,13 +1022,13 @@ def _unpruned_argmin(x0, sign, epsilon, axis, n_free, equibound):
 
 @pytest.mark.parametrize("equibound", [1e3, 3.0])
 def test_pruned_oracle_grid_is_the_unpruned_one(equibound, monkeypatch):
-    # cells whose free arcs alone cost more than the running best are not
-    # scored, and rows whose first arc does are not folded; on 20 states of
-    # the benchmark's distribution, in 16-row blocks of a 101-point axis (the
-    # first block is scored whole, so the bound acts from the second on),
-    # the cell is np.argmin's over the whole unpruned grid; on every fourth
-    # state the oracle's refined candidate is the one the unpruned grid
-    # leads to, bit for bit
+    # cells whose free arcs alone cost more than the seeded or running best
+    # are not scored, and rows whose first arc does are not folded; on 20
+    # states of the benchmark's distribution, in 16-row blocks of a 101-point
+    # axis (the seed, from every 8th axis point, cuts from the first block
+    # on), the cell is np.argmin's over the whole unpruned grid; on every
+    # fourth state the oracle's refined candidate is the one the unpruned
+    # grid leads to, bit for bit
     for k, x0 in enumerate(_kronecker_states(20)):
         axis = np.linspace(0.0, 3.0 * min_time_to_origin(x0), 101)
         for n_free in (1, 2):
@@ -1021,10 +1054,30 @@ def test_pruned_oracle_grid_is_the_unpruned_one(equibound, monkeypatch):
                 assert runs[0] == runs[1]
 
 
+def test_seed_cell_loses_a_tie_to_an_earlier_cell():
+    # at epsilon = 1e300 the running cost is below the rounding of epsilon *
+    # TV, so every cell of the least TV ties; from (1, 0) with sign +1 the
+    # first of them, (0, 17), is off the subgrid of every 8th axis point and
+    # later tied cells are on it, which makes the seed equal to the minimum:
+    # the first cell in row-major order still wins, as np.argmin picks it
+    x0, sign, eps = (1.0, 0.0), 1.0, 1e300
+    axis = np.linspace(0.0, 3.0 * min_time_to_origin(x0), 101)
+    grids = np.meshgrid(axis, axis, indexing="ij")
+    cost, tv_grid = _vector_eval(x0, sign, grids, 1e3)
+    value = cost + eps * tv_grid
+    ties = np.argwhere(value == value.min())
+    assert tuple(ties[0]) == (0, 17)
+    assert any(i % 8 == 0 and j % 8 == 0 for i, j in ties)
+    assert _grid_argmin(x0, sign, eps, axis, 2, 1e3) == [0.0, float(axis[17])]
+
+
 def test_oracle_grid_prunes_most_cells(monkeypatch):
     # from (1, 0) at count 3 the unpruned grid folds all of its 251k cells
     # and gives 22-30% of them the terminal arcs and the collapsed TV; the
-    # cost bound folds under half of them and scores under an eighth
+    # cost bound, seeded from the 4k cells of every 8th axis point, folds
+    # under half of them and gathers under a twentieth for the terminal
+    # solve (the seeded cells among them: 9.9k and 6.0k, where an unseeded
+    # cut, which leaves the first block whole, gives 18.1k and 12.8k)
     folded, scored = [0], [0]
     vector_eval, collapsed_tv = solver._vector_eval, solver._collapsed_tv
 
@@ -1044,4 +1097,27 @@ def test_oracle_grid_prunes_most_cells(monkeypatch):
         folded[0] = scored[0] = 0
         brute_force_oracle(3, sign, 1e-4, ProblemSpec(x0=(1.0, 0.0)), resolution=2e-3)
         assert folded[0] < cells / 2
-        assert 0 < scored[0] < cells / 8
+        assert 0 < scored[0] < cells / 20
+
+
+def test_oracle_refinement_evaluation_counts(monkeypatch):
+    # scalar evaluations of count-3 oracle calls at resolution 2e-3, a work
+    # count that does not depend on the host: golden sections ended at
+    # 1e-8 (1 + cap) spend 466, 116, 58, 114, 116 and 59; ended at 1e-12
+    # (1 + cap), below what the value can resolve, they spend 770, 192, 96,
+    # 190, 192 and 97
+    evaluate, calls = solver._evaluate, [0]
+
+    def counting(*args):
+        calls[0] += 1
+        return evaluate(*args)
+
+    monkeypatch.setattr(solver, "_evaluate", counting)
+    counts = []
+    for x0 in ((1.0, 0.0), (-0.3, 0.8), (0.2, -1.1)):
+        for sign in (-1.0, 1.0):
+            calls[0] = 0
+            brute_force_oracle(3, sign, 1e-4, ProblemSpec(x0=x0), resolution=2e-3)
+            counts.append(calls[0])
+    ceilings = [520, 130, 65, 130, 130, 65]
+    assert all(0 < c <= cap for c, cap in zip(counts, ceilings)), counts
