@@ -27,7 +27,7 @@ from typing import Callable
 from . import __version__
 from .controls import ProblemSpec, simulate
 from .errors import ChatterlabError, ConfigError, DegenerateFit, Inconclusive
-from .fuller import chattering_reference, default_synthesis, optimal_cost
+from .fuller import TRUNCATION_TOL, chattering_reference, default_synthesis, optimal_cost
 from .hybrid import (
     bouncing_ball,
     bouncing_ball_lagrangian,
@@ -84,7 +84,7 @@ class ExperimentConfig:
     n: list = field(default_factory=list)
     model: str = "water-tank"
     model_params: dict = field(default_factory=dict)
-    tol: float = 1e-10
+    tol: float = TRUNCATION_TOL
     out: str = "runs"
 
     def validate(self):

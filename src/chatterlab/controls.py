@@ -129,14 +129,6 @@ class PiecewiseConstantControl:
         k = bisect_left(self.breakpoints, t_end)  # first breakpoint at or past t_end
         return self.from_ends(self.breakpoints[1:k] + (t_end,), self.values[:k])
 
-    def split(self, t: float) -> tuple["PiecewiseConstantControl", "PiecewiseConstantControl"]:
-        """Head on [0, t] and tail re-based to start at 0."""
-        head = self.restrict(t)
-        tail = self.from_ends([right - t for right in self.breakpoints[1:]], self.values)
-        if tail is None:
-            raise ValueError("split point at or beyond the final time")
-        return head, tail
-
     def concat(self, other: "PiecewiseConstantControl") -> "PiecewiseConstantControl":
         """Concatenation u (+) v: v shifted to start where u ends; an arc of v
         too short to advance u's clock is dropped."""

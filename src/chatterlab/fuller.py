@@ -36,6 +36,14 @@ from .truncation import min_time_steer
 #: search interval for the switching-curve coefficient
 ZETA_BRACKET = (0.40, 0.50)
 
+#: width at which the bisection for the curve coefficient stops, the
+#: finest double precision resolves on the bracket
+ZETA_TOL = 1e-12
+
+#: default radius at which chattering is cut and closed by the minimum-time
+#: tail, that of `FullerSynthesis`, `default_synthesis` and the CLI's --tol
+TRUNCATION_TOL = 1e-10
+
 #: relative half-width of the on-curve tie band of the feedback
 CURVE_TIE_BAND = 1e-14
 
@@ -140,16 +148,14 @@ def _adjoint_switch_residual(zeta: float, scale: float = 1.0) -> float:
     return p2 / s ** 4
 
 
-def compute_fuller_constant(tol: float = 1e-12, start_scale: float = 1.0):
+def compute_fuller_constant(start_scale: float = 1.0):
     """Switching-curve coefficient and contraction ratio, by bisection of the
-    adjoint switch residual on (0.40, 0.50).
+    adjoint switch residual on ZETA_BRACKET down to a width of ZETA_TOL.
 
     Raises NoRootBracket when the residual does not change sign there.  The
     root is independent of start_scale; recomputing from several scales is
     the scaling-invariance oracle used in tests.
     """
-    if not tol >= 1e-12:
-        raise ValueError("tol below 1e-12 is not resolvable in double precision")
     if not 1e-76 <= start_scale <= 1e76:
         raise ValueError(f"start_scale must lie in [1e-76, 1e76], where the residual's "
                          f"fourth power of it is a normal float, got {start_scale!r}")
@@ -170,7 +176,7 @@ def compute_fuller_constant(tol: float = 1e-12, start_scale: float = 1.0):
             raise NoRootBracket(
                 f"residual has signs ({r_lo:.3g}, {r_hi:.3g}) on {ZETA_BRACKET}")
     if r_lo != 0.0:
-        while hi - lo > tol:
+        while hi - lo > ZETA_TOL:
             mid = 0.5 * (lo + hi)
             r_mid = _adjoint_switch_residual(mid, start_scale)
             if r_mid == 0.0:
@@ -194,7 +200,7 @@ class FullerSynthesis:
 
     zeta: float
     rho: float
-    truncation_tol: float = 1e-10
+    truncation_tol: float = TRUNCATION_TOL
 
     def __post_init__(self):
         if not ZETA_BRACKET[0] < self.zeta < ZETA_BRACKET[1]:
@@ -218,7 +224,7 @@ def _cached_constant() -> tuple[float, float]:
     return compute_fuller_constant()
 
 
-def default_synthesis(truncation_tol: float = 1e-10) -> FullerSynthesis:
+def default_synthesis(truncation_tol: float = TRUNCATION_TOL) -> FullerSynthesis:
     zeta, rho = _cached_constant()
     return FullerSynthesis(zeta=zeta, rho=rho, truncation_tol=truncation_tol)
 

@@ -16,8 +16,8 @@ the last two event arcs, is the one continuation of the run past its last
 event that costs and the rate sweep read.
 
 Resets receive the state as a pair of floats and may return any pair of
-numbers.  Each arc stores its duration as computed, its two end times and
-its two end states, all plain floats.
+numbers.  Each arc stores its start time, its duration as computed and its
+two end states, all plain floats; its end time is read off the first two.
 """
 
 from __future__ import annotations
@@ -109,22 +109,13 @@ class HybridArc:
     mode: str
     t0: float
     duration: float
-    #: the arc's start and end times
-    times: tuple[float, float]
-    #: the arc's start and end states, each a pair of floats
-    states: tuple[tuple[float, float], tuple[float, float]]
+    x0: tuple[float, float]
+    end_state: tuple[float, float]
 
     @property
-    def x0(self) -> tuple[float, float]:
-        return self.states[0]
-
-    @property
-    def end_state(self) -> tuple[float, float]:
-        return self.states[-1]
-
-
-def _arc(q: str, t0: float, d: float, x, end) -> HybridArc:
-    return HybridArc(q, t0, d, (t0, t0 + d), (x, end))
+    def times(self) -> tuple[float, float]:
+        """The arc's start and end times."""
+        return (self.t0, self.t0 + self.duration)
 
 
 @dataclass(frozen=True)
@@ -136,14 +127,8 @@ class HybridTrajectory:
     event_times: list[float]
     arcs: list[HybridArc]
     final_state: tuple[float, float]
-    horizon: float
     hit_max_events: bool
     guard_residuals: list[float]
-
-    @property
-    def tau(self) -> tuple[float, ...]:
-        """Event-time sequence including tau_0 = 0."""
-        return (0.0,) + tuple(self.event_times)
 
     @property
     def n_events(self) -> int:
@@ -153,11 +138,6 @@ class HybridTrajectory:
     def intervals(self) -> list[float]:
         """Durations of the arcs that end in an event, as computed."""
         return [arc.duration for arc in self.arcs[:self.n_events]]
-
-    @property
-    def duration(self) -> float:
-        last = self.arcs[-1]
-        return last.t0 + last.duration
 
     @cached_property
     def fit(self) -> ZenoFit:
@@ -193,12 +173,12 @@ def execute(system: HybridSystem, q0: str, x0, horizon: float,
                       key=lambda hit: hit[0], default=(math.inf, None))
         if t + d >= horizon:
             end = system.flow(q, x, horizon - t)
-            arcs.append(_arc(q, t, horizon - t, x, end))
-            return HybridTrajectory(event_times, arcs, end, horizon, False, residuals)
+            arcs.append(HybridArc(q, t, horizon - t, x, end))
+            return HybridTrajectory(event_times, arcs, end, False, residuals)
         if t + d == t:
-            return HybridTrajectory(event_times, arcs, x, horizon, True, residuals)
+            return HybridTrajectory(event_times, arcs, x, True, residuals)
         end = system.flow(q, x, d)
-        arcs.append(_arc(q, t, d, x, end))
+        arcs.append(HybridArc(q, t, d, x, end))
         w1, w2, theta = system.guards[edge]
         residuals.append(abs(w1 * end[0] + w2 * end[1] - theta))
         t += d
@@ -207,7 +187,7 @@ def execute(system: HybridSystem, q0: str, x0, horizon: float,
         x = end if reset is None else _floats(reset(end), 2, "reset state")
         q = edge[1]
         if len(event_times) >= max_events:
-            return HybridTrajectory(event_times, arcs, x, horizon, True, residuals)
+            return HybridTrajectory(event_times, arcs, x, True, residuals)
 
 
 @dataclass(frozen=True)
@@ -264,9 +244,9 @@ def truncate_zeno(traj_star: HybridTrajectory, n: int, system: HybridSystem,
         raise ValueError(f"tau_inf must be finite and at least {src.t0}, got {tau_inf!r}")
     duration = tau_inf - src.t0
     end = system.flow(src.mode, src.x0, duration)
-    arcs = list(traj_star.arcs[:n]) + [_arc(src.mode, src.t0, duration, src.x0, end)]
+    arcs = list(traj_star.arcs[:n]) + [HybridArc(src.mode, src.t0, duration, src.x0, end)]
     return HybridTrajectory(list(traj_star.event_times[:n]), arcs, end,
-                            tau_inf, False, list(traj_star.guard_residuals[:n]))
+                            False, list(traj_star.guard_residuals[:n]))
 
 
 # ---------------------------------------------------------------------------
@@ -471,11 +451,11 @@ def water_tank(inflow: float = 0.75, drain: tuple[float, float] = (0.5, 0.5),
     )
 
 
-def water_tank_lagrangian(rate_fill_1: float = 2.0,
-                          rate_fill_2: float = 1.0) -> HybridLagrangian:
-    """Mode-dependent constant cost rates.  Distinct rates at the Zeno point
-    make the truncation cost gap exactly linear in the remaining time."""
-    return HybridLagrangian({"fill-1": float(rate_fill_1), "fill-2": float(rate_fill_2)})
+def water_tank_lagrangian() -> HybridLagrangian:
+    """Mode-dependent constant cost rates, 2 while filling tank 1 and 1
+    while filling tank 2.  Distinct rates at the Zeno point make the
+    truncation cost gap exactly linear in the remaining time."""
+    return HybridLagrangian({"fill-1": 2.0, "fill-2": 1.0})
 
 
 def bouncing_ball(gravity: float = 1.0, restitution: float = 0.5) -> HybridSystem:

@@ -214,8 +214,7 @@ def l1_control_distance(u: PiecewiseConstantControl,
 
 
 def truncate(u_star: PiecewiseConstantControl, traj_star: Trajectory,
-             eta: float, spec: ProblemSpec, *,
-             radius: float = STEERING_RADIUS) -> TruncationResult:
+             eta: float, spec: ProblemSpec) -> TruncationResult:
     """Cut the reference control eta before its final time and close with the
     minimum-time tail, recording cost gap and control/state deviations.
 
@@ -224,19 +223,19 @@ def truncate(u_star: PiecewiseConstantControl, traj_star: Trajectory,
     J*, whose rounding would otherwise swamp the gaps of small windows or
     large states.
 
-    The cut state must lie inside the steering neighborhood |x| <= radius,
-    otherwise CutTooLarge is raised.  Cuts landing exactly on a switch time
-    keep the arc ending there (half-open restriction).
+    The cut state must lie inside the steering neighborhood |x| <=
+    STEERING_RADIUS, otherwise CutTooLarge is raised.  Cuts landing exactly
+    on a switch time keep the arc ending there (half-open restriction).
     """
     t_star = u_star.duration
     if not 0.0 < eta < t_star:
         raise CutTooLarge(f"eta={eta} outside (0, {t_star})")
     t_cut = t_star - eta
     cut_state = traj_star.state_at(t_cut)
-    if math.hypot(*cut_state) > radius:
+    if math.hypot(*cut_state) > STEERING_RADIUS:
         raise CutTooLarge(
             f"|x({t_cut:.6g})| = {math.hypot(*cut_state):.6g} leaves the "
-            f"steering neighborhood (radius {radius})")
+            f"steering neighborhood (radius {STEERING_RADIUS})")
     prefix = u_star.restrict(t_cut)
     tail, tau = min_time_steer(cut_state)
     control = prefix if tail is None else prefix.concat(tail)
@@ -276,14 +275,17 @@ def truncation_rate_sweep(u_star: PiecewiseConstantControl, traj_star: Trajector
     Points whose gap sits at the arithmetic floor are dropped from the fit;
     DegenerateFit is raised when fewer than three usable points remain.  The
     deviation columns are checked for monotone decay toward zero.  A grid
-    of fewer than 5 windows, or not positive and finite, or spanning less
-    than two decades (largest / smallest < 99) raises ConfigError.
+    of fewer than 5 windows, or not positive and finite, or repeating a
+    window, or spanning less than two decades (largest / smallest < 99)
+    raises ConfigError.
     """
     etas = sorted(float(e) for e in etas)
     if len(etas) < 5:
         raise ConfigError("need at least 5 cut windows")
     if not all(0.0 < e < math.inf for e in etas):  # NaN fails it too
         raise ConfigError("cut windows must be positive and finite")
+    if any(b == a for a, b in zip(etas, etas[1:])):
+        raise ConfigError("cut windows must not repeat")
     if etas[-1] / etas[0] < 99.0:
         raise ConfigError("cut windows must span at least two decades")
     results = []
@@ -344,7 +346,8 @@ def composite_rate_bound(path_rows, u_star: PiecewiseConstantControl,
     gaps are nonincreasing along the path while the anchored bound never
     falls below its anchor value within a constant-TV window, so the single
     constant covers the whole sweep.  `path_rows` supplies (epsilon,
-    lagrangian, tv) triples, largest epsilon first.
+    lagrangian, tv) triples, largest epsilon first.  ValueError when it is
+    empty, which would certify nothing, or when j_star is not finite.
     """
     if not math.isfinite(j_star):
         raise ValueError(f"j_star must be finite, got {j_star!r}")
@@ -357,6 +360,8 @@ def composite_rate_bound(path_rows, u_star: PiecewiseConstantControl,
         if m_hat is None:
             m_hat = gap / lag ** HOLDER_EXPONENT
         rows.append((eps, gap, lag, m_hat * (lag ** HOLDER_EXPONENT + eps)))
+    if not rows:
+        raise ValueError("path_rows is empty: no point to bound")
     holds = all(gap <= bound * (1.0 + 1e-9) + 1e-15 for _, gap, _, bound in rows)
     return CompositeBoundCheck(m_hat=m_hat, holds=holds, rows=tuple(rows))
 

@@ -50,11 +50,6 @@ def test_constant_reproduces_from_curve_scales(synth):
         assert abs(rho - synth.rho) <= 1e-8
 
 
-def test_tol_precondition():
-    with pytest.raises(ValueError):
-        compute_fuller_constant(tol=1e-13)
-
-
 def test_curve_is_odd_symmetric(synth):
     rng = np.random.default_rng(5)
     for _ in range(100):

@@ -66,7 +66,7 @@ def polynomial_shrinker():
 
 def test_water_tank_intervals_contract_geometrically(tank_run):
     _, traj = tank_run
-    intervals = np.diff(traj.tau)
+    intervals = np.diff((0.0, *traj.event_times))
     # after the start-up transient the ratio is (inflow - drain) / drain
     ratios = intervals[2:10] / intervals[1:9]
     assert np.max(np.abs(ratios - 0.5)) <= 1e-9
@@ -89,7 +89,7 @@ def test_bouncing_ball_closed_forms(ball_run):
     for k in (1, 3, 6):
         post = traj.arcs[k].x0[1]
         assert post == pytest.approx(SQRT2 * 0.5 ** k, rel=1e-8)
-        interval = traj.tau[k + 1] - traj.tau[k]
+        interval = traj.event_times[k] - traj.event_times[k - 1]
         assert interval == pytest.approx(2.0 * SQRT2 * 0.5 ** k, rel=1e-8)
 
 
@@ -97,7 +97,7 @@ def test_stationary_mode_runs_to_horizon():
     traj = execute(stationary(), "idle", (0.0, 0.0), horizon=1.0)
     assert traj.n_events == 0
     assert len(traj.arcs) == 1
-    assert traj.duration == pytest.approx(1.0)
+    assert traj.arcs[-1].times[1] == pytest.approx(1.0)
 
 
 def test_event_overflow_carries_partial_trajectory():
@@ -131,7 +131,7 @@ def test_execution_stops_when_an_arc_no_longer_advances_the_clock():
 
 def test_event_times_strictly_increase(tank_run, ball_run):
     for _, traj in (tank_run, ball_run):
-        tau = traj.tau
+        tau = (0.0, *traj.event_times)
         assert all(b > a for a, b in zip(tau, tau[1:]))
 
 
@@ -254,7 +254,7 @@ def test_truncate_zeno_depth_zero_is_single_arc(tank_run):
     z0 = truncate_zeno(traj, 0, system, tau_inf)
     assert len(z0.arcs) == 1
     assert z0.arcs[0].mode == "fill-1"
-    assert z0.duration == pytest.approx(tau_inf, rel=1e-12)
+    assert z0.arcs[-1].times[1] == pytest.approx(tau_inf, rel=1e-12)
 
 
 def test_truncate_zeno_at_last_event_matches_to_tolerance(tank_run):
@@ -271,11 +271,12 @@ def test_truncate_zeno_at_last_event_matches_to_tolerance(tank_run):
 def test_water_tank_deviation_linear_with_single_constant(tank_run):
     system, traj = tank_run
     tau_inf = detect_zeno(traj).tau_inf
+    tau = (0.0, *traj.event_times)
     ratios = []
     for n in range(2, 13):
         zn = truncate_zeno(traj, n, system, tau_inf)
         dev = _frozen_deviation(traj, n, system, zn.arcs[-1].duration)
-        ratios.append(dev / (tau_inf - traj.tau[n]))
+        ratios.append(dev / (tau_inf - tau[n]))
     c_hat = max(ratios)
     assert all(r <= c_hat * (1.0 + 1e-9) for r in ratios)
     assert min(ratios) >= 0.2 * c_hat  # genuinely linear, not super-linear
@@ -388,14 +389,15 @@ def test_zeno_rate_sweep_records_equal_truncated_costs(tank_run, ball_run):
     ball_system, ball = ball_run
     for system, traj, lagrangian in (
             (tank_system, tank, water_tank_lagrangian()),
-            (tank_system, tank, water_tank_lagrangian(0.5, 3.0)),
+            (tank_system, tank, HybridLagrangian({"fill-1": 0.5, "fill-2": 3.0})),
             (ball_system, ball, bouncing_ball_lagrangian())):
         sweep = zeno_rate_sweep(traj, range(2, 13), lagrangian, system)
         cost_star = hybrid_cost(traj, lagrangian)
         tau_inf = detect_zeno(traj).tau_inf
+        tau = (0.0, *traj.event_times)
         for rec in sweep.records:
             traj_n = truncate_zeno(traj, int(rec.tv), system, tau_inf)
-            assert rec.param == pytest.approx(tau_inf - traj.tau[int(rec.tv)],
+            assert rec.param == pytest.approx(tau_inf - tau[int(rec.tv)],
                                               rel=0.0, abs=4e-15)
             assert rec.cost_gap == pytest.approx(hybrid_cost(traj_n, lagrangian) - cost_star,
                                                  rel=0.0, abs=1e-14 * cost_star)

@@ -15,9 +15,8 @@ KNOWN names the bad inputs found outside the probes, each of which once
 hung, raised the wrong error or answered a meaningless question with a
 finite number; each now raises ValueError.  The probes found the rest: a
 NaN control value, cost rate, flow or guard coefficient, an infinite
-control end, truncation radius or truncation depth, a start scale whose
-fourth power leaves the normal floats, a NaN accumulation time and a NaN
-J*.
+control end or truncation depth, a start scale whose fourth power leaves
+the normal floats, a NaN accumulation time and a NaN J*.
 """
 
 import dataclasses
@@ -55,7 +54,6 @@ PROBES = {
         (lambda v: cl.PiecewiseConstantControl((0.0, 1.0), (v,)), False),
     "simulate.control":
         (lambda v: cl.simulate(SPEC, cl.PiecewiseConstantControl((0.0, v), (1.0,))), False),
-    "compute_fuller_constant.tol": (lambda v: cl.compute_fuller_constant(tol=v), False),
     "compute_fuller_constant.start_scale":
         (lambda v: cl.compute_fuller_constant(start_scale=v), False),
     "default_synthesis.truncation_tol": (lambda v: cl.default_synthesis(v), False),
@@ -71,7 +69,6 @@ PROBES = {
     "truncation_lag_for_budget.budget":
         (lambda v: cl.truncation_lag_for_budget(U_STAR, v), False),
     "truncate.eta": (lambda v: cl.truncate(U_STAR, TRAJ_STAR, v, SPEC), False),
-    "truncate.radius": (lambda v: cl.truncate(U_STAR, TRAJ_STAR, 0.1, SPEC, radius=v), True),
     "truncation_rate_sweep.etas":
         (lambda v: cl.truncation_rate_sweep(U_STAR, TRAJ_STAR, ETAS + [v], SPEC), False),
     "composite_rate_bound.j_star":
@@ -126,11 +123,11 @@ KNOWN = {
     "oracle-inf-resolution":
         lambda: cl.brute_force_oracle(2, 1.0, 1e-3, SPEC, resolution=math.inf),
     "solver-inf-epsilon": lambda: cl.optimize_durations(2, 1.0, math.inf, SPEC),
-    "fuller-constant-nan-tol": lambda: cl.compute_fuller_constant(math.nan),
     "synthesis-nan-tol": lambda: cl.default_synthesis(truncation_tol=math.nan),
     "min-time-nan-state": lambda: cl.min_time_to_origin((math.nan, 0.0)),
     "min-steer-nan-state": lambda: cl.min_time_steer((math.nan, 0.0)),
     "lag-nan-budget": lambda: cl.truncation_lag_for_budget(U_STAR, math.nan),
+    "bound-empty-path": lambda: cl.composite_rate_bound([], U_STAR, 1.0),
     "execute-nan-horizon": lambda: cl.execute(BALL, "flight", (1.0, 0.0), math.nan),
     "execute-nan-state": lambda: cl.execute(BALL, "flight", (math.nan, 0.0), 5.0),
     "execute-fractional-budget":
@@ -214,6 +211,7 @@ def test_every_public_function_taking_numbers_is_probed():
     lambda: cl.truncation_rate_sweep(U_STAR, TRAJ_STAR, ETAS + [math.inf], SPEC),
     lambda: cl.zeno_rate_sweep(BALL_RUN, [2.5, 3, 4, 5, 6], BALL_COST, BALL),
     lambda: cl.zeno_rate_sweep(BALL_RUN, [True, 3, 4, 5, 6], BALL_COST, BALL),
+    lambda: cl.truncation_rate_sweep(U_STAR, TRAJ_STAR, [0.1, 0.1, 0.05, 0.01, 0.001], SPEC),
 ])
 def test_sweep_grid_faults_are_config_errors_and_value_errors(call):
     # each sweep checks its own grid; the CLI maps the error to exit 2 and

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from chatterlab import truncation
 from chatterlab.cli import _default_eta_grid
 from chatterlab.controls import (
     PiecewiseConstantControl,
@@ -159,12 +160,13 @@ def test_default_eta_grid_rejects_subnormal_windows():
         _default_eta_grid(u_star, simulate(spec, u_star))
 
 
-def test_cut_too_large(reference):
+def test_cut_too_large(reference, monkeypatch):
     spec, u_star, traj_star, t_star, j_star = reference
     with pytest.raises(CutTooLarge):
         truncate(u_star, traj_star, t_star + 0.1, spec)
+    monkeypatch.setattr(truncation, "STEERING_RADIUS", 0.01)
     with pytest.raises(CutTooLarge):
-        truncate(u_star, traj_star, 0.5, spec, radius=0.01)
+        truncate(u_star, traj_star, 0.5, spec)
 
 
 def test_rate_sweep_columns_and_exponent(reference):
@@ -349,10 +351,11 @@ def test_one_pass_metrics_equal_the_scans_on_every_truncation_of_a_sweep(synth):
             assert_same_l1(res.control, u_star)
 
 
-def test_one_pass_metrics_equal_the_scans_at_cuts_on_breakpoints(reference):
+def test_one_pass_metrics_equal_the_scans_at_cuts_on_breakpoints(reference, monkeypatch):
     spec, u_star, traj_star, t_star, _ = reference
+    monkeypatch.setattr(truncation, "STEERING_RADIUS", 1e3)  # admits every cut
     for t_cut in u_star.breakpoints[1:-1]:
-        res = truncate(u_star, traj_star, t_star - t_cut, spec, radius=1e3)
+        res = truncate(u_star, traj_star, t_star - t_cut, spec)
         traj = simulate(spec, res.control)
         for t_from in (0.0, t_cut, t_star - res.eta):
             assert_same_metrics(traj, traj_star, t_from)
